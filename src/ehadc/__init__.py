@@ -10,7 +10,7 @@ and energy efficiency) for configurable scenarios, plus the design equations
 for sizing the storage capacitor and budgeting a boost stage.
 """
 
-from .clocking import ClockPlan, Phase, PhaseSegment, phase_at, segments
+from .clocking import ClockPlan, Phase, time_grid
 from .engine import (
     Scenario,
     SimulationResult,
@@ -64,7 +64,6 @@ __all__ = [
     "InputPowerSpec",
     "NotConverged",
     "Phase",
-    "PhaseSegment",
     "PowerProvenance",
     "RcState",
     "RectifierModel",
@@ -86,7 +85,6 @@ __all__ = [
     "eh_step",
     "enob",
     "harvested_energy",
-    "phase_at",
     "quantize_oracle",
     "r_on",
     "rc_step_linear",
@@ -96,11 +94,11 @@ __all__ = [
     "rms_power",
     "run",
     "sar_convert",
-    "segments",
     "settling_error",
     "size_capacitor",
     "sndr",
     "spectrum",
     "steady_state_metrics",
     "sweep",
+    "time_grid",
 ]

@@ -274,10 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotConverged as exc:

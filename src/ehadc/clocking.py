@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Phase(enum.IntEnum):
     ACQUISITION = 0
@@ -59,56 +61,21 @@ class ClockPlan:
         return self.t_s - self.t_aq
 
 
-@dataclass(frozen=True)
-class PhaseSegment:
-    """Half-open interval [t_start, t_end) assigned to one phase of one period."""
+def time_grid(plan: ClockPlan, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-step endpoints of both phases of every period.
 
-    t_start: float
-    t_end: float
-    kind: Phase
-    period_index: int
-
-    def __post_init__(self):
-        if not (self.t_start < self.t_end):
-            raise ValueError(f"empty segment [{self.t_start}, {self.t_end})")
-
-
-def segments(plan: ClockPlan) -> list[PhaseSegment]:
-    """All 2*n_periods phase segments of a plan, in time order.
-
-    Period k contributes Acquisition [k*T_s, k*T_s + alpha*T_s) followed by
-    EnergyHarvest [k*T_s + alpha*T_s, (k+1)*T_s). Segments tile
-    [0, n_periods*T_s) with no gaps or overlaps.
+    Returns (acquisition, harvest) arrays of shape (n_periods, n_sub + 1).
+    Row k of the acquisition grid steps by T_aq/n_sub from k*T_s to the phase
+    boundary k*T_s + alpha*T_s; row k of the harvest grid steps by T_EH/n_sub
+    from that boundary to (k+1)*T_s. The last endpoint of each row is snapped
+    to the closed-form boundary, so both phases share identical boundary times.
     """
-    t_s = plan.t_s
-    out = []
-    for k in range(plan.n_periods):
-        start = k * t_s
-        boundary = k * t_s + plan.alpha * t_s
-        end = (k + 1) * t_s
-        out.append(PhaseSegment(start, boundary, Phase.ACQUISITION, k))
-        out.append(PhaseSegment(boundary, end, Phase.ENERGY_HARVEST, k))
-    return out
-
-
-def phase_at(plan: ClockPlan, t: float) -> PhaseSegment:
-    """The segment containing time t; boundaries belong to the segment they start.
-
-    Raises:
-        ValueError: if t is outside [0, n_periods*T_s).
-    """
-    t_s = plan.t_s
-    if t < 0.0 or t >= plan.n_periods * t_s:
-        raise ValueError(f"t={t} outside the planned run [0, {plan.n_periods * t_s})")
-    k = int(t / t_s)
-    # Rounding in t/t_s can misplace t by one period near a boundary; fix up
-    # against the exact boundary expressions used everywhere else.
-    if k + 1 < plan.n_periods and t >= (k + 1) * t_s:
-        k += 1
-    elif k > 0 and t < k * t_s:
-        k -= 1
-    k = min(k, plan.n_periods - 1)
-    boundary = k * t_s + plan.alpha * t_s
-    if t < boundary:
-        return PhaseSegment(k * t_s, boundary, Phase.ACQUISITION, k)
-    return PhaseSegment(boundary, (k + 1) * t_s, Phase.ENERGY_HARVEST, k)
+    k = np.arange(plan.n_periods, dtype=float)
+    starts = k * plan.t_s
+    boundaries = k * plan.t_s + plan.alpha * plan.t_s
+    j = np.arange(n_sub + 1, dtype=float)
+    aq = starts[:, None] + j[None, :] * (plan.t_aq / n_sub)
+    aq[:, -1] = boundaries
+    eh = boundaries[:, None] + j[None, :] * (plan.t_eh / n_sub)
+    eh[:, -1] = (k + 1.0) * plan.t_s
+    return aq, eh

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sar_adc
-from .clocking import ClockPlan, Phase
+from .clocking import ClockPlan, Phase, time_grid
 from .errors import CutoffError, NotConverged, ValidationError
-from .frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_value, required_r_on
+from .frontend import Switch, SwitchKind, default_settling_factor, r_on, required_r_on
 from .harvester import EhConfig, EhMetrics, rectified_envelope, steady_state_metrics
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
@@ -50,7 +49,6 @@ class Scenario:
             (n_bits + 1)*ln 2, the half-LSB budget.
         max_periods: guard against runaway run lengths.
         steady_tol: steady-state fraction for harvesting metrics.
-        seed: reserved for randomized test harnesses; unused by run().
     """
 
     source: object
@@ -63,7 +61,6 @@ class Scenario:
     settling_factor_k: float | None = None
     max_periods: int = 1_048_576
     steady_tol: float = 0.01
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,6 @@ class TransientTrace:
     v_sampled: np.ndarray
     saturated: np.ndarray
     period_s: float
-    n_sub: int
 
 
 @dataclass(frozen=True)
@@ -131,11 +127,14 @@ def resolve_s1(scenario: Scenario) -> Switch:
     """
     s1 = scenario.adc.s1
     if isinstance(s1, str):  # "auto", enforced by AdcConfig validation
-        k = scenario.settling_factor_k
-        if k is None:
-            k = default_settling_factor(scenario.adc.n_bits)
+        k = _settling_factor(scenario)
         return Switch.constant(required_r_on(scenario.clock.t_aq, c_dac(scenario.adc), k))
     return s1
+
+
+def _settling_factor(scenario: Scenario) -> float:
+    k = scenario.settling_factor_k
+    return default_settling_factor(scenario.adc.n_bits) if k is None else k
 
 
 def validate(scenario: Scenario) -> Switch:
@@ -160,9 +159,7 @@ def validate(scenario: Scenario) -> Switch:
             )
 
     s1 = resolve_s1(scenario)
-    k = scenario.settling_factor_k
-    if k is None:
-        k = default_settling_factor(scenario.adc.n_bits)
+    k = _settling_factor(scenario)
     # Worst-case on-resistance over the input range; a pass transistor is
     # weakest where its overdrive is smallest.
     lo, hi = _source_extremes(scenario.source)
@@ -194,6 +191,42 @@ def _signal_bin(scenario: Scenario) -> int:
     return int(m)
 
 
+def _rc_factors(switch: Switch, r_series: float, c: float, drive: list, dt: float, dt_last: float):
+    """exp(-dt/tau) and tau/dt for each sub-step of one phase of one period.
+
+    tau = (r_series + r_on) * c, formed with the same float operations as
+    rc_step_value. A pass transistor's r_on follows the drive at the start of
+    each sub-step; where it is cut off both entries are NaN, so the RC update
+    yields NaN and the caller leaves the node floating. The last sub-step
+    has width dt_last, the others dt.
+    """
+    n = len(drive) - 1
+    if switch.kind is not SwitchKind.PASS_TRANSISTOR:
+        tau = (r_series + r_on(switch)) * c
+        decay = [math.exp(-dt / tau)] * (n - 1) + [math.exp(-dt_last / tau)]
+        return decay, [tau / dt] * (n - 1) + [tau / dt_last]
+    decay, ratio = [], []
+    for u, step in zip(drive, [dt] * (n - 1) + [dt_last]):
+        try:
+            tau = (r_series + r_on(switch, u)) * c
+        except CutoffError:
+            tau = math.nan
+        decay.append(math.exp(-step / tau))
+        ratio.append(tau / step)
+    return decay, ratio
+
+
+def _rows(aq: np.ndarray, eh: np.ndarray) -> np.ndarray:
+    """Trace rows, period by period, from (n_periods, n_sub) values of each phase.
+
+    Either argument may be a single column, held through its phase.
+    """
+    out = np.empty((len(aq), 2, max(aq.shape[1], eh.shape[1])))
+    out[:, 0] = aq
+    out[:, 1] = eh
+    return out.ravel()
+
+
 def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> SimulationResult:
     """Simulate one scenario and compute the requested metrics.
 
@@ -216,157 +249,77 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
             f"({scenario.clock.n_periods} < {scenario.n_fft})"
         )
 
-    plan = scenario.clock
-    adc = scenario.adc
-    ehc = scenario.eh
-    nper = plan.n_periods
-    nsub = scenario.n_sub
-    t_s = plan.t_s
-    alpha = plan.alpha
+    plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
+    nper, nsub = plan.n_periods, scenario.n_sub
 
-    # --- time grid ------------------------------------------------------
-    # Boundaries come straight from the period index; the interior sub-step
-    # endpoints are start + j*dt with the final endpoint snapped to the exact
-    # boundary expression so both phases share identical grid times.
-    k_idx = np.arange(nper, dtype=float)
-    starts = k_idx * t_s
-    boundaries = k_idx * t_s + alpha * t_s
-    ends = (k_idx + 1.0) * t_s
-
-    j_idx = np.arange(nsub + 1, dtype=float)
-    dt_aq = plan.t_aq / nsub
-    dt_eh = plan.t_eh / nsub
-    t_aq_grid = starts[:, None] + j_idx[None, :] * dt_aq
-    t_aq_grid[:, -1] = boundaries
-    t_eh_grid = boundaries[:, None] + j_idx[None, :] * dt_eh
-    t_eh_grid[:, -1] = ends
-
+    t_aq_grid, t_eh_grid = time_grid(plan, nsub)
     v_aq = scenario.source.sample_at(t_aq_grid)
     v_eh_in = scenario.source.sample_at(t_eh_grid)
     env = rectified_envelope(v_eh_in, ehc.rectifier)
 
-    # Last sub-step of each phase absorbs the snap, so its width can differ
-    # from the nominal dt by round-off; precompute its exponential factor.
-    dt_aq_last = t_aq_grid[:, -1] - t_aq_grid[:, -2]
-    dt_eh_last = t_eh_grid[:, -1] - t_eh_grid[:, -2]
-
-    s1_const = s1.kind is not SwitchKind.PASS_TRANSISTOR
-    s2_const = ehc.s2.kind is not SwitchKind.PASS_TRANSISTOR
-    r1 = r_on(s1, 0.0) if s1_const else 0.0
-    c_load = c_dac(adc)
-    r2_tot = (ehc.rectifier.r_series + r_on(ehc.s2, 0.0)) if s2_const else 0.0
-
-    # Hot loop works on plain Python floats; ndarray scalar access is slow.
+    # The hot loop works on plain Python floats; ndarray scalar access is
+    # slow. The last sub-step of each phase absorbs the snap onto the exact
+    # boundary, so its width can differ from the nominal dt by round-off.
+    dt_aq = plan.t_aq / nsub
+    dt_eh = plan.t_eh / nsub
+    dt_aq_last = (t_aq_grid[:, -1] - t_aq_grid[:, -2]).tolist()
+    dt_eh_last = (t_eh_grid[:, -1] - t_eh_grid[:, -2]).tolist()
     v_aq_rows = v_aq.tolist()
     env_rows = env.tolist()
-    dt_aq_last_l = dt_aq_last.tolist()
-    dt_eh_last_l = dt_eh_last.tolist()
+    c_load = c_dac(adc)
 
-    v_ref = adc.v_ref
     v_dac = 0.0
     v_ceh = 0.0
-    v_dac_rec: list[float] = []
-    v_ceh_rec: list[float] = []
+    v_dac_aq: list[float] = []
+    v_ceh_eh: list[float] = []
     codes: list[int] = []
-    sampled: list[float] = []
-    saturated: list[bool] = []
 
     for p in range(nper):
         row = v_aq_rows[p]
-        if s1_const:
-            tau1 = r1 * c_load
-            a_main = math.exp(-dt_aq / tau1)
-            a_last = math.exp(-dt_aq_last_l[p] / tau1)
-            for j in range(nsub):
-                u0 = row[j]
-                u1 = row[j + 1]
-                dt = dt_aq if j < nsub - 1 else dt_aq_last_l[p]
-                a = a_main if j < nsub - 1 else a_last
-                stau = (u1 - u0) * (tau1 / dt)
-                v_dac = u1 - stau + (v_dac - u0 + stau) * a
-                v_dac_rec.append(v_dac)
-                v_ceh_rec.append(v_ceh)
-        else:
-            for j in range(nsub):
-                u0 = row[j]
-                u1 = row[j + 1]
-                dt = dt_aq if j < nsub - 1 else dt_aq_last_l[p]
-                try:
-                    r_j = r_on(s1, u0)
-                except CutoffError:
-                    r_j = None  # switch open: DAC node floats at its voltage
-                if r_j is not None:
-                    v_dac = rc_step_value(v_dac, u0, u1, r_j, c_load, dt)
-                v_dac_rec.append(v_dac)
-                v_ceh_rec.append(v_ceh)
+        decay, ratio = _rc_factors(s1, 0.0, c_load, row, dt_aq, dt_aq_last[p])
+        for u0, u1, a, q in zip(row, row[1:], decay, ratio):
+            stau = (u1 - u0) * q
+            v = u1 - stau + (v_dac - u0 + stau) * a
+            if v == v:  # NaN: S1 is cut off and the DAC node floats
+                v_dac = v
+            v_dac_aq.append(v_dac)
 
-        v_smp = v_dac
-        code = sar_convert(v_smp, adc)
+        code = sar_convert(v_dac, adc)
         codes.append(code)
-        sampled.append(v_smp)
-        saturated.append(v_smp < -v_ref or v_smp >= v_ref)
         v_dac = dac_output(code, adc)  # DAC holds the reconstructed level
 
-        row_e = env_rows[p]
-        if s2_const:
-            tau2 = r2_tot * ehc.c_eh
-            a_main = math.exp(-dt_eh / tau2)
-            a_last = math.exp(-dt_eh_last_l[p] / tau2)
-            for j in range(nsub):
-                e0 = row_e[j]
-                e1 = row_e[j + 1]
-                dt = dt_eh if j < nsub - 1 else dt_eh_last_l[p]
-                a = a_main if j < nsub - 1 else a_last
-                stau = (e1 - e0) * (tau2 / dt)
-                cand = e1 - stau + (v_ceh - e0 + stau) * a
-                if cand > v_ceh:  # diode blocking: voltage only ratchets up
-                    v_ceh = cand
-                v_dac_rec.append(v_dac)
-                v_ceh_rec.append(v_ceh)
-        else:
-            for j in range(nsub):
-                e0 = row_e[j]
-                e1 = row_e[j + 1]
-                dt = dt_eh if j < nsub - 1 else dt_eh_last_l[p]
-                try:
-                    r_j = ehc.rectifier.r_series + r_on(ehc.s2, e0)
-                except CutoffError:
-                    r_j = None
-                if r_j is not None:
-                    cand = rc_step_value(v_ceh, e0, e1, r_j, ehc.c_eh, dt)
-                    if cand > v_ceh:
-                        v_ceh = cand
-                v_dac_rec.append(v_dac)
-                v_ceh_rec.append(v_ceh)
+        row = env_rows[p]
+        decay, ratio = _rc_factors(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, row, dt_eh, dt_eh_last[p])
+        for e0, e1, a, q in zip(row, row[1:], decay, ratio):
+            stau = (e1 - e0) * q
+            cand = e1 - stau + (v_ceh - e0 + stau) * a
+            if cand > v_ceh:  # diode blocking; NaN (S2 cut off) never passes
+                v_ceh = cand
+            v_ceh_eh.append(v_ceh)
 
     # --- assemble the trace ----------------------------------------------
-    t_rows = np.hstack([t_aq_grid[:, 1:], t_eh_grid[:, 1:]]).ravel()
-    v_in_rows = np.hstack([v_aq[:, 1:], v_eh_in[:, 1:]]).ravel()
-    phase_rows = np.tile(
-        np.repeat(
-            np.array([Phase.ACQUISITION, Phase.ENERGY_HARVEST], dtype=np.uint8), nsub
-        ),
-        nper,
-    )
-    period_rows = np.repeat(np.arange(nper, dtype=np.int64), 2 * nsub)
+    # Each phase moves one node; the other holds its value through the phase.
+    codes_arr = np.asarray(codes, dtype=np.int64)
+    dac_aq = np.asarray(v_dac_aq).reshape(nper, nsub)
+    ceh_eh = np.asarray(v_ceh_eh).reshape(nper, nsub)
+    ceh_held = np.concatenate(([0.0], ceh_eh[:-1, -1]))[:, None]
+    v_sampled = dac_aq[:, -1].copy()  # the settled voltage each code converts
+    phases = np.array([Phase.ACQUISITION, Phase.ENERGY_HARVEST], dtype=np.uint8)
 
     trace = TransientTrace(
-        t=t_rows,
-        v_in=v_in_rows,
-        phase=phase_rows,
-        v_dac=np.asarray(v_dac_rec),
-        v_ceh=np.asarray(v_ceh_rec),
-        period=period_rows,
-        codes=np.asarray(codes, dtype=np.int64),
-        v_sampled=np.asarray(sampled),
-        saturated=np.asarray(saturated, dtype=bool),
-        period_s=t_s,
-        n_sub=nsub,
+        t=_rows(t_aq_grid[:, 1:], t_eh_grid[:, 1:]),
+        v_in=_rows(v_aq[:, 1:], v_eh_in[:, 1:]),
+        phase=np.tile(np.repeat(phases, nsub), nper),
+        v_dac=_rows(dac_aq, dac_output(codes_arr, adc)[:, None]),
+        v_ceh=_rows(ceh_held, ceh_eh),
+        period=np.repeat(np.arange(nper, dtype=np.int64), 2 * nsub),
+        codes=codes_arr,
+        v_sampled=v_sampled,
+        saturated=(v_sampled < -adc.v_ref) | (v_sampled >= adc.v_ref),
+        period_s=plan.t_s,
     )
 
-    sndr_db = None
-    enob_bits = None
-    spec = None
+    sndr_db = enob_bits = spec = None
     if spectral:
         spec = spectrum(trace.codes[-scenario.n_fft:], adc, plan.f_s, sig_bin)
         sndr_db = sndr(spec)

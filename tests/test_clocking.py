@@ -1,11 +1,11 @@
-"""Tests for the two-phase clock plan and segment generation."""
+"""Tests for the two-phase clock plan and its sub-step time grid."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ehadc.clocking import PHASE_LABELS, ClockPlan, Phase, phase_at, segments
+from ehadc.clocking import PHASE_LABELS, ClockPlan, Phase, time_grid
 
 REFERENCE_PLANS = (
     ClockPlan(f_s=10e3, alpha=0.1, n_periods=4),
@@ -54,31 +54,36 @@ class TestClockPlan:
             ClockPlan(f_s=1e3, alpha=0.5, n_periods=0)
 
 
-class TestSegments:
+class TestTimeGrid:
     def test_first_period_at_10khz(self):
-        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=2)
-        segs = segments(plan)
-        assert len(segs) == 4
-        acq, eh = segs[0], segs[1]
-        assert acq.kind is Phase.ACQUISITION
-        assert (acq.t_start, acq.t_end) == (0.0, 1e-5)
-        assert eh.kind is Phase.ENERGY_HARVEST
-        assert (eh.t_start, eh.t_end) == (1e-5, 1e-4)
-        assert acq.period_index == 0 and eh.period_index == 0
+        aq, eh = time_grid(ClockPlan(f_s=10e3, alpha=0.1, n_periods=2), 4)
+        assert aq.shape == eh.shape == (2, 5)
+        assert (aq[0, 0], aq[0, -1]) == (0.0, 1e-5)
+        assert (eh[0, 0], eh[0, -1]) == (1e-5, 1e-4)
 
     def test_first_acquisition_at_40mhz(self):
-        plan = ClockPlan(f_s=40e6, alpha=0.1, n_periods=1)
-        acq = segments(plan)[0]
-        assert acq.t_end == pytest.approx(2.5e-9, rel=1e-12)
+        aq, _ = time_grid(ClockPlan(f_s=40e6, alpha=0.1, n_periods=1), 4)
+        assert aq[0, -1] == pytest.approx(2.5e-9, rel=1e-12)
 
     def test_even_split_at_alpha_half(self):
-        plan = ClockPlan(f_s=1.0, alpha=0.5, n_periods=1)
-        acq, eh = segments(plan)
-        assert acq.t_end == 0.5
-        assert eh.t_end == 1.0
+        aq, eh = time_grid(ClockPlan(f_s=1.0, alpha=0.5, n_periods=1), 3)
+        assert aq[0, -1] == 0.5
+        assert eh[0, -1] == 1.0
 
-    def test_segments_tile_without_gaps(self):
-        """Consecutive segments share boundaries and cover [0, n_periods / f_s]."""
+    def test_phase_boundary_is_shared(self):
+        """Acquisition ends exactly where harvesting of the same period starts."""
+        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=4)
+        aq, eh = time_grid(plan, 7)
+        assert np.array_equal(aq[:, -1], eh[:, 0])
+        assert eh[0, 0] == 1e-5
+
+    def test_period_boundary_starts_the_next_acquisition(self):
+        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=2)
+        aq, eh = time_grid(plan, 7)
+        assert eh[0, -1] == aq[1, 0] == 1e-4
+
+    def test_grid_tiles_without_gaps(self):
+        """Consecutive phases share endpoints and cover [0, n_periods / f_s]."""
         rng = np.random.default_rng(11)
         for _ in range(50):
             plan = ClockPlan(
@@ -86,63 +91,38 @@ class TestSegments:
                 alpha=float(rng.uniform(0.05, 0.95)),
                 n_periods=int(rng.integers(1, 9)),
             )
-            segs = segments(plan)
-            assert len(segs) == 2 * plan.n_periods
-            assert segs[0].t_start == 0.0
-            for left, right in zip(segs, segs[1:]):
-                assert left.t_end == right.t_start
-                assert left.t_start < left.t_end
+            aq, eh = time_grid(plan, int(rng.integers(1, 9)))
+            assert aq[0, 0] == 0.0
+            assert np.array_equal(aq[:, -1], eh[:, 0])
+            assert np.array_equal(eh[:-1, -1], aq[1:, 0])
             total = plan.n_periods / plan.f_s
-            assert segs[-1].t_end == pytest.approx(total, rel=1e-12)
+            assert eh[-1, -1] == pytest.approx(total, rel=1e-12)
+
+    def test_substep_endpoints_stay_inside_their_phase(self):
+        """Every sub-step has positive width and lies between its phase's
+        closed-form boundaries."""
+        plan = ClockPlan(f_s=40e6, alpha=0.37, n_periods=6)
+        aq, eh = time_grid(plan, 16)
+        k = np.arange(plan.n_periods)[:, None]
+        assert np.all(np.diff(aq, axis=1) > 0.0)
+        assert np.all(np.diff(eh, axis=1) > 0.0)
+        assert np.all((aq >= k * plan.t_s) & (aq <= k * plan.t_s + plan.t_aq))
+        assert np.all((eh >= k * plan.t_s + plan.t_aq) & (eh <= (k + 1) * plan.t_s))
 
     def test_boundaries_do_not_accumulate_error(self):
         # Late-period boundaries must match the closed-form expression, not a
         # running sum of step widths.
         plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=10_000)
-        segs = segments(plan)
+        aq, _ = time_grid(plan, 4)
         k = 9_999
-        assert segs[2 * k].t_start == k * plan.t_s
-        assert segs[2 * k].t_end == k * plan.t_s + plan.t_aq
+        assert aq[k, 0] == k * plan.t_s
+        assert aq[k, -1] == k * plan.t_s + plan.t_aq
 
     def test_duty_identity(self):
         for plan in REFERENCE_PLANS:
-            segs = segments(plan)
-            acq_total = sum(s.t_end - s.t_start for s in segs if s.kind is Phase.ACQUISITION)
-            total = segs[-1].t_end
-            assert acq_total / total == pytest.approx(plan.alpha, rel=1e-12)
-
-
-class TestPhaseAt:
-    def test_inside_acquisition(self):
-        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=4)
-        seg = phase_at(plan, 5e-6)
-        assert seg.kind is Phase.ACQUISITION and seg.period_index == 0
-
-    def test_boundary_belongs_to_the_next_segment(self):
-        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=4)
-        seg = phase_at(plan, 1e-5)
-        assert seg.kind is Phase.ENERGY_HARVEST and seg.period_index == 0
-
-    def test_period_boundary_starts_acquisition(self):
-        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=2)
-        seg = phase_at(plan, 1e-4)
-        assert seg.kind is Phase.ACQUISITION and seg.period_index == 1
-
-    def test_matches_segment_walk(self):
-        plan = ClockPlan(f_s=40e6, alpha=0.37, n_periods=6)
-        rng = np.random.default_rng(5)
-        segs = segments(plan)
-        for t in rng.uniform(0.0, segs[-1].t_end * (1.0 - 1e-9), size=200):
-            seg = phase_at(plan, float(t))
-            hit = next(s for s in segs if s.t_start <= t < s.t_end)
-            assert seg == hit
-
-    def test_rejects_times_outside_the_plan(self):
-        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=2)
-        with pytest.raises(ValueError):
-            phase_at(plan, -1e-9)
-        with pytest.raises(ValueError):
-            phase_at(plan, 2e-4)
+            aq, eh = time_grid(plan, 8)
+            acq_total = float(np.sum(aq[:, -1] - aq[:, 0]))
+            assert acq_total / eh[-1, -1] == pytest.approx(plan.alpha, rel=1e-12)
 
 
 def test_phase_labels_cover_both_phases():

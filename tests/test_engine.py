@@ -1,19 +1,18 @@
 """Tests for the transient engine.
 
 The main cross-check walks the same schedule through the public single-step
-APIs (segment list, exact RC update, harvesting step, converter) and demands
+APIs (time grid, exact RC update, harvesting step, converter) and demands
 bit-identical waveforms, so the engine's vectorized fast paths cannot drift
 from the documented single-step semantics.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from ehadc.clocking import ClockPlan, Phase
-from ehadc.errors import CutoffError, NotConverged, ValidationError
+from ehadc.clocking import ClockPlan, Phase, time_grid
+from ehadc.errors import CutoffError, ValidationError
 from ehadc.frontend import Switch, default_settling_factor, r_on, rc_step_value, required_r_on
 from ehadc.harvester import EhConfig, RectifierModel, eh_step, rectified_envelope
 from ehadc.frontend import RcState
@@ -57,18 +56,7 @@ def reference_walk(scenario):
     s1 = resolve_s1(scenario)
     plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
     nper, nsub = plan.n_periods, scenario.n_sub
-    t_s, alpha = plan.t_s, plan.alpha
-
-    k_idx = np.arange(nper, dtype=float)
-    starts = k_idx * t_s
-    boundaries = k_idx * t_s + alpha * t_s
-    ends = (k_idx + 1.0) * t_s
-    j_idx = np.arange(nsub + 1, dtype=float)
-    t_aq_grid = starts[:, None] + j_idx[None, :] * (plan.t_aq / nsub)
-    t_aq_grid[:, -1] = boundaries
-    t_eh_grid = boundaries[:, None] + j_idx[None, :] * (plan.t_eh / nsub)
-    t_eh_grid[:, -1] = ends
-
+    t_aq_grid, t_eh_grid = time_grid(plan, nsub)
     v_aq = scenario.source.sample_at(t_aq_grid)
     v_eh_in = scenario.source.sample_at(t_eh_grid)
     c_load = c_dac(adc)
@@ -96,7 +84,7 @@ def reference_walk(scenario):
         codes.append(code)
         sampled.append(v_dac)
         v_dac = dac_output(code, adc)
-        state = RcState(v_ceh, float(boundaries[p]))
+        state = RcState(v_ceh, float(t_eh_grid[p, 0]))
         for j in range(nsub):
             dt = dt_eh if j < nsub - 1 else float(t_eh_grid[p, -1] - t_eh_grid[p, -2])
             state = eh_step(
@@ -135,6 +123,39 @@ class TestEngineAgainstReferenceWalk:
         result = run(scenario, spectral=False, eh=False)
         v_dac, v_ceh, codes, sampled = reference_walk(scenario)
         assert result.trace.codes.tolist() == codes
+        assert result.trace.v_dac.tolist() == v_dac
+        assert result.trace.v_ceh.tolist() == v_ceh
+
+    def test_cut_off_switches_walk_bit_identically(self):
+        """Both pass switches open for part of the run, so each node floats
+        through some sub-steps instead of charging."""
+        s1 = Switch.pass_transistor(k_gain=1.0, v_th=0.05, v_gate=0.0)
+        s2 = Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1)
+        scenario = small_scenario(
+            adc=AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-10, s1=s1),
+            eh=EhConfig(
+                c_eh=1e-7,
+                rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
+                s2=s2,
+            ),
+        )
+        t_aq, t_eh = time_grid(scenario.clock, scenario.n_sub)
+        v_aq = scenario.source.sample_at(t_aq[:, :-1]).ravel().tolist()
+        env = rectified_envelope(
+            scenario.source.sample_at(t_eh[:, :-1]), scenario.eh.rectifier
+        ).ravel().tolist()
+        for switch, drive in ((s1, v_aq), (s2, env)):
+            cut = 0
+            for v in drive:
+                try:
+                    r_on(switch, v)
+                except CutoffError:
+                    cut += 1
+            assert 0 < cut < len(drive)
+        result = run(scenario, spectral=False, eh=False)
+        v_dac, v_ceh, codes, sampled = reference_walk(scenario)
+        assert result.trace.codes.tolist() == codes
+        assert result.trace.v_sampled.tolist() == sampled
         assert result.trace.v_dac.tolist() == v_dac
         assert result.trace.v_ceh.tolist() == v_ceh
 
