@@ -21,12 +21,11 @@ from .engine import (
 )
 from .errors import ConfigError, CutoffError, NotConverged, ValidationError
 from .frontend import (
-    RcState,
     Switch,
     SwitchKind,
     default_settling_factor,
     r_on,
-    rc_step_linear,
+    rc_step_value,
     required_r_on,
     settling_error,
 )
@@ -41,7 +40,7 @@ from .harvester import (
     size_capacitor,
     steady_state_metrics,
 )
-from .sar_adc import AdcConfig, c_dac, dac_output, quantize_oracle, reconstruct, sar_convert
+from .sar_adc import AdcConfig, c_dac, dac_output, quantize_oracle, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
 from .stimulus import (
     InputPowerSpec,
@@ -65,7 +64,6 @@ __all__ = [
     "NotConverged",
     "Phase",
     "PowerProvenance",
-    "RcState",
     "RectifierModel",
     "Scenario",
     "SimulationResult",
@@ -87,8 +85,7 @@ __all__ = [
     "harvested_energy",
     "quantize_oracle",
     "r_on",
-    "rc_step_linear",
-    "reconstruct",
+    "rc_step_value",
     "rectified_envelope",
     "required_r_on",
     "rms_power",

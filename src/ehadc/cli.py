@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -29,13 +30,17 @@ from .engine import (
     Scenario,
     SimulationResult,
     TransientTrace,
+    apply_parameter,
+    input_power,
     run,
     sweep,
 )
 from .errors import ConfigError, NotConverged, ValidationError
 from .harvester import size_capacitor
 from .sar_adc import AdcConfig, c_dac
-from .stimulus import rms_power
+
+# The summarize() keys that sweep.csv reports for each row.
+SWEEP_COLUMNS = ("v_eh_v", "t_ceh_s", "eta_v", "eta_e", "sndr_db", "enob")
 
 
 def _out_dir(args, options: RunOptions | None) -> str:
@@ -79,7 +84,7 @@ def write_codes_csv(trace: TransientTrace, path) -> None:
 def summarize(scenario: Scenario, result: SimulationResult) -> dict:
     """Flat summary of one run, one value per reported metric."""
     plan = scenario.clock
-    p_in = scenario.p_in if scenario.p_in is not None else rms_power(scenario.source)
+    p_in = input_power(scenario)
     m = result.eh
     return {
         "f_s_hz": plan.f_s,
@@ -136,7 +141,7 @@ def _parse_values(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError(f"bad range {spec!r}")
-        n = int(round((stop - start) / step))
+        n = math.floor((stop - start) / step + 1e-9)
         return [start + i * step for i in range(n + 1)]
     return [float(p) for p in spec.split(",") if p.strip()]
 
@@ -161,21 +166,13 @@ def _cmd_sweep(args) -> int:
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", newline="") as fh:
-        fh.write("parameter,value,v_eh_v,t_ceh_s,eta_v,eta_e,sndr_db,enob,error\n")
+        fh.write(",".join(("parameter", "value", *SWEEP_COLUMNS, "error")) + "\n")
         for row in rows:
-            if row.result is None:
-                fh.write(f"{row.parameter},{row.value!r},,,,,,,{row.error}\n")
-                continue
-            m = row.result.eh
-            cells = [
-                repr(m.v_eh) if m else "",
-                repr(m.t_ceh) if m else "",
-                repr(m.eta_v) if m else "",
-                repr(m.eta_e) if m else "",
-                repr(row.result.sndr_db) if row.result.sndr_db is not None else "",
-                repr(row.result.enob) if row.result.enob is not None else "",
-            ]
-            fh.write(f"{row.parameter},{row.value!r}," + ",".join(cells) + ",\n")
+            cells = [""] * len(SWEEP_COLUMNS)
+            if row.result is not None:
+                summary = summarize(apply_parameter(scenario, row.parameter, row.value), row.result)
+                cells = ["" if summary[k] is None else repr(summary[k]) for k in SWEEP_COLUMNS]
+            fh.write(f"{row.parameter},{row.value!r}," + ",".join(cells) + f",{row.error or ''}\n")
     print(f"wrote {path}")
     return 0
 
@@ -211,16 +208,18 @@ def _cmd_analyze(args) -> int:
             str(args.codes_csv),
         )
     codes = codes[-args.n_fft:]
-    adc = AdcConfig(n_bits=args.n_bits, v_ref=args.v_ref, c_unit=1e-12)
-
-    if args.signal_bin is not None:
-        bin_idx = args.signal_bin
-    else:
-        probe = spectral.spectrum(codes, adc, args.f_s, 1)
-        bin_idx = int(np.argmax(probe.power[1 : args.n_fft // 2])) + 1
-    spec = spectral.spectrum(codes, adc, args.f_s, bin_idx)
+    try:
+        adc = AdcConfig(n_bits=args.n_bits, v_ref=args.v_ref, c_unit=1e-12)
+        if args.signal_bin is not None:
+            bin_idx = args.signal_bin
+        else:
+            probe = spectral.spectrum(codes, adc, args.f_s, 1)
+            bin_idx = int(np.argmax(probe.power[1 : args.n_fft // 2])) + 1
+        spec = spectral.spectrum(codes, adc, args.f_s, bin_idx)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     sndr_db = spectral.sndr(spec)
-    enob_bits = spectral.enob(sndr_db) if sndr_db != float("inf") else None
+    enob_bits = spectral.enob(sndr_db) if math.isfinite(sndr_db) else None
 
     out = _out_dir(args, None)
     os.makedirs(out, exist_ok=True)

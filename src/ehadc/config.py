@@ -84,9 +84,6 @@ class ParsedConfig:
             return self.values[key]
         return KEY_TABLE[key][1]
 
-    def has(self, key: str) -> bool:
-        return key in self.values or KEY_TABLE[key][1] not in (_REQUIRED, None)
-
     def error(self, key: str, message: str) -> ConfigError:
         return ConfigError(message, self.path, self.lines.get(key))
 
@@ -216,8 +213,6 @@ def build_scenario(cfg: ParsedConfig) -> tuple[Scenario, RunOptions]:
             ),
             s2=_switch_from(cfg, "switch.s2", allow_auto=False),
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path) from exc
 

@@ -68,8 +68,8 @@ class TransientTrace:
     """Recorded waveforms and codes of one run.
 
     Per sub-step arrays (one row per sub-step end, 2*n_sub rows per period):
-    t, v_in, phase (Phase enum values), v_dac, v_ceh, period. Per-period
-    arrays: codes, v_sampled, saturated. period_s is the sampling period.
+    t, v_in, phase (Phase enum values), v_dac, v_ceh. Per-period arrays:
+    codes, v_sampled, saturated. period_s is the sampling period.
     """
 
     t: np.ndarray
@@ -77,7 +77,6 @@ class TransientTrace:
     phase: np.ndarray
     v_dac: np.ndarray
     v_ceh: np.ndarray
-    period: np.ndarray
     codes: np.ndarray
     v_sampled: np.ndarray
     saturated: np.ndarray
@@ -174,6 +173,19 @@ def validate(scenario: Scenario) -> Switch:
             f"within t_aq {scenario.clock.t_aq:.6g} s at settling factor {k:.4g}"
         )
     return s1
+
+
+def input_power(scenario: Scenario) -> InputPowerSpec:
+    """The configured input power, else the RMS power of the sine source.
+
+    Raises:
+        ValidationError: a table source with no configured input power.
+    """
+    if scenario.p_in is not None:
+        return scenario.p_in
+    if not isinstance(scenario.source, SineSource):
+        raise ValidationError("a table source needs a configured input power (Scenario.p_in)")
+    return rms_power(scenario.source)
 
 
 def _signal_bin(scenario: Scenario) -> int:
@@ -312,7 +324,6 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
         phase=np.tile(np.repeat(phases, nsub), nper),
         v_dac=_rows(dac_aq, dac_output(codes_arr, adc)[:, None]),
         v_ceh=_rows(ceh_held, ceh_eh),
-        period=np.repeat(np.arange(nper, dtype=np.int64), 2 * nsub),
         codes=codes_arr,
         v_sampled=v_sampled,
         saturated=(v_sampled < -adc.v_ref) | (v_sampled >= adc.v_ref),
@@ -327,13 +338,7 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
 
     metrics = None
     if eh:
-        p_in = scenario.p_in
-        if p_in is None:
-            if not isinstance(scenario.source, SineSource):
-                raise ValidationError(
-                    "harvesting metrics need a configured input power for table sources"
-                )
-            p_in = rms_power(scenario.source)
+        p_in = input_power(scenario)
         v_m = scenario.source.amplitude if isinstance(scenario.source, SineSource) else max(
             abs(x) for x in _source_extremes(scenario.source)
         )

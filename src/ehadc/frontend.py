@@ -100,14 +100,6 @@ def r_on(model: Switch, v_signal: float = 0.0) -> float:
     return 1.0 / (model.k_gain * overdrive)
 
 
-@dataclass(frozen=True)
-class RcState:
-    """Voltage on a capacitor node at a point in time."""
-
-    v_cap: float
-    t: float
-
-
 def rc_step_value(
     v_start: float,
     u_start: float,
@@ -127,29 +119,16 @@ def rc_step_value(
     exact (to round-off) for any piecewise-linear drive, so sub-step size
     affects only how finely a curved drive is approximated, not the
     integration itself.
-    """
-    tau = r * c
-    # s*tau computed as delta_u * (tau/dt) to avoid forming the slope alone.
-    stau = (u_end - u_start) * (tau / dt)
-    return u_end - stau + (v_start - u_start + stau) * math.exp(-dt / tau)
-
-
-def rc_step_linear(
-    state: RcState,
-    u_start: float,
-    u_end: float,
-    r: float,
-    c: float,
-    dt: float,
-) -> RcState:
-    """State-in/state-out wrapper around rc_step_value.
 
     Raises:
         ValueError: for nonpositive r, c, or dt.
     """
     if not (r > 0.0 and c > 0.0 and dt > 0.0):
         raise ValueError(f"r, c, dt must all be positive, got r={r} c={c} dt={dt}")
-    return RcState(rc_step_value(state.v_cap, u_start, u_end, r, c, dt), state.t + dt)
+    tau = r * c
+    # s*tau computed as delta_u * (tau/dt) to avoid forming the slope alone.
+    stau = (u_end - u_start) * (tau / dt)
+    return u_end - stau + (v_start - u_start + stau) * math.exp(-dt / tau)
 
 
 def settling_error(r: float, c: float, t_aq: float) -> float:

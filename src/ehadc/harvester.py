@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, NotConverged
-from .frontend import RcState, Switch, r_on, rc_step_value
+from .frontend import Switch, r_on, rc_step_value
 from .stimulus import InputPowerSpec
 
 
@@ -75,31 +75,28 @@ def rectified_envelope(v_in, rect: RectifierModel):
 
 
 def eh_step(
-    state: RcState,
+    v_cap: float,
     v_in_start: float,
     v_in_end: float,
     cfg: EhConfig,
     dt: float,
-) -> RcState:
-    """Advance the storage-cap voltage across one harvesting sub-step.
+) -> float:
+    """Storage-cap voltage after one harvesting sub-step.
 
     The drive is the rectified envelope of the input, linear between the
     sub-step endpoints; the branch resistance is r_series plus the S2 switch
     resistance. Blocking rule: the capacitor voltage never decreases. When
     the envelope sits below the stored voltage the RC solution would decay,
-    so the state is held instead; when S2 is cut off the branch is open and
-    the state is likewise held.
+    so v_cap is held instead; when S2 is cut off the branch is open and
+    v_cap is likewise held.
     """
     env0 = float(rectified_envelope(v_in_start, cfg.rectifier))
     env1 = float(rectified_envelope(v_in_end, cfg.rectifier))
     try:
         r_tot = cfg.rectifier.r_series + r_on(cfg.s2, env0)
     except CutoffError:
-        return RcState(state.v_cap, state.t + dt)
-    cand = rc_step_value(state.v_cap, env0, env1, r_tot, cfg.c_eh, dt)
-    if cand > state.v_cap:
-        return RcState(cand, state.t + dt)
-    return RcState(state.v_cap, state.t + dt)
+        return v_cap
+    return max(v_cap, rc_step_value(v_cap, env0, env1, r_tot, cfg.c_eh, dt))
 
 
 def steady_state_metrics(

@@ -62,8 +62,8 @@ def c_dac(config: AdcConfig) -> float:
     return float(1 << (config.n_bits - 1)) * config.c_unit
 
 
-def dac_output(code: int, config: AdcConfig) -> float:
-    """Mid-rise reconstruction level for a code: -v_ref + (code + 0.5)*LSB."""
+def dac_output(code, config: AdcConfig):
+    """Mid-rise level of a code or an array of codes: -v_ref + (code + 0.5)*LSB."""
     return -config.v_ref + (code + 0.5) * config.lsb
 
 
@@ -104,9 +104,3 @@ def quantize_oracle(v: float, config: AdcConfig) -> int:
         return config.n_codes - 1
     centers = -config.v_ref + (np.arange(config.n_codes) + 0.5) * config.lsb
     return int(np.abs(v - centers).argmin())
-
-
-def reconstruct(codes, config: AdcConfig) -> np.ndarray:
-    """Vectorized dac_output over an array of codes."""
-    codes = np.asarray(codes)
-    return -config.v_ref + (codes + 0.5) * config.lsb

@@ -1,7 +1,7 @@
 """Spectral metrology of converter output codes.
 
-Standard dynamic ADC testing under coherent sampling: reconstruct the codes
-to voltages, take a rectangular-window FFT, and fold everything that is not
+Standard dynamic ADC testing under coherent sampling: map the codes to their
+DAC voltages, take a rectangular-window FFT, and fold everything that is not
 the signal bin (and not DC) into noise-plus-distortion. Coherence is assumed,
 not corrected for; callers must place the stimulus on an exact bin.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sar_adc import AdcConfig, reconstruct
+from .sar_adc import AdcConfig, dac_output
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,8 @@ def spectrum(codes, config: AdcConfig, f_s: float, signal_bin: int) -> Spectrum:
     Raises:
         ValueError: record length not a power of two, or signal_bin out of range.
     """
-    codes = np.asarray(codes)
     n = len(codes)
-    rec = reconstruct(codes, config)
-    x = np.fft.rfft(rec)
+    x = np.fft.rfft(dac_output(np.asarray(codes), config))
     p = (x.real * x.real + x.imag * x.imag) / (float(n) * float(n))
     p[1:-1] *= 2.0  # fold negative frequencies; DC and Nyquist are their own mirror
     return Spectrum(power=p, n_fft=n, f_s=f_s, signal_bin=signal_bin)
@@ -72,10 +70,13 @@ def sndr(spec: Spectrum) -> float:
 
     Signal power is the stimulus bin alone; everything else except DC counts
     as noise plus distortion. A record with zero such power (an unquantized
-    digital loopback) returns +inf as a sentinel.
+    digital loopback) returns +inf as a sentinel; a record with no power in
+    the signal bin returns -inf.
     """
     p_signal = float(spec.power[spec.signal_bin])
     p_rest = float(np.sum(spec.power[1:])) - p_signal
+    if p_signal <= 0.0:
+        return -math.inf
     if p_rest <= 0.0:
         return math.inf
     return 10.0 * math.log10(p_signal / p_rest)

@@ -147,14 +147,10 @@ def coherent_frequency(f_s: float, n_fft: int, m_cycles: int) -> float:
     return m_cycles * f_s / n_fft
 
 
-def rms_power(source: SineSource, override: float | None = None) -> InputPowerSpec:
+def rms_power(source: SineSource) -> InputPowerSpec:
     """Input RMS power of a sine source into its own source resistance.
 
-    The default is amplitude**2 / (2 * source_resistance). Passing ``override``
-    returns that wattage tagged CONFIGURED instead, for matching a measured
-    power figure that the analytic formula cannot reproduce.
+    amplitude**2 / (2 * source_resistance), tagged COMPUTED_FROM_SOURCE.
     """
-    if override is not None:
-        return InputPowerSpec(float(override), PowerProvenance.CONFIGURED)
     p = source.amplitude * source.amplitude / (2.0 * source.source_resistance)
     return InputPowerSpec(p, PowerProvenance.COMPUTED_FROM_SOURCE)

@@ -6,7 +6,12 @@ import sys
 
 import pytest
 
-from ehadc.cli import main
+from ehadc.cli import SWEEP_COLUMNS, _parse_values, main, summarize
+from ehadc.engine import run
+from ehadc.errors import ValidationError
+from ehadc.stimulus import TableSource
+
+from test_engine import small_scenario
 
 FAST_CFG = """\
 signal.amplitude_v = 0.4
@@ -149,6 +154,28 @@ class TestSweepCommand:
         row = lines[1].split(",")
         assert row[0] == "c_eh" and float(row[2]) > 0.0
 
+    def test_range_never_passes_its_stop(self):
+        assert _parse_values("0:1:0.6") == [0.0, 0.6]
+        assert _parse_values("0.05:0.3:0.05") == [0.05 + i * 0.05 for i in range(6)]
+
+    def test_metric_cells_equal_the_run_summary(self, tmp_path, monkeypatch):
+        """Each metric cell of a sweep row is the repr of the same key in the
+        summary.json of a standalone run at that value."""
+        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+        cfg = write_cfg(tmp_path, FAST_CFG)
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", cfg, "--param", "alpha", "--values", "0.1,0.2", "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0].split(",") == ["parameter", "value", *SWEEP_COLUMNS, "error"]
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells[-1] == ""
+            text = FAST_CFG.replace("clock.alpha = 0.1", f"clock.alpha = {cells[1]}")
+            run_out = tmp_path / f"run_{cells[1]}"
+            assert main(["run", write_cfg(tmp_path, text, "point.cfg"), "--out", str(run_out)]) == 0
+            summary = json.loads((run_out / "summary.json").read_text())
+            assert cells[2:-1] == [repr(summary[k]) for k in SWEEP_COLUMNS]
+
     def test_unknown_parameter_is_a_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG)
         with pytest.raises(SystemExit) as exc:
@@ -159,6 +186,14 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, FAST_CFG)
         assert main(["sweep", cfg, "--param", "alpha", "--values", "0.5:0.1:0.1"]) == 2
         assert "range" in capsys.readouterr().err
+
+
+class TestSummarize:
+    def test_table_source_without_input_power_is_a_validation_error(self):
+        scenario = small_scenario(source=TableSource(times=(0.0, 1.0), volts=(0.35, 0.35)))
+        result = run(scenario, spectral=False, eh=False)
+        with pytest.raises(ValidationError):
+            summarize(scenario, result)
 
 
 class TestSizeCapCommand:
@@ -213,6 +248,41 @@ class TestAnalyzeCommand:
         )
         assert code == 2
         assert "n_fft" in capsys.readouterr().err
+
+    def test_record_without_signal_power_reports_minus_inf(self, tmp_path, monkeypatch, capsys):
+        # Alternating codes put all AC power at Nyquist, none in any signal bin.
+        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+        path = tmp_path / "codes.csv"
+        path.write_text("code\n" + "".join(f"{k % 2}\n" for k in range(16)))
+        code = main(
+            ["analyze", str(path), "--n-bits", "8", "--v-ref", "0.4", "--f-s", "10e3",
+             "--n-fft", "16", "--out", str(tmp_path / "analysis")]
+        )
+        assert code == 0
+        lines = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        assert lines["sndr_db"] == "-inf"
+        assert lines["enob"] == "None"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-bits", "8", "--n-fft", "1000"], "power of two"),
+            (["--n-bits", "20"], "n_bits"),
+            (["--n-bits", "8", "--signal-bin", "5000"], "signal_bin"),
+        ],
+    )
+    def test_invalid_analysis_arguments_exit_2(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+        path = tmp_path / "codes.csv"
+        path.write_text("code\n" + "".join(f"{(7 * k) % 256}\n" for k in range(1024)))
+        out = tmp_path / "analysis"
+        code = main(
+            ["analyze", str(path), "--v-ref", "0.4", "--f-s", "10e3", "--n-fft", "1024",
+             *flags, "--out", str(out)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_code_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "codes.csv"

@@ -13,11 +13,9 @@ import pytest
 from ehadc.errors import CutoffError
 from ehadc.frontend import (
     IDEAL_R_FLOOR,
-    RcState,
     Switch,
     default_settling_factor,
     r_on,
-    rc_step_linear,
     rc_step_value,
     required_r_on,
     settling_error,
@@ -109,6 +107,14 @@ class TestRcStepClosedForm:
             v1 = rc_step_value(v0, u, u, r=1.0, c=1.0, dt=dt)
             assert min(v0, u) <= v1 <= max(v0, u)
 
+    def test_rejects_nonpositive_r_c_or_dt(self):
+        with pytest.raises(ValueError):
+            rc_step_value(0.0, 0.0, 1.0, r=0.0, c=1.0, dt=1.0)
+        with pytest.raises(ValueError):
+            rc_step_value(0.0, 0.0, 1.0, r=1.0, c=0.0, dt=1.0)
+        with pytest.raises(ValueError):
+            rc_step_value(0.0, 0.0, 1.0, r=1.0, c=1.0, dt=0.0)
+
 
 class TestRcStepAgainstEuler:
     def test_frozen_reference_point(self):
@@ -151,19 +157,6 @@ class TestRcStepComposition:
             split = rc_step_value(v_mid, u_mid, u1, r=tau, c=1.0, dt=dt - t_mid)
             scale = max(abs(v0), abs(u0), abs(u1), abs(direct), 1e-30)
             assert abs(split - direct) <= 1e-12 * scale
-
-    def test_state_wrapper_advances_time(self):
-        state = RcState(v_cap=0.0, t=2.0)
-        out = rc_step_linear(state, 1.0, 1.0, r=1.0, c=1.0, dt=0.5)
-        assert out.t == 2.5
-        assert out.v_cap == rc_step_value(0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
-
-    def test_state_wrapper_validates(self):
-        state = RcState(v_cap=0.0, t=0.0)
-        with pytest.raises(ValueError):
-            rc_step_linear(state, 0.0, 1.0, r=0.0, c=1.0, dt=1.0)
-        with pytest.raises(ValueError):
-            rc_step_linear(state, 0.0, 1.0, r=1.0, c=1.0, dt=0.0)
 
 
 class TestSettlingHelpers:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ehadc.errors import NotConverged
-from ehadc.frontend import RcState, Switch
+from ehadc.frontend import Switch
 from ehadc.harvester import (
     EhConfig,
     RectifierModel,
@@ -70,42 +70,37 @@ class TestEhStep:
         cfg = eh_config(c_eh=1e-6, rect=rect, s2=Switch.ideal())
         r_tot = 50.0 + 1e-6
         dt = r_tot * 1e-6
-        out = eh_step(RcState(0.0, 0.0), 0.3, 0.3, cfg, dt)
-        assert out.v_cap == 0.3 + (-0.3) * math.exp(-1.0)
-        assert out.t == dt
+        assert eh_step(0.0, 0.3, 0.3, cfg, dt) == 0.3 + (-0.3) * math.exp(-1.0)
 
     def test_blocks_when_the_envelope_is_below_the_stored_voltage(self):
         cfg = eh_config()
-        out = eh_step(RcState(0.25, 1.0), 0.1, 0.12, cfg, dt=1e-3)
-        assert out.v_cap == 0.25
-        assert out.t == 1.0 + 1e-3
+        assert eh_step(0.25, 0.1, 0.12, cfg, dt=1e-3) == 0.25
 
     def test_holds_when_s2_is_cut_off(self):
         s2 = Switch.pass_transistor(k_gain=1e-3, v_th=0.5, v_gate=0.4)
         cfg = eh_config(s2=s2)
-        out = eh_step(RcState(0.1, 0.0), 0.4, 0.4, cfg, dt=1e-3)
-        assert out.v_cap == 0.1
+        assert eh_step(0.1, 0.4, 0.4, cfg, dt=1e-3) == 0.1
 
     def test_never_decreases_and_never_overshoots(self):
         rng = np.random.default_rng(51)
         cfg = eh_config(c_eh=1e-6)
-        state = RcState(0.0, 0.0)
+        v = 0.0
         peak = 0.0
         for _ in range(500):
             a = float(rng.uniform(0.0, 0.5))
             b = float(rng.uniform(0.0, 0.5))
             peak = max(peak, rectified_envelope(a, RECT), rectified_envelope(b, RECT))
-            new = eh_step(state, a, b, cfg, dt=float(rng.uniform(1e-6, 1e-3)))
-            assert new.v_cap >= state.v_cap
-            assert new.v_cap <= peak + 1e-15
-            state = new
+            new = eh_step(v, a, b, cfg, dt=float(rng.uniform(1e-6, 1e-3)))
+            assert new >= v
+            assert new <= peak + 1e-15
+            v = new
 
     def test_charging_approaches_the_envelope_peak(self):
         cfg = eh_config(c_eh=1e-9)
-        state = RcState(0.0, 0.0)
+        v = 0.0
         for _ in range(200):
-            state = eh_step(state, 0.4, 0.4, cfg, dt=1e-4)
-        assert state.v_cap == pytest.approx(0.30716, rel=1e-9)
+            v = eh_step(v, 0.4, 0.4, cfg, dt=1e-4)
+        assert v == pytest.approx(0.30716, rel=1e-9)
 
 
 class TestSteadyStateMetrics:

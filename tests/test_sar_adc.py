@@ -8,7 +8,6 @@ from ehadc.sar_adc import (
     c_dac,
     dac_output,
     quantize_oracle,
-    reconstruct,
     sar_convert,
 )
 
@@ -110,9 +109,9 @@ class TestDacOutput:
                 assert abs(dac_output(sar_convert(v, cfg), cfg)) <= 0.4
                 assert abs(dac_output(sar_convert(v, cfg), cfg) - v) <= half
 
-    def test_reconstruct_matches_dac_output(self):
+    def test_dac_output_maps_code_arrays(self):
         codes = np.array([0, 1, 127, 128, 255])
-        rec = reconstruct(codes, CFG8)
+        rec = dac_output(codes, CFG8)
         assert rec.shape == codes.shape
         for k, code in enumerate(codes):
             assert rec[k] == dac_output(int(code), CFG8)

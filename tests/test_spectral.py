@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ehadc.sar_adc import AdcConfig, reconstruct, sar_convert
+from ehadc.sar_adc import AdcConfig, dac_output, sar_convert
 from ehadc.spectral import Spectrum, enob, sndr, spectrum, write_spectrum_csv
 
 
@@ -45,7 +45,7 @@ class TestSpectrum:
         rng = np.random.default_rng(41)
         codes = rng.integers(0, cfg.n_codes, size=512)
         spec = spectrum(codes, cfg, f_s=1e3, signal_bin=5)
-        rec = reconstruct(codes, cfg)
+        rec = dac_output(codes, cfg)
         mean_square = float(np.mean(rec * rec))
         assert float(np.sum(spec.power)) == pytest.approx(mean_square, rel=1e-9)
 
@@ -59,7 +59,7 @@ class TestSpectrum:
         )
         codes = np.array([sar_convert(float(x), cfg) for x in v])
         spec = spectrum(codes, cfg, f_s=1e6, signal_bin=m)
-        rec = reconstruct(codes, cfg)
+        rec = dac_output(codes, cfg)
         for bin_k in (m, 3 * m):
             assert float(spec.power[bin_k]) == pytest.approx(
                 dft_bin_power(rec, bin_k), rel=1e-9
@@ -118,7 +118,7 @@ class TestSndr:
         cfg = AdcConfig(n_bits=8, v_ref=0.4, c_unit=1e-12)
         n, m = 2048, 37
         codes = quantized_sine_codes(n, m, 0.35, cfg, phase=0.9)
-        rec = reconstruct(codes, cfg)
+        rec = dac_output(codes, cfg)
         k = np.arange(n)
         basis = np.column_stack(
             [

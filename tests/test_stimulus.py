@@ -106,21 +106,10 @@ class TestRmsPower:
         assert spec.p_in_rms == 0.4 * 0.4 / (2.0 * 50.0)
         assert spec.provenance is PowerProvenance.COMPUTED_FROM_SOURCE
 
-    def test_configured_override_wins(self):
-        src = SineSource(amplitude=0.4, frequency=100.0, source_resistance=50.0)
-        spec = rms_power(src, override=27.7e-6)
-        assert spec.p_in_rms == 27.7e-6
-        assert spec.provenance is PowerProvenance.CONFIGURED
-
     def test_scales_with_source_resistance(self):
         lo = rms_power(SineSource(amplitude=0.4, frequency=1.0, source_resistance=50.0))
         hi = rms_power(SineSource(amplitude=0.4, frequency=1.0, source_resistance=100.0))
         assert lo.p_in_rms == pytest.approx(2.0 * hi.p_in_rms, rel=1e-12)
-
-    def test_rejects_nonpositive_override(self):
-        src = SineSource(amplitude=0.4, frequency=100.0)
-        with pytest.raises(ValueError):
-            rms_power(src, override=0.0)
 
     def test_power_spec_validates(self):
         with pytest.raises(ValueError):
