@@ -19,7 +19,7 @@ from .engine import (
     run,
     sweep,
 )
-from .errors import ConfigError, CutoffError, NotConverged, ValidationError
+from .errors import ConfigError, NotConverged, ValidationError
 from .frontend import (
     Switch,
     SwitchKind,
@@ -57,7 +57,6 @@ __all__ = [
     "AdcConfig",
     "ClockPlan",
     "ConfigError",
-    "CutoffError",
     "EhConfig",
     "EhMetrics",
     "InputPowerSpec",

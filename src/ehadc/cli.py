@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -166,13 +167,14 @@ def _cmd_sweep(args) -> int:
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(("parameter", "value", *SWEEP_COLUMNS, "error")) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("parameter", "value", *SWEEP_COLUMNS, "error"))
         for row in rows:
             cells = [""] * len(SWEEP_COLUMNS)
             if row.result is not None:
                 summary = summarize(apply_parameter(scenario, row.parameter, row.value), row.result)
                 cells = ["" if summary[k] is None else repr(summary[k]) for k in SWEEP_COLUMNS]
-            fh.write(f"{row.parameter},{row.value!r}," + ",".join(cells) + f",{row.error or ''}\n")
+            writer.writerow((row.parameter, repr(row.value), *cells, row.error or ""))
     print(f"wrote {path}")
     return 0
 
@@ -201,6 +203,8 @@ def _read_codes_csv(path) -> np.ndarray:
 
 
 def _cmd_analyze(args) -> int:
+    if args.n_fft < 1:
+        raise ConfigError(f"n_fft must be positive, got {args.n_fft}")
     codes = _read_codes_csv(args.codes_csv)
     if len(codes) < args.n_fft:
         raise ConfigError(
@@ -212,10 +216,11 @@ def _cmd_analyze(args) -> int:
         adc = AdcConfig(n_bits=args.n_bits, v_ref=args.v_ref, c_unit=1e-12)
         if args.signal_bin is not None:
             bin_idx = args.signal_bin
+            spec = spectral.spectrum(codes, adc, args.f_s, bin_idx)
         else:
             probe = spectral.spectrum(codes, adc, args.f_s, 1)
             bin_idx = int(np.argmax(probe.power[1 : args.n_fft // 2])) + 1
-        spec = spectral.spectrum(codes, adc, args.f_s, bin_idx)
+            spec = dataclasses.replace(probe, signal_bin=bin_idx)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sndr_db = spectral.sndr(spec)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocking import ClockPlan, Phase, time_grid
-from .errors import CutoffError, NotConverged, ValidationError
+from .errors import NotConverged, ValidationError
 from .frontend import Switch, SwitchKind, default_settling_factor, r_on, required_r_on
 from .harvester import EhConfig, EhMetrics, rectified_envelope, steady_state_metrics
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
@@ -141,11 +141,17 @@ def validate(scenario: Scenario) -> Switch:
 
     Raises:
         ValidationError: Nyquist violation, run length over max_periods,
-            nonpositive n_sub, or an S1 that cannot settle the DAC
-            capacitance within the acquisition window.
+            nonpositive n_sub or settling factor, a steady-state tolerance
+            outside (0, 1), or an S1 that cannot settle the DAC capacitance
+            within the acquisition window anywhere in the input range.
     """
     if scenario.n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {scenario.n_sub}")
+    if not (0.0 < scenario.steady_tol < 1.0):
+        raise ValidationError(f"steady_tol must lie in (0, 1), got {scenario.steady_tol}")
+    k = _settling_factor(scenario)
+    if not (k > 0.0):
+        raise ValidationError(f"settling_factor_k must be positive, got {k}")
     if scenario.clock.n_periods > scenario.max_periods:
         raise ValidationError(
             f"n_periods {scenario.clock.n_periods} exceeds max_periods {scenario.max_periods}"
@@ -158,19 +164,19 @@ def validate(scenario: Scenario) -> Switch:
             )
 
     s1 = resolve_s1(scenario)
-    k = _settling_factor(scenario)
-    # Worst-case on-resistance over the input range; a pass transistor is
-    # weakest where its overdrive is smallest.
+    # Worst-case on-resistance over the input range. A pass transistor is
+    # weakest at the input nearest its gate (infinite when cut off there);
+    # the drive never leaves [lo, hi], so an S1 that settles there settles
+    # on every sub-step.
     lo, hi = _source_extremes(scenario.source)
-    try:
-        r_worst = max(r_on(s1, lo), r_on(s1, hi))
-    except CutoffError as exc:
-        raise ValidationError(f"S1 never conducts over the input range: {exc}") from exc
+    v_worst = lo if s1.v_gate is None else min(max(s1.v_gate, lo), hi)
+    r_worst = r_on(s1, v_worst)
     budget = scenario.clock.t_aq * (1.0 + _FEASIBILITY_SLACK)
     if r_worst * c_dac(scenario.adc) * k > budget:
         raise ValidationError(
-            f"S1 r_on {r_worst:.6g} ohm cannot settle c_dac {c_dac(scenario.adc):.6g} F "
-            f"within t_aq {scenario.clock.t_aq:.6g} s at settling factor {k:.4g}"
+            f"S1 r_on {r_worst:.6g} ohm at input {v_worst:.6g} V cannot settle c_dac "
+            f"{c_dac(scenario.adc):.6g} F within t_aq {scenario.clock.t_aq:.6g} s "
+            f"at settling factor {k:.4g}"
         )
     return s1
 
@@ -192,13 +198,14 @@ def _signal_bin(scenario: Scenario) -> int:
     """Stimulus bin index for the FFT record; rejects non-coherent setups."""
     if not isinstance(scenario.source, SineSource):
         raise ValidationError("spectral metrics need a sine stimulus")
-    m_exact = scenario.source.frequency * scenario.n_fft / scenario.clock.f_s
+    n = scenario.n_fft
+    if n < 2 or (n & (n - 1)) != 0:
+        raise ValidationError(f"n_fft must be a power of two, got {n}")
+    m_exact = scenario.source.frequency * n / scenario.clock.f_s
     m = round(m_exact)
     if abs(m_exact - m) > 1e-6:
-        raise ValidationError(
-            f"stimulus is not coherent: {m_exact} cycles per {scenario.n_fft}-point record"
-        )
-    if not (0 < m < scenario.n_fft // 2):
+        raise ValidationError(f"stimulus is not coherent: {m_exact} cycles per {n}-point record")
+    if not (0 < m < n // 2):
         raise ValidationError(f"signal bin {m} outside (0, n_fft/2)")
     return int(m)
 
@@ -208,24 +215,18 @@ def _rc_factors(switch: Switch, r_series: float, c: float, drive: list, dt: floa
 
     tau = (r_series + r_on) * c, formed with the same float operations as
     rc_step_value. A pass transistor's r_on follows the drive at the start of
-    each sub-step; where it is cut off both entries are NaN, so the RC update
-    yields NaN and the caller leaves the node floating. The last sub-step
-    has width dt_last, the others dt.
+    each sub-step; where it is cut off tau is infinite and the RC update
+    yields NaN. The last sub-step has width dt_last, the others dt.
     """
     n = len(drive) - 1
     if switch.kind is not SwitchKind.PASS_TRANSISTOR:
         tau = (r_series + r_on(switch)) * c
         decay = [math.exp(-dt / tau)] * (n - 1) + [math.exp(-dt_last / tau)]
         return decay, [tau / dt] * (n - 1) + [tau / dt_last]
-    decay, ratio = [], []
-    for u, step in zip(drive, [dt] * (n - 1) + [dt_last]):
-        try:
-            tau = (r_series + r_on(switch, u)) * c
-        except CutoffError:
-            tau = math.nan
-        decay.append(math.exp(-step / tau))
-        ratio.append(tau / step)
-    return decay, ratio
+    steps = [dt] * (n - 1) + [dt_last]
+    taus = [(r_series + r_on(switch, u)) * c for u in drive[:-1]]
+    decay = [math.exp(-h / tau) for h, tau in zip(steps, taus)]
+    return decay, [tau / h for h, tau in zip(steps, taus)]
 
 
 def _rows(aq: np.ndarray, eh: np.ndarray) -> np.ndarray:
@@ -291,9 +292,7 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
         decay, ratio = _rc_factors(s1, 0.0, c_load, row, dt_aq, dt_aq_last[p])
         for u0, u1, a, q in zip(row, row[1:], decay, ratio):
             stau = (u1 - u0) * q
-            v = u1 - stau + (v_dac - u0 + stau) * a
-            if v == v:  # NaN: S1 is cut off and the DAC node floats
-                v_dac = v
+            v_dac = u1 - stau + (v_dac - u0 + stau) * a
             v_dac_aq.append(v_dac)
 
         code = sar_convert(v_dac, adc)
@@ -339,9 +338,7 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
     metrics = None
     if eh:
         p_in = input_power(scenario)
-        v_m = scenario.source.amplitude if isinstance(scenario.source, SineSource) else max(
-            abs(x) for x in _source_extremes(scenario.source)
-        )
+        v_m = max(abs(x) for x in _source_extremes(scenario.source))
         metrics = steady_state_metrics(trace, p_in, ehc, v_m, tol=scenario.steady_tol)
 
     return SimulationResult(

@@ -28,7 +28,3 @@ class ValidationError(Exception):
 
 class NotConverged(Exception):
     """Raised when a transient run is too short to define steady-state metrics."""
-
-
-class CutoffError(Exception):
-    """Raised when a pass-transistor switch is driven below threshold."""

@@ -14,15 +14,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import CutoffError
-
 # Resistance assigned to an ideal (zero-resistance) switch. Keeping a small
 # positive floor lets every branch share the same RC update path.
 IDEAL_R_FLOOR = 1e-6
 
 
 class SwitchKind(enum.Enum):
-    IDEAL = "ideal"
     CONSTANT_R = "constant"
     PASS_TRANSISTOR = "pass"
 
@@ -31,14 +28,14 @@ class SwitchKind(enum.Enum):
 class Switch:
     """On-resistance model for an analog switch.
 
-    Three variants:
-      * IDEAL: the r_on -> 0 limit, modeled as a 1e-6 ohm floor.
+    Two variants:
       * CONSTANT_R: fixed r_on, the behavioral stand-in for a bootstrapped
         switch whose gate drive tracks the signal.
       * PASS_TRANSISTOR: triode-region pass gate,
         r_on = 1 / (k_gain * (|v_gate - v_signal| - v_th)).
 
-    Construct through the ideal() / constant() / pass_transistor() helpers.
+    Construct through the constant() / pass_transistor() helpers, or ideal()
+    for the r_on -> 0 limit, a constant switch at IDEAL_R_FLOOR.
     """
 
     kind: SwitchKind
@@ -61,7 +58,7 @@ class Switch:
 
     @classmethod
     def ideal(cls) -> "Switch":
-        return cls(SwitchKind.IDEAL)
+        return cls.constant(IDEAL_R_FLOOR)
 
     @classmethod
     def constant(cls, r_on_ohm: float) -> "Switch":
@@ -81,22 +78,14 @@ def r_on(model: Switch, v_signal: float = 0.0) -> float:
             variant depends on it (through its gate overdrive).
 
     Returns:
-        Resistance in ohms.
-
-    Raises:
-        CutoffError: pass transistor with |v_gate - v_signal| <= v_th; the
-            device does not conduct and the caller must treat the branch as
-            disconnected.
+        Resistance in ohms; math.inf for a pass transistor with
+        |v_gate - v_signal| <= v_th, which is cut off (an open branch).
     """
-    if model.kind is SwitchKind.IDEAL:
-        return IDEAL_R_FLOOR
     if model.kind is SwitchKind.CONSTANT_R:
         return model.r_on_ohm
     overdrive = abs(model.v_gate - v_signal) - model.v_th
     if overdrive <= 0.0:
-        raise CutoffError(
-            f"pass switch cut off: |{model.v_gate} - {v_signal}| <= v_th {model.v_th}"
-        )
+        return math.inf
     return 1.0 / (model.k_gain * overdrive)
 
 

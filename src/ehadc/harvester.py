@@ -10,11 +10,12 @@ peak rectified amplitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, NotConverged
+from .errors import NotConverged
 from .frontend import Switch, r_on, rc_step_value
 from .stimulus import InputPowerSpec
 
@@ -53,7 +54,7 @@ class EhMetrics:
     Attributes:
         v_eh: final (steady-state) storage-cap voltage.
         t_ceh: time to first reach (1 - tol) of v_eh.
-        eta_v: voltage efficiency v_eh / v_m.
+        eta_v: voltage efficiency v_eh / v_m, v_m the peak input magnitude.
         eta_e: energy efficiency, stored energy over input energy during t_ceh.
         e_h: stored energy 0.5 * c_eh * v_eh**2.
     """
@@ -92,9 +93,8 @@ def eh_step(
     """
     env0 = float(rectified_envelope(v_in_start, cfg.rectifier))
     env1 = float(rectified_envelope(v_in_end, cfg.rectifier))
-    try:
-        r_tot = cfg.rectifier.r_series + r_on(cfg.s2, env0)
-    except CutoffError:
+    r_tot = cfg.rectifier.r_series + r_on(cfg.s2, env0)
+    if r_tot == math.inf:
         return v_cap
     return max(v_cap, rc_step_value(v_cap, env0, env1, r_tot, cfg.c_eh, dt))
 
@@ -113,7 +113,7 @@ def steady_state_metrics(
             aligned 1-D arrays, and ``period_s`` (sampling period).
         p_in: input power used for the energy-efficiency denominator.
         cfg: harvesting branch configuration (for c_eh).
-        v_m: input peak amplitude, the reference for voltage efficiency.
+        v_m: peak input magnitude, the reference for voltage efficiency.
         tol: steady-state fraction; v_eh is converged when the voltage moved
             less than tol*v_eh over the last 10 periods, and t_ceh is the
             first crossing of (1 - tol)*v_eh (linearly interpolated).

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -7,8 +8,11 @@ import sys
 import pytest
 
 from ehadc.cli import SWEEP_COLUMNS, _parse_values, main, summarize
-from ehadc.engine import run
+from ehadc.config import build_scenario, parse_config
+from ehadc.engine import apply_parameter, run
 from ehadc.errors import ValidationError
+from ehadc.frontend import IDEAL_R_FLOOR, Switch
+from ehadc.sar_adc import AdcConfig
 from ehadc.stimulus import TableSource
 
 from test_engine import small_scenario
@@ -125,6 +129,33 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert "absent.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"": "eh.steady_tol = 2\n"}, "steady_tol must lie in (0, 1), got 2.0"),
+            ({"": "eh.steady_tol = 0\n"}, "steady_tol must lie in (0, 1), got 0.0"),
+            ({"": "engine.settling_factor_k = -1\n"}, "settling_factor_k must be positive, got -1.0"),
+            ({"": "engine.settling_factor_k = 0\n"}, "settling_factor_k must be positive, got 0.0"),
+            # 2.5 kHz is coherent with a 20-point record at 10 kHz; only its length is wrong.
+            (
+                {"signal.m_cycles = 5": "signal.freq_hz = 2500", "n_fft = 16": "n_fft = 20"},
+                "n_fft must be a power of two, got 20",
+            ),
+        ],
+        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20"],
+    )
+    def test_bad_scenario_values_exit_2_before_the_transient(
+        self, tmp_path, monkeypatch, capsys, edits, message
+    ):
+        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+        text = FAST_CFG
+        for old, new in edits.items():  # an empty key appends its line
+            text = text.replace(old, new) if old else text + new
+        out = tmp_path / "results"
+        assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_range_syntax_produces_inclusive_rows(self, tmp_path, monkeypatch):
@@ -176,6 +207,20 @@ class TestSweepCommand:
             summary = json.loads((run_out / "summary.json").read_text())
             assert cells[2:-1] == [repr(summary[k]) for k in SWEEP_COLUMNS]
 
+    def test_error_cell_is_one_quoted_field(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+        cfg = write_cfg(tmp_path, FAST_CFG + "run.metrics =\n")
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", cfg, "--param", "n_bits", "--values", "4,17", "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [9, 9, 9]
+        base, _ = build_scenario(parse_config(FAST_CFG))
+        with pytest.raises(ValidationError) as exc:
+            apply_parameter(base, "n_bits", 17.0)
+        assert "," in str(exc.value)
+        assert rows[2][-1] == str(exc.value)
+
     def test_unknown_parameter_is_a_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG)
         with pytest.raises(SystemExit) as exc:
@@ -194,6 +239,14 @@ class TestSummarize:
         result = run(scenario, spectral=False, eh=False)
         with pytest.raises(ValidationError):
             summarize(scenario, result)
+
+    def test_ideal_s1_reports_the_resistance_floor(self):
+        assert Switch.ideal() == Switch.constant(IDEAL_R_FLOOR)
+        scenario = small_scenario(
+            adc=AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-10, s1=Switch.ideal())
+        )
+        result = run(scenario, spectral=False, eh=False)
+        assert summarize(scenario, result)["s1_r_on_ohm"] == IDEAL_R_FLOOR
 
 
 class TestSizeCapCommand:
@@ -269,6 +322,8 @@ class TestAnalyzeCommand:
             (["--n-bits", "8", "--n-fft", "1000"], "power of two"),
             (["--n-bits", "20"], "n_bits"),
             (["--n-bits", "8", "--signal-bin", "5000"], "signal_bin"),
+            (["--n-bits", "8", "--n-fft", "0", "--signal-bin", "41"], "n_fft must be positive"),
+            (["--n-bits", "8", "--n-fft", "-4"], "n_fft must be positive"),
         ],
     )
     def test_invalid_analysis_arguments_exit_2(self, tmp_path, monkeypatch, capsys, flags, message):

@@ -7,12 +7,13 @@ from the documented single-step semantics.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from ehadc.clocking import ClockPlan, Phase, time_grid
-from ehadc.errors import CutoffError, ValidationError
+from ehadc.errors import ValidationError
 from ehadc.frontend import Switch, default_settling_factor, r_on, rc_step_value, required_r_on
 from ehadc.harvester import EhConfig, RectifierModel, eh_step, rectified_envelope
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output, sar_convert
@@ -71,12 +72,7 @@ def reference_walk(scenario):
         for j in range(nsub):
             u0, u1 = float(v_aq[p, j]), float(v_aq[p, j + 1])
             dt = dt_aq if j < nsub - 1 else float(t_aq_grid[p, -1] - t_aq_grid[p, -2])
-            try:
-                r1 = r_on(s1, u0)
-            except CutoffError:
-                r1 = None
-            if r1 is not None:
-                v_dac = rc_step_value(v_dac, u0, u1, r1, c_load, dt)
+            v_dac = rc_step_value(v_dac, u0, u1, r_on(s1, u0), c_load, dt)
             v_dac_rows.append(v_dac)
             v_ceh_rows.append(v_ceh)
         code = sar_convert(v_dac, adc)
@@ -121,10 +117,10 @@ class TestEngineAgainstReferenceWalk:
         assert result.trace.v_dac.tolist() == v_dac
         assert result.trace.v_ceh.tolist() == v_ceh
 
-    def test_cut_off_switches_walk_bit_identically(self):
-        """Both pass switches open for part of the run, so each node floats
-        through some sub-steps instead of charging."""
-        s1 = Switch.pass_transistor(k_gain=1.0, v_th=0.05, v_gate=0.0)
+    def test_cut_off_harvest_switch_walks_bit_identically(self):
+        """S2 is open for part of the run, so the storage node holds through
+        some sub-steps instead of charging."""
+        s1 = Switch.pass_transistor(k_gain=1.0, v_th=0.05, v_gate=1.0)
         s2 = Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1)
         scenario = small_scenario(
             adc=AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-10, s1=s1),
@@ -134,19 +130,12 @@ class TestEngineAgainstReferenceWalk:
                 s2=s2,
             ),
         )
-        t_aq, t_eh = time_grid(scenario.clock, scenario.n_sub)
-        v_aq = scenario.source.sample_at(t_aq[:, :-1]).ravel().tolist()
+        _, t_eh = time_grid(scenario.clock, scenario.n_sub)
         env = rectified_envelope(
             scenario.source.sample_at(t_eh[:, :-1]), scenario.eh.rectifier
         ).ravel().tolist()
-        for switch, drive in ((s1, v_aq), (s2, env)):
-            cut = 0
-            for v in drive:
-                try:
-                    r_on(switch, v)
-                except CutoffError:
-                    cut += 1
-            assert 0 < cut < len(drive)
+        cut = sum(r_on(s2, e) == math.inf for e in env)
+        assert 0 < cut < len(env)
         result = run(scenario, spectral=False, eh=False)
         v_dac, v_ceh, codes, sampled = reference_walk(scenario)
         assert result.trace.codes.tolist() == codes
@@ -230,6 +219,17 @@ class TestDcOperatingPoint:
         assert result.trace.v_ceh[-1] == pytest.approx(dc, rel=1e-6)
 
 
+class TestVoltageEfficiency:
+    @pytest.mark.parametrize("dc", [0.3, -0.3])
+    def test_dc_offset_divides_by_the_peak_input_magnitude(self, dc):
+        # The input swings over [0.2, 0.4] V (or its mirror), so v_m = 0.4 V,
+        # not the 0.1 V amplitude.
+        source = SineSource(amplitude=0.1, frequency=coherent_frequency(10e3, 16, 3), dc_offset=dc)
+        metrics = run(small_scenario(source=source), spectral=False, eh=True).eh
+        assert metrics.eta_v <= 1.0
+        assert metrics.eta_v == metrics.v_eh / 0.4
+
+
 class TestSaturation:
     def test_overrange_input_clips_and_flags(self):
         scenario = small_scenario(
@@ -291,6 +291,14 @@ class TestValidation:
             )
         )
         with pytest.raises(ValidationError):
+            validate(scenario)
+
+    def test_gate_inside_the_input_range_is_rejected(self):
+        # The pass gate conducts at both input extremes but is cut off
+        # around 0 V, where the sine crosses its gate voltage.
+        s1 = Switch.pass_transistor(k_gain=1.0, v_th=0.05, v_gate=0.0)
+        scenario = small_scenario(adc=AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-10, s1=s1))
+        with pytest.raises(ValidationError, match="inf ohm at input 0 V"):
             validate(scenario)
 
     def test_spectral_needs_enough_periods(self):

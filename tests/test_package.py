@@ -5,6 +5,9 @@ import re
 from pathlib import Path
 
 import ehadc
+from ehadc import config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -17,7 +20,7 @@ def test_every_exported_name_resolves():
 def test_readme_names_only_exported_pieces():
     """Every backticked name in the README's "Lower-level pieces" paragraph
     resolves on the package, so the docs cannot keep naming a deleted export."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     start = readme.index("Lower-level pieces are exported too:")
     paragraph = readme[start : readme.index("\n\n", start)]
     names = re.findall(r"`([A-Za-z_][\w.]*)", paragraph)
@@ -29,3 +32,14 @@ def test_readme_names_only_exported_pieces():
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+def test_readme_config_table_names_every_key():
+    """The README's Configuration table has one row per config key, each
+    written out in full."""
+    readme = README.read_text()
+    start = readme.index("| Key | Default | Meaning |")
+    rows = readme[start : readme.index("\n\n", start)].splitlines()[2:]
+    keys = [key for row in rows for key in re.findall(r"`([^`]*)`", row.split("|")[1])]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(config.KEY_TABLE)
