@@ -14,6 +14,7 @@ output directory of any subcommand that writes files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -43,6 +44,9 @@ from .sar_adc import AdcConfig, c_dac
 # The summarize() keys that sweep.csv reports for each row.
 SWEEP_COLUMNS = ("v_eh_v", "t_ceh_s", "eta_v", "eta_e", "sndr_db", "enob")
 
+# Rows of trace.csv formatted and written at a time.
+_TRACE_CHUNK = 8192
+
 
 def _out_dir(args, options: RunOptions | None) -> str:
     env = os.environ.get("ESAMPLE_OUT_DIR")
@@ -55,20 +59,38 @@ def _out_dir(args, options: RunOptions | None) -> str:
     return "out"
 
 
+def _float_reprs(col: np.ndarray) -> list[str]:
+    """repr of each float64 in col, computed once per run of bit-identical values.
+
+    Runs are found on the int64 view, not with float ==, because 0.0 == -0.0
+    while their reprs differ.
+    """
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if len(starts) == len(col):
+        return list(map(repr, col.tolist()))
+    heads = np.array(list(map(repr, col[starts].tolist())), dtype=object)
+    return np.repeat(heads, np.diff(starts, append=len(col))).tolist()
+
+
 def write_trace_csv(trace: TransientTrace, path) -> None:
+    """One row per sub-step, each float cell its repr; formatted and written
+    _TRACE_CHUNK rows at a time so memory does not grow with the row count."""
+    labels = np.array([PHASE_LABELS[Phase(p)] for p in (0, 1)], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write("t_s,v_in,phase,v_dac,v_ceh\n")
-        labels = [PHASE_LABELS[Phase(int(p))] for p in (0, 1)]
-        fh.writelines(
-            f"{t!r},{vi!r},{labels[ph]},{vd!r},{vc!r}\n"
-            for t, vi, ph, vd, vc in zip(
-                trace.t.tolist(),
-                trace.v_in.tolist(),
-                trace.phase.tolist(),
-                trace.v_dac.tolist(),
-                trace.v_ceh.tolist(),
+        for lo in range(0, len(trace.t), _TRACE_CHUNK):
+            block = slice(lo, lo + _TRACE_CHUNK)
+            fh.writelines(
+                f"{t},{vi},{ph},{vd},{vc}\n"
+                for t, vi, ph, vd, vc in zip(
+                    _float_reprs(trace.t[block]),
+                    _float_reprs(trace.v_in[block]),
+                    labels[trace.phase[block]].tolist(),
+                    _float_reprs(trace.v_dac[block]),
+                    _float_reprs(trace.v_ceh[block]),
+                )
             )
-        )
 
 
 def write_codes_csv(trace: TransientTrace, path) -> None:
@@ -119,16 +141,28 @@ def _cmd_run(args) -> int:
     result = run(scenario, spectral=options.spectral, eh=options.eh)
     summary = summarize(scenario, result)
 
-    # All computation is done; only now touch the filesystem so a failed run
-    # leaves no partial outputs behind.
+    # All computation is done; only now touch the filesystem. Each file is
+    # written under a temporary name and all are moved into place only after
+    # every write succeeded, so a failed run leaves no partial outputs behind.
     out = _out_dir(args, options)
     os.makedirs(out, exist_ok=True)
-    write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
-    write_codes_csv(result.trace, os.path.join(out, "codes.csv"))
+    names = ["trace.csv", "codes.csv", "summary.json"]
     if result.spectrum is not None:
-        spectral.write_spectrum_csv(result.spectrum, os.path.join(out, "spectrum.csv"))
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+        names.append("spectrum.csv")
+    staged = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in names}
+    try:
+        write_trace_csv(result.trace, staged["trace.csv"])
+        write_codes_csv(result.trace, staged["codes.csv"])
+        if result.spectrum is not None:
+            spectral.write_spectrum_csv(result.spectrum, staged["spectrum.csv"])
+        with open(staged["summary.json"], "w") as fh:
+            fh.write(json.dumps(summary, indent=2) + "\n")
+        for name, tmp in staged.items():
+            os.replace(tmp, os.path.join(out, name))
+    finally:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
     print(f"wrote {out}/summary.json")
     return 0
 

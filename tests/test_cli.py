@@ -4,12 +4,16 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from ehadc.cli import SWEEP_COLUMNS, _parse_values, main, summarize
+from ehadc import cli
+from ehadc.cli import SWEEP_COLUMNS, _parse_values, main, summarize, write_trace_csv
+from ehadc.clocking import PHASE_LABELS, Phase
 from ehadc.config import build_scenario, parse_config
-from ehadc.engine import apply_parameter, run
+from ehadc.engine import TransientTrace, apply_parameter, run
 from ehadc.errors import ValidationError
 from ehadc.frontend import IDEAL_R_FLOOR, Switch
 from ehadc.sar_adc import AdcConfig
@@ -61,6 +65,90 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def reference_trace_csv(trace, path):
+    """The plain per-row writer that write_trace_csv must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t_s,v_in,phase,v_dac,v_ceh\n")
+        labels = [PHASE_LABELS[Phase(int(p))] for p in (0, 1)]
+        fh.writelines(
+            f"{t!r},{vi!r},{labels[ph]},{vd!r},{vc!r}\n"
+            for t, vi, ph, vd, vc in zip(
+                trace.t.tolist(),
+                trace.v_in.tolist(),
+                trace.phase.tolist(),
+                trace.v_dac.tolist(),
+                trace.v_ceh.tolist(),
+            )
+        )
+
+
+def make_trace(t, v_in, phase, v_dac, v_ceh):
+    return TransientTrace(
+        t=np.asarray(t, dtype=np.float64),
+        v_in=np.asarray(v_in, dtype=np.float64),
+        phase=np.asarray(phase, dtype=np.uint8),
+        v_dac=np.asarray(v_dac, dtype=np.float64),
+        v_ceh=np.asarray(v_ceh, dtype=np.float64),
+        codes=np.zeros(1, dtype=np.int64),
+        v_sampled=np.zeros(1),
+        saturated=np.zeros(1, dtype=bool),
+        period_s=1.0,
+    )
+
+
+class TestTraceWriter:
+    def test_run_trace_matches_the_reference_writer(self, tmp_path):
+        scenario, options = build_scenario(parse_config(FAST_CFG))
+        trace = run(scenario, spectral=options.spectral, eh=options.eh).trace
+        write_trace_csv(trace, tmp_path / "blocks.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_edge_values_match_the_reference_writer(self, tmp_path, monkeypatch):
+        # 13 rows in blocks of 5: the held 0.25 in v_dac runs across the first
+        # block boundary, 0.0 is followed by -0.0 (equal as floats, not in
+        # repr), and v_ceh passes where repr switches notation.
+        monkeypatch.setattr(cli, "_TRACE_CHUNK", 5)
+        inf, nan = float("inf"), float("nan")
+        trace = make_trace(
+            t=[k * 1e-4 for k in range(13)],
+            v_in=[0.0, -0.0, 0.1, 0.1, -0.1, 1 / 3, 2 / 3, 0.2, 0.2, -0.0, 0.0, 0.3, 0.3],
+            phase=[0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1],
+            v_dac=[0.1, 0.0, -0.0, 0.25, 0.25, 0.25, 0.25, -0.0, 0.0, nan, nan, inf, -inf],
+            v_ceh=[5e-324, 5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0, 1e16,
+                   inf, inf, -inf, nan, 0.0, -0.0],
+        )
+        write_trace_csv(trace, tmp_path / "blocks.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        text = (tmp_path / "blocks.csv").read_text()
+        assert text == (tmp_path / "reference.csv").read_text()
+        assert [line.split(",")[3] for line in text.splitlines()[2:4]] == ["0.0", "-0.0"]
+
+    def test_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_TRACE_CHUNK", 512)
+        rng = np.random.default_rng(0)
+
+        def peak(n_blocks):
+            rows = n_blocks * cli._TRACE_CHUNK
+            trace = make_trace(
+                rng.standard_normal(rows),
+                rng.standard_normal(rows),
+                np.arange(rows) % 2,
+                rng.standard_normal(rows),
+                rng.standard_normal(rows),
+            )
+            tracemalloc.start()
+            try:
+                write_trace_csv(trace, tmp_path / "trace.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call set-up is not per-block memory
+        small, large = peak(4), peak(64)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestRunCommand:
@@ -124,6 +212,19 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(out)]) == 3
         assert not out.exists()
         assert "not converged" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_partial_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+
+        def fail(trace, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_codes_csv", fail)
+        out = tmp_path / "results"
+        with pytest.raises(OSError):
+            main(["run", write_cfg(tmp_path, FAST_CFG), "--out", str(out)])
+        assert not (out / "trace.csv").exists()
+        assert list(out.iterdir()) == []
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
