@@ -27,7 +27,6 @@ from .frontend import (
     r_on,
     rc_step_value,
     required_r_on,
-    settling_error,
 )
 from .harvester import (
     EhConfig,
@@ -40,7 +39,7 @@ from .harvester import (
     size_capacitor,
     steady_state_metrics,
 )
-from .sar_adc import AdcConfig, c_dac, dac_output, quantize_oracle, sar_convert
+from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
 from .stimulus import (
     InputPowerSpec,
@@ -82,7 +81,6 @@ __all__ = [
     "eh_step",
     "enob",
     "harvested_energy",
-    "quantize_oracle",
     "r_on",
     "rc_step_value",
     "rectified_envelope",
@@ -90,7 +88,6 @@ __all__ = [
     "rms_power",
     "run",
     "sar_convert",
-    "settling_error",
     "size_capacitor",
     "sndr",
     "spectrum",

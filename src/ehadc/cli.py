@@ -41,6 +41,9 @@ from .errors import ConfigError, NotConverged, ValidationError
 from .harvester import size_capacitor
 from .sar_adc import AdcConfig, c_dac
 
+# Files written by `ehadc run`; spectrum.csv only with spectral metrics.
+RUN_OUTPUTS = ("trace.csv", "codes.csv", "spectrum.csv", "summary.json")
+
 # The summarize() keys that sweep.csv reports for each row.
 SWEEP_COLUMNS = ("v_eh_v", "t_ceh_s", "eta_v", "eta_e", "sndr_db", "enob")
 
@@ -144,11 +147,11 @@ def _cmd_run(args) -> int:
     # All computation is done; only now touch the filesystem. Each file is
     # written under a temporary name and all are moved into place only after
     # every write succeeded, so a failed run leaves no partial outputs behind.
+    # Outputs of an earlier run that this one does not produce are removed,
+    # so the directory never mixes two runs.
     out = _out_dir(args, options)
     os.makedirs(out, exist_ok=True)
-    names = ["trace.csv", "codes.csv", "summary.json"]
-    if result.spectrum is not None:
-        names.append("spectrum.csv")
+    names = [name for name in RUN_OUTPUTS if name != "spectrum.csv" or result.spectrum is not None]
     staged = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in names}
     try:
         write_trace_csv(result.trace, staged["trace.csv"])
@@ -159,6 +162,9 @@ def _cmd_run(args) -> int:
             fh.write(json.dumps(summary, indent=2) + "\n")
         for name, tmp in staged.items():
             os.replace(tmp, os.path.join(out, name))
+        for name in set(RUN_OUTPUTS) - set(names):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, name))
     finally:
         for tmp in staged.values():
             with contextlib.suppress(FileNotFoundError):

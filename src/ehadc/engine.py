@@ -1,12 +1,29 @@
 """Transient simulation engine.
 
-Walks the two-phase schedule period by period: during acquisition the DAC
-capacitance settles toward the input through the sampling switch; at the
-phase boundary the settled voltage is converted and the DAC holds the
-reconstructed level; during harvesting the storage capacitor charges from
-the rectified input while the DAC node is untouched. Each phase is divided
-into n_sub sub-steps integrated with the exact RC update, so the only
-discretization left is the piecewise-linear approximation of the sine drive.
+Simulates the two-phase schedule: during acquisition the DAC capacitance
+settles toward the input through the sampling switch; at the phase boundary
+the settled voltage is converted and the DAC holds the reconstructed level;
+during harvesting the storage capacitor charges from the rectified input
+while the DAC node is untouched. Each phase is divided into n_sub sub-steps
+integrated with the exact RC update, so the only discretization left is the
+piecewise-linear approximation of the sine drive.
+
+The result equals a sub-step-by-sub-step walk bit for bit, but the work is
+done on whole arrays:
+
+* Acquisition (_acquisition): a period depends on the one before only
+  through the DAC level of the previous code. Waveform relaxation guesses
+  every start level, settles all periods at once, converts them with the
+  array SAR ladder, and redoes the periods whose start level changed. The
+  discrete codes make the fixed point exact, and it is the sequential
+  answer. After 2*n_periods period updates the rest is finished in order.
+* Harvest (_harvest): the diode ratchet holds the storage voltage on most
+  sub-steps, so the RC candidate at the held voltage is tested over growing
+  blocks, and single steps are taken only while the voltage rises.
+
+Both keep the float operations of the one-step RC update in their order
+(_rc_update), and every decay factor comes from math.exp, not np.exp,
+which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -22,13 +39,17 @@ from .clocking import ClockPlan, Phase, time_grid
 from .errors import NotConverged, ValidationError
 from .frontend import Switch, SwitchKind, default_settling_factor, r_on, required_r_on
 from .harvester import EhConfig, EhMetrics, rectified_envelope, steady_state_metrics
-from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
+from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert, sar_convert_array
 from .spectral import Spectrum, enob, sndr, spectrum
 from .stimulus import InputPowerSpec, SineSource, rms_power
 
 # Allowed relative slack when checking the settling budget, so a switch
 # resistance solved exactly from the budget is not rejected by round-off.
 _FEASIBILITY_SLACK = 1e-9
+
+# Largest block of harvest sub-steps over which the held storage voltage is
+# tested for a rise at once.
+_MAX_HOLD_BLOCK = 16384
 
 SWEEPABLE_PARAMETERS = ("alpha", "c_eh", "v_drop", "r_on_s1", "n_bits", "f_s")
 
@@ -210,23 +231,154 @@ def _signal_bin(scenario: Scenario) -> int:
     return int(m)
 
 
-def _rc_factors(switch: Switch, r_series: float, c: float, drive: list, dt: float, dt_last: float):
-    """exp(-dt/tau) and tau/dt for each sub-step of one phase of one period.
+def _rc_factors(
+    switch: Switch, r_series: float, c: float, drive: np.ndarray, dt: float, dt_last: np.ndarray
+):
+    """exp(-h/tau) and tau/h for every sub-step of one phase, shape (n_periods, n_sub).
 
-    tau = (r_series + r_on) * c, formed with the same float operations as
-    rc_step_value. A pass transistor's r_on follows the drive at the start of
-    each sub-step; where it is cut off tau is infinite and the RC update
-    yields NaN. The last sub-step has width dt_last, the others dt.
+    drive holds the (n_periods, n_sub + 1) branch drive voltages. Each step
+    has width h = dt, except the last of period p, which has width dt_last[p].
+    tau = (r_series + r_on) * c, with a pass transistor's r_on (the float
+    operations of frontend.r_on) taken at the drive at the start of each
+    sub-step; where it is cut off tau is infinite and the RC update yields
+    NaN. Decay factors come from math.exp, because np.exp can differ from it
+    in the last bit.
     """
-    n = len(drive) - 1
+    shape = (drive.shape[0], drive.shape[1] - 1)
     if switch.kind is not SwitchKind.PASS_TRANSISTOR:
         tau = (r_series + r_on(switch)) * c
-        decay = [math.exp(-dt / tau)] * (n - 1) + [math.exp(-dt_last / tau)]
-        return decay, [tau / dt] * (n - 1) + [tau / dt_last]
-    steps = [dt] * (n - 1) + [dt_last]
-    taus = [(r_series + r_on(switch, u)) * c for u in drive[:-1]]
-    decay = [math.exp(-h / tau) for h, tau in zip(steps, taus)]
-    return decay, [tau / h for h, tau in zip(steps, taus)]
+        decay = np.full(shape, math.exp(-dt / tau))
+        decay[:, -1] = list(map(math.exp, (-dt_last / tau).tolist()))
+        ratio = np.full(shape, tau / dt)
+        ratio[:, -1] = tau / dt_last
+        return decay, ratio
+    h = np.full(shape, dt)
+    h[:, -1] = dt_last
+    overdrive = np.abs(switch.v_gate - drive[:, :-1]) - switch.v_th
+    r = np.full(shape, math.inf)
+    np.divide(1.0, switch.k_gain * overdrive, out=r, where=overdrive > 0.0)
+    tau = (r_series + r) * c
+    decay = np.fromiter(map(math.exp, (-h / tau).ravel().tolist()), float, count=h.size)
+    return decay.reshape(shape), tau / h
+
+
+def _rc_update(v, u0, s, a, b):
+    """One exact RC step from v for a drive ramping from u0 over the step.
+
+    With s = (u1 - u0)*(tau/h) and b = u1 - s this is rc_step_value's
+    u1 - s + (v - u0 + s)*a, the same float operations in the same order.
+    Works on floats and elementwise on arrays alike.
+    """
+    return b + (v - u0 + s) * a
+
+
+def _acquisition(drive: np.ndarray, a: np.ndarray, q: np.ndarray, adc: AdcConfig):
+    """DAC node after every acquisition sub-step (n_periods, n_sub), and the codes.
+
+    A period depends on the one before only through its start level, the DAC
+    level of the previous code (0.0 for period 0). Waveform relaxation: guess
+    every start level from the code of the previous boundary input, settle
+    all periods at once, convert, and redo the periods whose start level
+    changed until none does. That fixed point is the sequential answer. Once
+    the passes have done 2*n_periods period updates the rest is finished in
+    order, from the first unsettled period, so a slowly settling S1 costs no
+    more than a scalar walk.
+    """
+    u0, u1 = drive[:, :-1], drive[:, 1:]
+    s = (u1 - u0) * q
+    b = u1 - s
+    nper, nsub = u0.shape
+
+    def settle(start, rows):
+        v = np.empty((len(start), nsub))
+        x = start
+        for j in range(nsub):
+            x = v[:, j] = _rc_update(x, u0[rows, j], s[rows, j], a[rows, j], b[rows, j])
+        return v
+
+    start = np.empty(nper)
+    start[0] = 0.0
+    start[1:] = dac_output(sar_convert_array(u1[:-1, -1], adc), adc)
+    v = settle(start, slice(None))
+    codes = sar_convert_array(v[:, -1], adc)
+    updates = nper
+    while True:
+        level = dac_output(codes[:-1], adc)
+        redo = np.flatnonzero(level != start[1:]) + 1
+        if redo.size == 0:
+            return v, codes
+        if updates >= 2 * nper:
+            break
+        start[redo] = level[redo - 1]
+        v[redo] = settle(start[redo], redo)
+        codes[redo] = sar_convert_array(v[redo, -1], adc)
+        updates += redo.size
+
+    # Sequential finish: a period is redone only if its start level differs
+    # from the one its values were computed with.
+    for p in range(int(redo[0]), nper):
+        x = dac_output(int(codes[p - 1]), adc)
+        if x == start[p]:
+            continue
+        start[p] = x
+        row = []
+        for u0_j, s_j, a_j, b_j in zip(*(m[p].tolist() for m in (u0, s, a, b))):
+            x = _rc_update(x, u0_j, s_j, a_j, b_j)
+            row.append(x)
+        v[p] = row
+        codes[p] = sar_convert(x, adc)
+    return v, codes
+
+
+def _harvest(drive: np.ndarray, a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Storage-cap voltage after every harvest sub-step, shape (n_periods, n_sub).
+
+    The node starts at 0.0 and carries over from period to period. The diode
+    ratchet takes the RC candidate only where it exceeds the held voltage,
+    which happens on few sub-steps. So the candidate at the held voltage is
+    evaluated over blocks that double from n_sub up to _MAX_HOLD_BLOCK
+    sub-steps; from the first sub-step where it rises, the ratchet steps one
+    sub-step at a time while it keeps rising. A NaN candidate (S2 cut off)
+    fails the > test on both paths, so the node holds.
+    """
+    nsub = drive.shape[1] - 1
+    s = (drive[:, 1:] - drive[:, :-1]) * q
+    b = (drive[:, 1:] - s).ravel()
+    e0, s, a = drive[:, :-1].ravel(), s.ravel(), a.ravel()
+    n = len(e0)
+    out = np.empty(n)
+    v = 0.0
+    i = 0
+    block = nsub
+    while i < n:
+        j = min(i + block, n)
+        rises = np.flatnonzero(_rc_update(v, e0[i:j], s[i:j], a[i:j], b[i:j]) > v)
+        if rises.size == 0:
+            out[i:j] = v
+            i = j
+            block = min(2 * block, _MAX_HOLD_BLOCK)
+            continue
+        k = i + int(rises[0])
+        out[i:k] = v
+        i = k
+        while i < n:  # scalar steps, one window of nsub at a time
+            j = min(i + nsub, n)
+            risen = []
+            window = (m[i:j].tolist() for m in (e0, s, a, b))
+            for e0_j, s_j, a_j, b_j in zip(*window):
+                cand = _rc_update(v, e0_j, s_j, a_j, b_j)
+                if not cand > v:
+                    break
+                v = cand
+                risen.append(v)
+            out[i : i + len(risen)] = risen
+            i += len(risen)
+            if i < j:  # the candidate at sub-step i did not rise: it holds
+                out[i] = v
+                i += 1
+                break
+        block = nsub
+    return out.reshape(drive.shape[0], nsub)
 
 
 def _rows(aq: np.ndarray, eh: np.ndarray) -> np.ndarray:
@@ -270,49 +422,18 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
     v_eh_in = scenario.source.sample_at(t_eh_grid)
     env = rectified_envelope(v_eh_in, ehc.rectifier)
 
-    # The hot loop works on plain Python floats; ndarray scalar access is
-    # slow. The last sub-step of each phase absorbs the snap onto the exact
-    # boundary, so its width can differ from the nominal dt by round-off.
-    dt_aq = plan.t_aq / nsub
-    dt_eh = plan.t_eh / nsub
-    dt_aq_last = (t_aq_grid[:, -1] - t_aq_grid[:, -2]).tolist()
-    dt_eh_last = (t_eh_grid[:, -1] - t_eh_grid[:, -2]).tolist()
-    v_aq_rows = v_aq.tolist()
-    env_rows = env.tolist()
-    c_load = c_dac(adc)
-
-    v_dac = 0.0
-    v_ceh = 0.0
-    v_dac_aq: list[float] = []
-    v_ceh_eh: list[float] = []
-    codes: list[int] = []
-
-    for p in range(nper):
-        row = v_aq_rows[p]
-        decay, ratio = _rc_factors(s1, 0.0, c_load, row, dt_aq, dt_aq_last[p])
-        for u0, u1, a, q in zip(row, row[1:], decay, ratio):
-            stau = (u1 - u0) * q
-            v_dac = u1 - stau + (v_dac - u0 + stau) * a
-            v_dac_aq.append(v_dac)
-
-        code = sar_convert(v_dac, adc)
-        codes.append(code)
-        v_dac = dac_output(code, adc)  # DAC holds the reconstructed level
-
-        row = env_rows[p]
-        decay, ratio = _rc_factors(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, row, dt_eh, dt_eh_last[p])
-        for e0, e1, a, q in zip(row, row[1:], decay, ratio):
-            stau = (e1 - e0) * q
-            cand = e1 - stau + (v_ceh - e0 + stau) * a
-            if cand > v_ceh:  # diode blocking; NaN (S2 cut off) never passes
-                v_ceh = cand
-            v_ceh_eh.append(v_ceh)
+    # The last sub-step of each phase absorbs the snap onto the exact
+    # boundary, so its width can differ from the nominal one by round-off.
+    dt_aq_last = t_aq_grid[:, -1] - t_aq_grid[:, -2]
+    dt_eh_last = t_eh_grid[:, -1] - t_eh_grid[:, -2]
+    a, q = _rc_factors(s1, 0.0, c_dac(adc), v_aq, plan.t_aq / nsub, dt_aq_last)
+    dac_aq, codes_arr = _acquisition(v_aq, a, q, adc)
+    a, q = _rc_factors(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, plan.t_eh / nsub, dt_eh_last)
+    with np.errstate(invalid="ignore"):  # a cut-off S2 makes NaN candidates
+        ceh_eh = _harvest(env, a, q)
 
     # --- assemble the trace ----------------------------------------------
     # Each phase moves one node; the other holds its value through the phase.
-    codes_arr = np.asarray(codes, dtype=np.int64)
-    dac_aq = np.asarray(v_dac_aq).reshape(nper, nsub)
-    ceh_eh = np.asarray(v_ceh_eh).reshape(nper, nsub)
     ceh_held = np.concatenate(([0.0], ceh_eh[:-1, -1]))[:, None]
     v_sampled = dac_aq[:, -1].copy()  # the settled voltage each code converts
     phases = np.array([Phase.ACQUISITION, Phase.ENERGY_HARVEST], dtype=np.uint8)

@@ -120,16 +120,6 @@ def rc_step_value(
     return u_end - stau + (v_start - u_start + stau) * math.exp(-dt / tau)
 
 
-def settling_error(r: float, c: float, t_aq: float) -> float:
-    """Residual relative tracking error after t_aq of settling to a constant drive.
-
-    exp(-t_aq/(r*c)); lies in (0, 1) for positive arguments.
-    """
-    if not (r > 0.0 and c > 0.0 and t_aq > 0.0):
-        raise ValueError(f"r, c, t_aq must all be positive, got r={r} c={c} t_aq={t_aq}")
-    return math.exp(-t_aq / (r * c))
-
-
 def default_settling_factor(n_bits: int) -> float:
     """Settling factor k such that exp(-k) < half an LSB of an n-bit converter.
 

@@ -3,8 +3,7 @@
 Models the converter at the transfer-function level: a mid-rise quantizer
 over [-v_ref, +v_ref) realized by successive approximation against a
 binary-weighted capacitive DAC. The capacitor array itself matters only
-through its total capacitance (the sampling load); a brute-force quantizer
-serves as an independent oracle for the conversion logic.
+through its total capacitance (the sampling load).
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ def sar_convert(v_sampled: float, config: AdcConfig) -> int:
 
     One comparison per bit against the DAC threshold of the trial code. The
     strict ``>`` acceptance makes a voltage exactly on a decision boundary
-    resolve to the lower code, matching quantize_oracle's tie-break. Inputs
+    resolve to the lower code, the tie-break of a nearest-level quantizer. Inputs
     outside [-v_ref, v_ref) clip silently to the edge codes; callers that
     need to know flag saturation themselves.
     """
@@ -91,16 +90,19 @@ def sar_convert(v_sampled: float, config: AdcConfig) -> int:
     return code
 
 
-def quantize_oracle(v: float, config: AdcConfig) -> int:
-    """Brute-force reference quantizer: nearest code center, ties to lower.
+def sar_convert_array(v_sampled: np.ndarray, config: AdcConfig) -> np.ndarray:
+    """sar_convert of every element of an array, as int64 codes.
 
-    Enumerates all 2**n_bits reconstruction levels and picks the closest.
-    numpy's argmin returns the first (lowest) index on exact ties, which is
-    the stated tie-break. Out-of-range inputs clip like sar_convert.
+    Makes the same comparisons against the same thresholds, one bit at a
+    time for all elements at once, so each code equals the scalar one. No
+    clipping step is needed: below -v_ref every comparison fails (code 0),
+    and from v_ref up every one passes (the top code). NaN fails them all
+    and converts to code 0 on both paths.
     """
-    if v < -config.v_ref:
-        return 0
-    if v >= config.v_ref:
-        return config.n_codes - 1
-    centers = -config.v_ref + (np.arange(config.n_codes) + 0.5) * config.lsb
-    return int(np.abs(v - centers).argmin())
+    v = np.asarray(v_sampled, dtype=float)
+    lsb = config.lsb
+    code = np.zeros(v.shape, dtype=np.int64)
+    for bit in range(config.n_bits - 1, -1, -1):
+        trial = code | (1 << bit)
+        code = np.where(v > -config.v_ref + trial * lsb, trial, code)
+    return code

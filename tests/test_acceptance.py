@@ -21,10 +21,11 @@ from ehadc.harvester import (
     boost_charge_time,
     steady_state_metrics,
 )
-from ehadc.sar_adc import AdcConfig, dac_output, quantize_oracle, sar_convert
+from ehadc.sar_adc import AdcConfig, dac_output, sar_convert
 from ehadc.spectral import enob, sndr, spectrum
 from ehadc.stimulus import InputPowerSpec, PowerProvenance, SineSource
 
+from oracles import quantize_oracle
 from test_frontend import euler_reference
 
 

@@ -186,6 +186,16 @@ class TestRunCommand:
         for name in ("trace.csv", "codes.csv", "spectrum.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_rerun_without_spectral_metrics_removes_the_old_spectrum(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+        out = tmp_path / "results"
+        assert main(["run", write_cfg(tmp_path, FAST_CFG), "--out", str(out)]) == 0
+        assert (out / "spectrum.csv").exists()
+        eh_only = write_cfg(tmp_path, FAST_CFG + "run.metrics = eh\n", name="eh_only.cfg")
+        assert main(["run", eh_only, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["codes.csv", "summary.json", "trace.csv"]
+        assert json.loads((out / "summary.json").read_text())["sndr_db"] is None
+
     def test_env_var_overrides_the_output_directory(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, FAST_CFG)
         env_out = tmp_path / "env_out"

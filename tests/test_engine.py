@@ -18,6 +18,7 @@ from ehadc.frontend import Switch, default_settling_factor, r_on, rc_step_value,
 from ehadc.harvester import EhConfig, RectifierModel, eh_step, rectified_envelope
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from ehadc.stimulus import InputPowerSpec, PowerProvenance, SineSource, TableSource, coherent_frequency
+from ehadc import engine
 from ehadc.engine import (
     SWEEPABLE_PARAMETERS,
     Scenario,
@@ -87,15 +88,40 @@ def reference_walk(scenario):
     return v_dac_rows, v_ceh_rows, codes, sampled
 
 
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts of the converter calls made inside engine.run.
+
+    "array" counts the array SAR ladder: one call for the initial guess and
+    one per relaxation pass. "scalar" counts sar_convert: one call per period
+    redone by the sequential finish.
+    """
+    counts = {"array": 0, "scalar": 0}
+    for name, key in (("sar_convert_array", "array"), ("sar_convert", "scalar")):
+        real = getattr(engine, name)
+
+        def counted(*args, _real=real, _key=key):
+            counts[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    return counts
+
+
+def assert_walks_bit_identically(scenario):
+    """run() and reference_walk() agree on every float and code; returns the trace."""
+    trace = run(scenario, spectral=False, eh=False).trace
+    v_dac, v_ceh, codes, sampled = reference_walk(scenario)
+    assert trace.codes.tolist() == codes
+    assert trace.v_sampled.tolist() == sampled
+    assert trace.v_dac.tolist() == v_dac
+    assert trace.v_ceh.tolist() == v_ceh
+    return trace
+
+
 class TestEngineAgainstReferenceWalk:
     def test_constant_switches_walk_bit_identically(self):
-        scenario = small_scenario()
-        result = run(scenario, spectral=False, eh=False)
-        v_dac, v_ceh, codes, sampled = reference_walk(scenario)
-        assert result.trace.codes.tolist() == codes
-        assert result.trace.v_sampled.tolist() == sampled
-        assert result.trace.v_dac.tolist() == v_dac
-        assert result.trace.v_ceh.tolist() == v_ceh
+        assert_walks_bit_identically(small_scenario())
 
     def test_pass_transistor_switches_walk_bit_identically(self):
         scenario = small_scenario(
@@ -111,11 +137,7 @@ class TestEngineAgainstReferenceWalk:
                 s2=Switch.pass_transistor(k_gain=0.1, v_th=0.3, v_gate=2.0),
             ),
         )
-        result = run(scenario, spectral=False, eh=False)
-        v_dac, v_ceh, codes, sampled = reference_walk(scenario)
-        assert result.trace.codes.tolist() == codes
-        assert result.trace.v_dac.tolist() == v_dac
-        assert result.trace.v_ceh.tolist() == v_ceh
+        assert_walks_bit_identically(scenario)
 
     def test_cut_off_harvest_switch_walks_bit_identically(self):
         """S2 is open for part of the run, so the storage node holds through
@@ -136,12 +158,68 @@ class TestEngineAgainstReferenceWalk:
         ).ravel().tolist()
         cut = sum(r_on(s2, e) == math.inf for e in env)
         assert 0 < cut < len(env)
-        result = run(scenario, spectral=False, eh=False)
-        v_dac, v_ceh, codes, sampled = reference_walk(scenario)
-        assert result.trace.codes.tolist() == codes
-        assert result.trace.v_sampled.tolist() == sampled
-        assert result.trace.v_dac.tolist() == v_dac
-        assert result.trace.v_ceh.tolist() == v_ceh
+        assert_walks_bit_identically(scenario)
+
+    def test_pass_switch_decay_factors_are_math_exp(self):
+        """np.exp differs from math.exp in the last bit on a few percent of
+        arguments, and a pass switch has one decay argument per sub-step.
+        Both RC branches here are slow enough that such a difference would
+        reach the DAC and the storage-cap traces."""
+        scenario = small_scenario(
+            source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 64, 5)),
+            clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=64),
+            adc=AdcConfig(
+                n_bits=8,
+                v_ref=0.4,
+                c_unit=12e-10,
+                s1=Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8),
+            ),
+            eh=EhConfig(
+                c_eh=1e-5,
+                rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
+                s2=Switch.pass_transistor(k_gain=2.0, v_th=0.4, v_gate=0.9),
+            ),
+            n_sub=16,
+        )
+        assert_walks_bit_identically(scenario)
+
+    def test_under_settled_s1_relaxes_in_more_than_two_passes(self, conversions):
+        """At k = 2 each period keeps about e**-2 of the previous DAC level,
+        so the guessed start levels are wrong in chains that take several
+        relaxation passes to settle."""
+        scenario = small_scenario(
+            source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 256, 3)),
+            clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=256),
+            settling_factor_k=2.0,
+        )
+        assert_walks_bit_identically(scenario)
+        assert conversions["array"] - 1 > 2
+        assert conversions["scalar"] == 0
+
+    def test_slowly_settling_s1_finishes_in_order(self, conversions):
+        """At k = 0.05 nearly every period's code depends on the one before,
+        so relaxation spends its update budget and the sequential finish
+        redoes the rest."""
+        assert_walks_bit_identically(small_scenario(settling_factor_k=0.05))
+        assert conversions["scalar"] > 0
+
+    def test_rising_run_longer_than_a_scalar_window(self):
+        """A large storage cap charges on many consecutive sub-steps near
+        each input peak, more than the n_sub scalar steps taken at a time."""
+        scenario = small_scenario(
+            eh=EhConfig(
+                c_eh=1e-4,
+                rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
+                s2=Switch.constant(1.0),
+            ),
+        )
+        trace = assert_walks_bit_identically(scenario)
+        stored = np.concatenate(([0.0], trace.v_ceh[trace.phase == Phase.ENERGY_HARVEST]))
+        longest = run_ = 0
+        for rose in (np.diff(stored) > 0.0).tolist():
+            run_ = run_ + 1 if rose else 0
+            longest = max(longest, run_)
+        assert longest > 2 * scenario.n_sub
 
 
 class TestTraceLayout:

@@ -17,8 +17,9 @@ from ehadc.frontend import (
     r_on,
     rc_step_value,
     required_r_on,
-    settling_error,
 )
+
+from oracles import settling_error
 
 
 def euler_reference(v_start, u_start, u_end, r, c, dt, n_steps=1_000_000):

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from ehadc.sar_adc import (
-    AdcConfig,
-    c_dac,
-    dac_output,
-    quantize_oracle,
-    sar_convert,
-)
+from ehadc.sar_adc import AdcConfig, c_dac, dac_output, sar_convert, sar_convert_array
+
+from oracles import quantize_oracle
 
 CFG8 = AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-9)
 
@@ -120,3 +116,42 @@ class TestDacOutput:
         cfg = AdcConfig(n_bits=8, v_ref=0.4, c_unit=1e-12)
         for code in (0, 1, 100, 128, 254, 255):
             assert sar_convert(dac_output(code, cfg), cfg) == code
+
+
+class TestSarConvertArray:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CFG8,
+            AdcConfig(n_bits=1, v_ref=1.0, c_unit=1e-12),
+            AdcConfig(n_bits=9, v_ref=0.5, c_unit=1e-12),
+            AdcConfig(n_bits=12, v_ref=0.3, c_unit=1e-12),
+        ],
+        ids=["8bit", "1bit", "9bit-exact", "12bit"],
+    )
+    def test_equals_sar_convert_at_thresholds_edges_and_beyond(self, cfg):
+        # Every decision threshold as sar_convert forms it, the full-scale
+        # edges, one ulp either side of each, and values far out of range.
+        thresholds = -cfg.v_ref + np.arange(1, cfg.n_codes) * cfg.lsb
+        points = np.concatenate((thresholds, [-cfg.v_ref, cfg.v_ref]))
+        v = np.concatenate(
+            (
+                points,
+                np.nextafter(points, -np.inf),
+                np.nextafter(points, np.inf),
+                [-10.0, 10.0, -np.inf, np.inf, 0.0, -0.0],
+            )
+        )
+        codes = sar_convert_array(v, cfg)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [sar_convert(x, cfg) for x in v.tolist()]
+
+    def test_nan_converts_to_code_zero_on_both_paths(self):
+        assert sar_convert(float("nan"), CFG8) == 0
+        assert sar_convert_array(np.array([np.nan, 0.1]), CFG8).tolist() == [0, sar_convert(0.1, CFG8)]
+
+    def test_keeps_the_input_shape(self):
+        v = np.linspace(-0.5, 0.5, 12).reshape(3, 4)
+        codes = sar_convert_array(v, CFG8)
+        assert codes.shape == (3, 4)
+        assert codes.ravel().tolist() == [sar_convert(x, CFG8) for x in v.ravel().tolist()]
