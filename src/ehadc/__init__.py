@@ -41,14 +41,7 @@ from .harvester import (
 )
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
-from .stimulus import (
-    InputPowerSpec,
-    PowerProvenance,
-    SineSource,
-    TableSource,
-    coherent_frequency,
-    rms_power,
-)
+from .stimulus import SineSource, TableSource, coherent_frequency, rms_power
 
 __version__ = "0.1.0"
 
@@ -58,10 +51,8 @@ __all__ = [
     "ConfigError",
     "EhConfig",
     "EhMetrics",
-    "InputPowerSpec",
     "NotConverged",
     "Phase",
-    "PowerProvenance",
     "RectifierModel",
     "Scenario",
     "SimulationResult",

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .engine import (
     TransientTrace,
     apply_parameter,
     input_power,
+    resolve_s1,
     run,
     sweep,
 )
@@ -107,10 +109,52 @@ def write_codes_csv(trace: TransientTrace, path) -> None:
         )
 
 
+def write_summary_json(summary: dict, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
+
+
+def write_sweep_csv(base: Scenario, rows, path) -> None:
+    """One line per row; each metric cell is the repr of that summarize() key."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("parameter", "value", *SWEEP_COLUMNS, "error"))
+        for row in rows:
+            cells = [""] * len(SWEEP_COLUMNS)
+            if row.result is not None:
+                summary = summarize(apply_parameter(base, row.parameter, row.value), row.result)
+                cells = ["" if summary[k] is None else repr(summary[k]) for k in SWEEP_COLUMNS]
+            writer.writerow((row.parameter, repr(row.value), *cells, row.error or ""))
+
+
+def _write_outputs(out: str, writers: dict, stale=()) -> None:
+    """Write a command's files into out, all or none.
+
+    writers maps each file name to a function that writes it at a path.
+    Every file goes to a temporary name first and all are moved into place
+    only after every write succeeded, so a failed write leaves the previous
+    files intact; then the stale names (earlier outputs this run does not
+    produce) are removed, so out never mixes two runs.
+    """
+    os.makedirs(out, exist_ok=True)
+    staged = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in writers}
+    try:
+        for name, write in writers.items():
+            write(staged[name])
+        for name, tmp in staged.items():
+            os.replace(tmp, os.path.join(out, name))
+        for name in stale:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, name))
+    finally:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
 def summarize(scenario: Scenario, result: SimulationResult) -> dict:
     """Flat summary of one run, one value per reported metric."""
     plan = scenario.clock
-    p_in = input_power(scenario)
     m = result.eh
     return {
         "f_s_hz": plan.f_s,
@@ -122,12 +166,12 @@ def summarize(scenario: Scenario, result: SimulationResult) -> dict:
         "n_bits": scenario.adc.n_bits,
         "v_ref_v": scenario.adc.v_ref,
         "c_dac_f": c_dac(scenario.adc),
-        "s1_r_on_ohm": result.s1_resolved.r_on_ohm,
+        "s1_r_on_ohm": resolve_s1(scenario).r_on_ohm,
         "c_eh_f": scenario.eh.c_eh,
         "v_drop_v": scenario.eh.rectifier.v_drop,
         "r_series_ohm": scenario.eh.rectifier.r_series,
-        "p_in_w": p_in.p_in_rms,
-        "p_in_provenance": p_in.provenance.value,
+        "p_in_w": input_power(scenario),
+        "p_in_provenance": "computed_from_source" if scenario.p_in is None else "configured",
         "v_eh_v": m.v_eh if m else None,
         "t_ceh_s": m.t_ceh if m else None,
         "eta_v": m.eta_v if m else None,
@@ -144,31 +188,16 @@ def _cmd_run(args) -> int:
     result = run(scenario, spectral=options.spectral, eh=options.eh)
     summary = summarize(scenario, result)
 
-    # All computation is done; only now touch the filesystem. Each file is
-    # written under a temporary name and all are moved into place only after
-    # every write succeeded, so a failed run leaves no partial outputs behind.
-    # Outputs of an earlier run that this one does not produce are removed,
-    # so the directory never mixes two runs.
+    # All computation is done; only now touch the filesystem.
     out = _out_dir(args, options)
-    os.makedirs(out, exist_ok=True)
-    names = [name for name in RUN_OUTPUTS if name != "spectrum.csv" or result.spectrum is not None]
-    staged = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in names}
-    try:
-        write_trace_csv(result.trace, staged["trace.csv"])
-        write_codes_csv(result.trace, staged["codes.csv"])
-        if result.spectrum is not None:
-            spectral.write_spectrum_csv(result.spectrum, staged["spectrum.csv"])
-        with open(staged["summary.json"], "w") as fh:
-            fh.write(json.dumps(summary, indent=2) + "\n")
-        for name, tmp in staged.items():
-            os.replace(tmp, os.path.join(out, name))
-        for name in set(RUN_OUTPUTS) - set(names):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out, name))
-    finally:
-        for tmp in staged.values():
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+    writers = {
+        "trace.csv": functools.partial(write_trace_csv, result.trace),
+        "codes.csv": functools.partial(write_codes_csv, result.trace),
+    }
+    if result.spectrum is not None:
+        writers["spectrum.csv"] = functools.partial(spectral.write_spectrum_csv, result.spectrum)
+    writers["summary.json"] = functools.partial(write_summary_json, summary)
+    _write_outputs(out, writers, stale=set(RUN_OUTPUTS) - set(writers))
     print(f"wrote {out}/summary.json")
     return 0
 
@@ -204,18 +233,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     out = _out_dir(args, options)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("parameter", "value", *SWEEP_COLUMNS, "error"))
-        for row in rows:
-            cells = [""] * len(SWEEP_COLUMNS)
-            if row.result is not None:
-                summary = summarize(apply_parameter(scenario, row.parameter, row.value), row.result)
-                cells = ["" if summary[k] is None else repr(summary[k]) for k in SWEEP_COLUMNS]
-            writer.writerow((row.parameter, repr(row.value), *cells, row.error or ""))
-    print(f"wrote {path}")
+    _write_outputs(out, {"sweep.csv": functools.partial(write_sweep_csv, scenario, rows)})
+    print(f"wrote {os.path.join(out, 'sweep.csv')}")
     return 0
 
 
@@ -266,9 +285,8 @@ def _cmd_analyze(args) -> int:
     sndr_db = spectral.sndr(spec)
     enob_bits = spectral.enob(sndr_db) if math.isfinite(sndr_db) else None
 
-    out = _out_dir(args, None)
-    os.makedirs(out, exist_ok=True)
-    spectral.write_spectrum_csv(spec, os.path.join(out, "spectrum.csv"))
+    write = functools.partial(spectral.write_spectrum_csv, spec)
+    _write_outputs(_out_dir(args, None), {"spectrum.csv": write})
     print(f"signal_bin = {bin_idx}")
     print(f"sndr_db = {sndr_db!r}")
     print(f"enob = {enob_bits!r}")

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .frontend import Switch
 from .harvester import EhConfig, RectifierModel
 from .sar_adc import AdcConfig
-from .stimulus import InputPowerSpec, PowerProvenance, SineSource, coherent_frequency
+from .stimulus import SineSource, coherent_frequency
 
 _REQUIRED = object()
 
@@ -216,12 +216,9 @@ def build_scenario(cfg: ParsedConfig) -> tuple[Scenario, RunOptions]:
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path) from exc
 
-    p_in = None
-    if cfg.get("signal.p_in_w") is not None:
-        try:
-            p_in = InputPowerSpec(cfg.get("signal.p_in_w"), PowerProvenance.CONFIGURED)
-        except ValueError as exc:
-            raise cfg.error("signal.p_in_w", str(exc)) from exc
+    p_in = cfg.get("signal.p_in_w")
+    if p_in is not None and not (p_in > 0.0):
+        raise cfg.error("signal.p_in_w", f"signal.p_in_w must be positive, got {p_in}")
 
     scenario = Scenario(
         source=source,

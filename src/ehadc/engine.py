@@ -41,7 +41,7 @@ from .frontend import Switch, SwitchKind, default_settling_factor, r_on, require
 from .harvester import EhConfig, EhMetrics, rectified_envelope, steady_state_metrics
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert, sar_convert_array
 from .spectral import Spectrum, enob, sndr, spectrum
-from .stimulus import InputPowerSpec, SineSource, rms_power
+from .stimulus import SineSource, rms_power
 
 # Allowed relative slack when checking the settling budget, so a switch
 # resistance solved exactly from the budget is not rejected by round-off.
@@ -63,7 +63,8 @@ class Scenario:
         clock: two-phase sampling schedule.
         adc: converter configuration (including the S1 switch model).
         eh: harvesting branch configuration.
-        p_in: optional input-power override; computed from the source when None.
+        p_in: measured input power in watts for the energy efficiency; when
+            None, rms_power of the sine source (a table source needs it set).
         n_sub: sub-steps per phase segment.
         n_fft: record length for spectral metrics.
         settling_factor_k: acquisition settling factor; None selects
@@ -76,7 +77,7 @@ class Scenario:
     clock: ClockPlan
     adc: AdcConfig
     eh: EhConfig
-    p_in: InputPowerSpec | None = None
+    p_in: float | None = None
     n_sub: int = 64
     n_fft: int = 4096
     settling_factor_k: float | None = None
@@ -117,7 +118,6 @@ class SimulationResult:
     enob: float | None
     spectrum: Spectrum | None
     eh: EhMetrics | None
-    s1_resolved: Switch
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,17 @@ def validate(scenario: Scenario) -> Switch:
 
     Raises:
         ValidationError: Nyquist violation, run length over max_periods,
-            nonpositive n_sub or settling factor, a steady-state tolerance
-            outside (0, 1), or an S1 that cannot settle the DAC capacitance
-            within the acquisition window anywhere in the input range.
+            nonpositive n_sub, settling factor or input power, a steady-state
+            tolerance outside (0, 1), or an S1 that cannot settle the DAC
+            capacitance within the acquisition window anywhere in the input
+            range.
     """
     if scenario.n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {scenario.n_sub}")
     if not (0.0 < scenario.steady_tol < 1.0):
         raise ValidationError(f"steady_tol must lie in (0, 1), got {scenario.steady_tol}")
+    if scenario.p_in is not None and not (scenario.p_in > 0.0):
+        raise ValidationError(f"p_in must be positive, got {scenario.p_in}")
     k = _settling_factor(scenario)
     if not (k > 0.0):
         raise ValidationError(f"settling_factor_k must be positive, got {k}")
@@ -202,8 +205,8 @@ def validate(scenario: Scenario) -> Switch:
     return s1
 
 
-def input_power(scenario: Scenario) -> InputPowerSpec:
-    """The configured input power, else the RMS power of the sine source.
+def input_power(scenario: Scenario) -> float:
+    """The configured input power in watts, else the RMS power of the sine source.
 
     Raises:
         ValidationError: a table source with no configured input power.
@@ -468,7 +471,6 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
         enob=enob_bits,
         spectrum=spec,
         eh=metrics,
-        s1_resolved=s1,
     )
 
 

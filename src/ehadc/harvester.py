@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import NotConverged
 from .frontend import Switch, r_on, rc_step_value
-from .stimulus import InputPowerSpec
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def eh_step(
 
 def steady_state_metrics(
     trace,
-    p_in: InputPowerSpec,
+    p_in: float,
     cfg: EhConfig,
     v_m: float,
     tol: float = 0.01,
@@ -111,7 +110,7 @@ def steady_state_metrics(
     Args:
         trace: object exposing ``t`` (seconds), ``v_ceh`` (volts), both
             aligned 1-D arrays, and ``period_s`` (sampling period).
-        p_in: input power used for the energy-efficiency denominator.
+        p_in: input power in watts, the energy-efficiency denominator.
         cfg: harvesting branch configuration (for c_eh).
         v_m: peak input magnitude, the reference for voltage efficiency.
         tol: steady-state fraction; v_eh is converged when the voltage moved
@@ -119,9 +118,13 @@ def steady_state_metrics(
             first crossing of (1 - tol)*v_eh (linearly interpolated).
 
     Raises:
+        ValueError: nonpositive p_in or v_m, or tol outside (0, 1).
         NotConverged: trace shorter than 10 periods, still-moving final
-            voltage, or no charge accumulated at all.
+            voltage, no charge accumulated, an unresolvable charging time, or
+            an efficiency above 1; each message gives the value and its limit.
     """
+    if not (p_in > 0.0):
+        raise ValueError(f"p_in must be positive, got {p_in}")
     if not (v_m > 0.0):
         raise ValueError(f"v_m must be positive, got {v_m}")
     if not (0.0 < tol < 1.0):
@@ -129,20 +132,21 @@ def steady_state_metrics(
     t = np.asarray(trace.t, dtype=float)
     v = np.asarray(trace.v_ceh, dtype=float)
     if t.size < 2:
-        raise NotConverged("trace too short for steady-state metrics")
+        raise NotConverged(f"trace has {t.size} samples, steady-state metrics need at least 2")
 
     v_eh = float(v[-1])
     if v_eh <= 0.0:
-        raise NotConverged("storage capacitor never charged above zero")
+        raise NotConverged(f"storage capacitor ended at {v_eh:.6g} V, which is not above 0 V")
 
     window_start = t[-1] - 10.0 * trace.period_s
     if t[0] > window_start:
-        raise NotConverged("trace spans fewer than 10 periods")
+        raise NotConverged(f"trace spans {(t[-1] - t[0]) / trace.period_s:.4g} periods, under 10")
     first = int(np.searchsorted(t, window_start, side="left"))
-    if abs(v_eh - float(v[first])) > tol * v_eh:
+    drift = abs(v_eh - float(v[first]))
+    if drift > tol * v_eh:
         raise NotConverged(
-            f"storage voltage still moving: changed {abs(v_eh - float(v[first])):.3e} V "
-            f"over the last 10 periods"
+            f"storage voltage still moving: changed {drift:.3e} V over the last "
+            f"10 periods, limit tol*v_eh = {tol * v_eh:.3e} V"
         )
 
     threshold = (1.0 - tol) * v_eh
@@ -156,13 +160,17 @@ def steady_state_metrics(
 
     if t_ceh <= 0.0:
         raise NotConverged(
-            "storage voltage was already at its final value at the first "
-            "recorded sample, so the charging time is not resolvable"
+            "storage voltage was at its final value from the first sample, so the "
+            f"charging time t_ceh = {t_ceh:.6g} s is not above its limit of 0 s"
         )
 
     e_h = harvested_energy(v_eh, cfg.c_eh)
-    eta_e = e_h / (p_in.p_in_rms * t_ceh)
-    return EhMetrics(v_eh=v_eh, t_ceh=t_ceh, eta_v=v_eh / v_m, eta_e=eta_e, e_h=e_h)
+    eta_e = e_h / (p_in * t_ceh)
+    eta_v = v_eh / v_m
+    for name, eta in (("eta_v", eta_v), ("eta_e", eta_e)):
+        if eta > 1.0:
+            raise NotConverged(f"{name} = {eta:.6g} is above its limit of 1, so v_eh is not steady")
+    return EhMetrics(v_eh=v_eh, t_ceh=t_ceh, eta_v=eta_v, eta_e=eta_e, e_h=e_h)
 
 
 def harvested_energy(v_eh: float, c_eh: float) -> float:

@@ -1,37 +1,18 @@
-"""Analog stimulus sources and input-power bookkeeping.
+"""Analog stimulus sources and their input power.
 
 Provides deterministic sine sources, coherent test-frequency selection for
-leakage-free FFT records, and a small table-driven source for replaying
-measured waveforms from CSV.
+leakage-free FFT records, a small table-driven source for replaying
+measured waveforms from CSV, and the RMS input power of a sine source in
+watts.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class PowerProvenance(enum.Enum):
-    """Where an input-power figure came from."""
-
-    CONFIGURED = "configured"
-    COMPUTED_FROM_SOURCE = "computed_from_source"
-
-
-@dataclass(frozen=True)
-class InputPowerSpec:
-    """RMS input power with a tag recording whether it was measured or derived."""
-
-    p_in_rms: float
-    provenance: PowerProvenance
-
-    def __post_init__(self):
-        if not (self.p_in_rms > 0.0):
-            raise ValueError(f"p_in_rms must be positive, got {self.p_in_rms}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +128,9 @@ def coherent_frequency(f_s: float, n_fft: int, m_cycles: int) -> float:
     return m_cycles * f_s / n_fft
 
 
-def rms_power(source: SineSource) -> InputPowerSpec:
-    """Input RMS power of a sine source into its own source resistance.
+def rms_power(source: SineSource) -> float:
+    """RMS input power in watts of a sine source into its own source resistance.
 
-    amplitude**2 / (2 * source_resistance), tagged COMPUTED_FROM_SOURCE.
+    amplitude**2 / (2 * source_resistance).
     """
-    p = source.amplitude * source.amplitude / (2.0 * source.source_resistance)
-    return InputPowerSpec(p, PowerProvenance.COMPUTED_FROM_SOURCE)
+    return source.amplitude * source.amplitude / (2.0 * source.source_resistance)

@@ -252,8 +252,9 @@ class TestRunCommand:
                 {"signal.m_cycles = 5": "signal.freq_hz = 2500", "n_fft = 16": "n_fft = 20"},
                 "n_fft must be a power of two, got 20",
             ),
+            ({"": "signal.p_in_w = -1\n"}, ":12: signal.p_in_w must be positive, got -1.0"),
         ],
-        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20"],
+        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1"],
     )
     def test_bad_scenario_values_exit_2_before_the_transient(
         self, tmp_path, monkeypatch, capsys, edits, message
@@ -331,6 +332,39 @@ class TestSweepCommand:
             apply_parameter(base, "n_bits", 17.0)
         assert "," in str(exc.value)
         assert rows[2][-1] == str(exc.value)
+
+    def test_failed_write_keeps_the_previous_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+        cfg = write_cfg(tmp_path, FAST_CFG + "run.metrics =\n")
+        out = tmp_path / "sweep_out"
+        argv = ["sweep", cfg, "--param", "alpha", "--values", "0.1,0.2", "--out", str(out)]
+        assert main(argv) == 0
+        previous = (out / "sweep.csv").read_bytes()
+
+        class FullDisk:
+            """A file that takes its first write, then fails like a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+                self.writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+        with pytest.raises(OSError):
+            main(argv)
+        assert (out / "sweep.csv").read_bytes() == previous
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
 
     def test_unknown_parameter_is_a_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG)

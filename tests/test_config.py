@@ -5,7 +5,6 @@ import pytest
 from ehadc.config import build_scenario, load_config, parse_config
 from ehadc.errors import ConfigError
 from ehadc.frontend import SwitchKind
-from ehadc.stimulus import PowerProvenance
 
 MINIMAL = """\
 signal.amplitude_v = 0.4
@@ -114,8 +113,7 @@ class TestBuildScenario:
 
     def test_configured_power_override(self):
         scenario, _ = scenario_from(MINIMAL + "signal.p_in_w = 27.7e-6\n")
-        assert scenario.p_in.p_in_rms == 27.7e-6
-        assert scenario.p_in.provenance is PowerProvenance.CONFIGURED
+        assert scenario.p_in == 27.7e-6
 
     def test_domain_invariants_surface_as_config_errors(self):
         with pytest.raises(ConfigError):

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from ehadc.clocking import ClockPlan, Phase, time_grid
-from ehadc.errors import ValidationError
+from ehadc.errors import NotConverged, ValidationError
 from ehadc.frontend import Switch, default_settling_factor, r_on, rc_step_value, required_r_on
 from ehadc.harvester import EhConfig, RectifierModel, eh_step, rectified_envelope
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output, sar_convert
-from ehadc.stimulus import InputPowerSpec, PowerProvenance, SineSource, TableSource, coherent_frequency
+from ehadc.stimulus import SineSource, TableSource, coherent_frequency
 from ehadc import engine
 from ehadc.engine import (
     SWEEPABLE_PARAMETERS,
@@ -28,6 +28,8 @@ from ehadc.engine import (
     sweep,
     validate,
 )
+
+from oracles import check_phase_isolation
 
 
 def small_scenario(**overrides):
@@ -244,24 +246,10 @@ class TestTraceLayout:
         assert trace.phase.tolist() == expected
 
     def test_phase_isolation(self):
-        """v_ceh never moves during acquisition rows, v_dac never moves
-        during harvesting rows, and v_ceh carries unchanged across the
-        period boundary."""
         scenario = small_scenario(
             clock=ClockPlan(f_s=10e3, alpha=0.3, n_periods=12), n_sub=5
         )
-        trace = run(scenario, spectral=False, eh=False).trace
-        # A new period starts wherever the phase steps from harvest to acquisition.
-        phase = trace.phase
-        same_period = ~((phase[:-1] == Phase.ENERGY_HARVEST) & (phase[1:] == Phase.ACQUISITION))
-        same_phase = phase[1:] == phase[:-1]
-        acq_pairs = same_period & same_phase & (phase[1:] == Phase.ACQUISITION)
-        eh_pairs = same_period & same_phase & (phase[1:] == Phase.ENERGY_HARVEST)
-        assert np.array_equal(trace.v_ceh[1:][acq_pairs], trace.v_ceh[:-1][acq_pairs])
-        assert np.array_equal(trace.v_dac[1:][eh_pairs], trace.v_dac[:-1][eh_pairs])
-        into_acq = phase[1:] == Phase.ACQUISITION
-        cross = ~same_period & into_acq
-        assert np.array_equal(trace.v_ceh[1:][cross], trace.v_ceh[:-1][cross])
+        check_phase_isolation(run(scenario, spectral=False, eh=False).trace)
 
     def test_determinism_on_repeat_runs(self):
         scenario = small_scenario()
@@ -396,11 +384,29 @@ class TestValidation:
         scenario = small_scenario(source=table)
         with pytest.raises(ValidationError):
             run(scenario, spectral=False, eh=True)
-        p_in = InputPowerSpec(p_in_rms=1e-6, provenance=PowerProvenance.CONFIGURED)
-        result = run(
-            dataclasses.replace(scenario, p_in=p_in), spectral=False, eh=True
-        )
+        # eta_e = 0.734 at 100 uW.
+        result = run(dataclasses.replace(scenario, p_in=1e-4), spectral=False, eh=True)
         assert result.eh.v_eh == pytest.approx(0.35 - 0.09284, rel=1e-6)
+
+    def test_too_little_input_power_is_not_converged(self):
+        # The cap stores more energy than 1 uW delivers in t_ceh: eta_e = 73.4.
+        scenario = small_scenario(
+            source=TableSource(times=(0.0, 1.0), volts=(0.35, 0.35)), p_in=1e-6
+        )
+        with pytest.raises(NotConverged, match="eta_e = 73.4.* above its limit of 1"):
+            run(scenario, spectral=False, eh=True)
+
+    @pytest.mark.parametrize("p_in", [0.0, -1e-6, math.nan])
+    def test_nonpositive_input_power_is_rejected(self, p_in, monkeypatch):
+        def no_transient(*args):
+            raise AssertionError("the transient ran")
+
+        monkeypatch.setattr(engine, "_acquisition", no_transient)
+        scenario = small_scenario(p_in=p_in)
+        with pytest.raises(ValidationError, match=f"p_in must be positive, got {p_in}"):
+            validate(scenario)
+        with pytest.raises(ValidationError, match=f"p_in must be positive, got {p_in}"):
+            run(scenario, spectral=False, eh=True)
 
 
 class TestSweep:
@@ -454,6 +460,22 @@ class TestSweep:
         scenario = small_scenario()
         changed = apply_parameter(scenario, "n_bits", 10.0)
         assert changed.adc.n_bits == 10
+
+
+class TestEfficiencyLimits:
+    def test_c_eh_decades_give_not_converged_or_physical_efficiencies(self, lowfreq_scenario):
+        """Across storage caps from 1 nF to 10 mF every run either raises
+        NotConverged or reports eta_e <= 1 and eta_v <= 1."""
+        converged = []
+        for exponent in range(-9, -1):
+            scenario = apply_parameter(lowfreq_scenario, "c_eh", 10.0**exponent)
+            try:
+                m = run(scenario, spectral=False, eh=True).eh
+            except NotConverged:
+                continue
+            assert m.eta_e <= 1.0 and m.eta_v <= 1.0, (exponent, m)
+            converged.append(exponent)
+        assert -4 in converged  # the shipped 100 uF design
 
 
 class TestRefinement:

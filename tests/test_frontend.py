@@ -19,20 +19,7 @@ from ehadc.frontend import (
     required_r_on,
 )
 
-from oracles import settling_error
-
-
-def euler_reference(v_start, u_start, u_end, r, c, dt, n_steps=1_000_000):
-    """Left-endpoint forward-Euler integration of C dv/dt = (u(t) - v)/R."""
-    h = dt / n_steps
-    tau = r * c
-    slope = (u_end - u_start) / dt
-    v = v_start
-    t = 0.0
-    for k in range(n_steps):
-        u = u_start + slope * (k * h)
-        v += h * (u - v) / tau
-    return v
+from oracles import euler_reference, settling_error
 
 
 class TestSwitchModels:

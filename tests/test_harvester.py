@@ -18,10 +18,9 @@ from ehadc.harvester import (
     size_capacitor,
     steady_state_metrics,
 )
-from ehadc.stimulus import InputPowerSpec, PowerProvenance
 
 RECT = RectifierModel(v_drop=0.09284, r_series=73.8)
-P_IN = InputPowerSpec(p_in_rms=27.7e-6, provenance=PowerProvenance.CONFIGURED)
+P_IN = 27.7e-6
 
 
 def eh_config(c_eh=100e-6, rect=RECT, s2=None):
@@ -136,11 +135,22 @@ class TestSteadyStateMetrics:
     def test_instant_charge_reports_the_first_timestamp(self):
         # Engine traces start after the first substep, so t[0] > 0; a cap
         # already at its final voltage pins t_ceh to that first sample.
+        # Storing 4.5 uJ in 10 us takes at least 0.45 W: at 1 W eta_e = 0.45.
         t = np.arange(1e-5, 200e-4, 1e-5)
         trace = SimpleNamespace(t=t, v_ceh=np.full_like(t, 0.3), period_s=1e-4)
-        m = steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
+        m = steady_state_metrics(trace, 1.0, eh_config(), v_m=0.4)
         assert m.t_ceh == 1e-5
         assert math.isfinite(m.eta_e)
+
+    def test_efficiency_above_one_is_not_converged(self):
+        # The instant charge above at 27.7 uW would give eta_e = 16245.
+        t = np.arange(1e-5, 200e-4, 1e-5)
+        trace = SimpleNamespace(t=t, v_ceh=np.full_like(t, 0.3), period_s=1e-4)
+        with pytest.raises(NotConverged, match="eta_e = 16245.* above its limit of 1"):
+            steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
+        # A final voltage above the peak input magnitude: eta_v = 1.5.
+        with pytest.raises(NotConverged, match="eta_v = 1.5 is above its limit of 1"):
+            steady_state_metrics(trace, 1.0, eh_config(), v_m=0.2)
 
     def test_charge_before_the_record_starts_is_rejected(self):
         t = np.arange(0.0, 200e-4, 1e-5)
@@ -150,6 +160,8 @@ class TestSteadyStateMetrics:
 
     def test_validates_inputs(self):
         trace = ramp_then_flat_trace(0.3, 0.2, 1e-4)
+        with pytest.raises(ValueError, match="p_in must be positive"):
+            steady_state_metrics(trace, 0.0, eh_config(), v_m=0.4)
         with pytest.raises(ValueError):
             steady_state_metrics(trace, P_IN, eh_config(), v_m=0.0)
         with pytest.raises(ValueError):

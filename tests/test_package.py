@@ -43,3 +43,11 @@ def test_readme_config_table_names_every_key():
     keys = [key for row in rows for key in re.findall(r"`([^`]*)`", row.split("|")[1])]
     assert len(keys) == len(set(keys))
     assert set(keys) == set(config.KEY_TABLE)
+
+
+def test_readme_python_examples_run():
+    """Every python block in the README runs against the current API."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from ehadc.stimulus import (
-    InputPowerSpec,
-    PowerProvenance,
     SineSource,
     TableSource,
     coherent_frequency,
@@ -102,18 +100,13 @@ class TestCoherentFrequency:
 
 class TestRmsPower:
     def test_computed_from_sine_source(self):
-        spec = rms_power(SineSource(amplitude=0.4, frequency=100.0, source_resistance=50.0))
-        assert spec.p_in_rms == 0.4 * 0.4 / (2.0 * 50.0)
-        assert spec.provenance is PowerProvenance.COMPUTED_FROM_SOURCE
+        p_in = rms_power(SineSource(amplitude=0.4, frequency=100.0, source_resistance=50.0))
+        assert p_in == 0.4 * 0.4 / (2.0 * 50.0)
 
     def test_scales_with_source_resistance(self):
         lo = rms_power(SineSource(amplitude=0.4, frequency=1.0, source_resistance=50.0))
         hi = rms_power(SineSource(amplitude=0.4, frequency=1.0, source_resistance=100.0))
-        assert lo.p_in_rms == pytest.approx(2.0 * hi.p_in_rms, rel=1e-12)
-
-    def test_power_spec_validates(self):
-        with pytest.raises(ValueError):
-            InputPowerSpec(p_in_rms=-1e-6, provenance=PowerProvenance.CONFIGURED)
+        assert lo == pytest.approx(2.0 * hi, rel=1e-12)
 
 
 class TestTableSource:
