@@ -150,17 +150,17 @@ def _switch_from(cfg: ParsedConfig, prefix: str, allow_auto: bool):
             return Switch.constant(r)
         except ValueError as exc:
             raise cfg.error(f"{prefix}.r_on", str(exc)) from exc
-    for field in ("k_gain", "v_th", "v_gate"):
-        if cfg.get(f"{prefix}.{field}") is None:
+    fields = {field: cfg.get(f"{prefix}.{field}") for field in ("k_gain", "v_th", "v_gate")}
+    for field, value in fields.items():
+        if value is None:
             raise cfg.error(
                 f"{prefix}.type", f"{prefix}.{field} is required for a pass-transistor switch"
             )
     try:
-        return Switch.pass_transistor(
-            cfg.get(f"{prefix}.k_gain"), cfg.get(f"{prefix}.v_th"), cfg.get(f"{prefix}.v_gate")
-        )
-    except ValueError as exc:
-        raise cfg.error(f"{prefix}.k_gain", str(exc)) from exc
+        return Switch.pass_transistor(**fields)
+    except ValueError as exc:  # anchored at the field its message names
+        field = next((f for f in fields if f in str(exc)), "type")
+        raise cfg.error(f"{prefix}.{field}", str(exc)) from exc
 
 
 def build_scenario(cfg: ParsedConfig) -> tuple[Scenario, RunOptions]:

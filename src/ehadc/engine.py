@@ -21,9 +21,9 @@ done on whole arrays:
   sub-steps, so the RC candidate at the held voltage is tested over growing
   blocks, and single steps are taken only while the voltage rises.
 
-Both keep the float operations of the one-step RC update in their order
-(_rc_update), and every decay factor comes from math.exp, not np.exp,
-which can differ in the last bit.
+Both apply one table of RC step coefficients (_rc_steps) with the float
+operations of the one-step RC update in their order (_rc_update), and every
+decay factor comes from math.exp, not np.exp, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ _FEASIBILITY_SLACK = 1e-9
 _MAX_HOLD_BLOCK = 16384
 
 SWEEPABLE_PARAMETERS = ("alpha", "c_eh", "v_drop", "r_on_s1", "n_bits", "f_s")
+_UNKNOWN_PARAMETER = "unknown sweep parameter {!r}; choose from " + ", ".join(SWEEPABLE_PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def input_power(scenario: Scenario) -> float:
 
 
 def _signal_bin(scenario: Scenario) -> int:
-    """Stimulus bin index for the FFT record; rejects non-coherent setups."""
+    """Stimulus bin index for the FFT record; rejects non-coherent or too short records."""
     if not isinstance(scenario.source, SineSource):
         raise ValidationError("spectral metrics need a sine stimulus")
     n = scenario.n_fft
@@ -231,65 +232,69 @@ def _signal_bin(scenario: Scenario) -> int:
         raise ValidationError(f"stimulus is not coherent: {m_exact} cycles per {n}-point record")
     if not (0 < m < n // 2):
         raise ValidationError(f"signal bin {m} outside (0, n_fft/2)")
+    if scenario.clock.n_periods < n:
+        raise ValidationError(
+            f"spectral metrics need n_periods >= n_fft ({scenario.clock.n_periods} < {n})"
+        )
     return int(m)
 
 
-def _rc_factors(
-    switch: Switch, r_series: float, c: float, drive: np.ndarray, dt: float, dt_last: np.ndarray
+def _rc_steps(
+    switch: Switch, r_series: float, c: float, drive: np.ndarray, grid: np.ndarray, dt: float
 ):
-    """exp(-h/tau) and tau/h for every sub-step of one phase, shape (n_periods, n_sub).
+    """The RC step table (u0, s, a, b) of one phase, each (n_periods, n_sub).
 
-    drive holds the (n_periods, n_sub + 1) branch drive voltages. Each step
-    has width h = dt, except the last of period p, which has width dt_last[p].
+    drive holds the (n_periods, n_sub + 1) branch drive voltages at the grid
+    times. Steps are dt wide, except the last of each period, which absorbs
+    the snap onto the exact boundary and takes its width h from grid.
     tau = (r_series + r_on) * c, with a pass transistor's r_on (the float
-    operations of frontend.r_on) taken at the drive at the start of each
-    sub-step; where it is cut off tau is infinite and the RC update yields
-    NaN. Decay factors come from math.exp, because np.exp can differ from it
-    in the last bit.
+    operations of frontend.r_on) at the drive at the start of each sub-step;
+    cut off, tau is infinite and the RC update yields NaN. With u1 the drive
+    at the step end, s = (u1 - u0)*(tau/h), b = u1 - s and a = exp(-h/tau)
+    from math.exp, because np.exp can differ from it in the last bit.
     """
-    shape = (drive.shape[0], drive.shape[1] - 1)
+    u0, u1 = drive[:, :-1], drive[:, 1:]
+    h = np.full(u0.shape, dt)
+    h[:, -1] = grid[:, -1] - grid[:, -2]
     if switch.kind is not SwitchKind.PASS_TRANSISTOR:
         tau = (r_series + r_on(switch)) * c
-        decay = np.full(shape, math.exp(-dt / tau))
-        decay[:, -1] = list(map(math.exp, (-dt_last / tau).tolist()))
-        ratio = np.full(shape, tau / dt)
-        ratio[:, -1] = tau / dt_last
-        return decay, ratio
-    h = np.full(shape, dt)
-    h[:, -1] = dt_last
-    overdrive = np.abs(switch.v_gate - drive[:, :-1]) - switch.v_th
-    r = np.full(shape, math.inf)
-    np.divide(1.0, switch.k_gain * overdrive, out=r, where=overdrive > 0.0)
-    tau = (r_series + r) * c
-    decay = np.fromiter(map(math.exp, (-h / tau).ravel().tolist()), float, count=h.size)
-    return decay.reshape(shape), tau / h
+        a = np.full(h.shape, math.exp(-dt / tau))
+        a[:, -1] = list(map(math.exp, (-h[:, -1] / tau).tolist()))
+    else:
+        overdrive = np.abs(switch.v_gate - u0) - switch.v_th
+        r = np.full(h.shape, math.inf)
+        np.divide(1.0, switch.k_gain * overdrive, out=r, where=overdrive > 0.0)
+        tau = (r_series + r) * c
+        a = np.fromiter(map(math.exp, (-h / tau).ravel().tolist()), float, count=h.size)
+        a = a.reshape(h.shape)
+    s = (u1 - u0) * (tau / h)
+    return u0, s, a, u1 - s
 
 
 def _rc_update(v, u0, s, a, b):
     """One exact RC step from v for a drive ramping from u0 over the step.
 
-    With s = (u1 - u0)*(tau/h) and b = u1 - s this is rc_step_value's
+    With (u0, s, a, b) from a row of _rc_steps this is rc_step_value's
     u1 - s + (v - u0 + s)*a, the same float operations in the same order.
     Works on floats and elementwise on arrays alike.
     """
     return b + (v - u0 + s) * a
 
 
-def _acquisition(drive: np.ndarray, a: np.ndarray, q: np.ndarray, adc: AdcConfig):
+def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
     """DAC node after every acquisition sub-step (n_periods, n_sub), and the codes.
 
-    A period depends on the one before only through its start level, the DAC
-    level of the previous code (0.0 for period 0). Waveform relaxation: guess
-    every start level from the code of the previous boundary input, settle
-    all periods at once, convert, and redo the periods whose start level
-    changed until none does. That fixed point is the sequential answer. Once
-    the passes have done 2*n_periods period updates the rest is finished in
-    order, from the first unsettled period, so a slowly settling S1 costs no
-    more than a scalar walk.
+    steps is the _rc_steps table of the phase and boundary_in the input at
+    each window's end. A period depends on the one before only through its
+    start level, the DAC level of the previous code (0.0 for period 0).
+    Waveform relaxation: guess every start level from the code of the
+    previous boundary input, settle all periods at once, convert, and redo
+    the periods whose start level changed until none does. That fixed point
+    is the sequential answer. Once the passes have done 2*n_periods period
+    updates the rest is finished in order, from the first unsettled period,
+    so a slowly settling S1 costs no more than a scalar walk.
     """
-    u0, u1 = drive[:, :-1], drive[:, 1:]
-    s = (u1 - u0) * q
-    b = u1 - s
+    u0, s, a, b = steps
     nper, nsub = u0.shape
 
     def settle(start, rows):
@@ -301,7 +306,7 @@ def _acquisition(drive: np.ndarray, a: np.ndarray, q: np.ndarray, adc: AdcConfig
 
     start = np.empty(nper)
     start[0] = 0.0
-    start[1:] = dac_output(sar_convert_array(u1[:-1, -1], adc), adc)
+    start[1:] = dac_output(sar_convert_array(boundary_in[:-1], adc), adc)
     v = settle(start, slice(None))
     codes = sar_convert_array(v[:, -1], adc)
     updates = nper
@@ -324,30 +329,26 @@ def _acquisition(drive: np.ndarray, a: np.ndarray, q: np.ndarray, adc: AdcConfig
         if x == start[p]:
             continue
         start[p] = x
-        row = []
-        for u0_j, s_j, a_j, b_j in zip(*(m[p].tolist() for m in (u0, s, a, b))):
-            x = _rc_update(x, u0_j, s_j, a_j, b_j)
-            row.append(x)
-        v[p] = row
+        for j, (u0_j, s_j, a_j, b_j) in enumerate(zip(*(m[p].tolist() for m in steps))):
+            x = v[p, j] = _rc_update(x, u0_j, s_j, a_j, b_j)
         codes[p] = sar_convert(x, adc)
     return v, codes
 
 
-def _harvest(drive: np.ndarray, a: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _harvest(steps) -> np.ndarray:
     """Storage-cap voltage after every harvest sub-step, shape (n_periods, n_sub).
 
-    The node starts at 0.0 and carries over from period to period. The diode
-    ratchet takes the RC candidate only where it exceeds the held voltage,
-    which happens on few sub-steps. So the candidate at the held voltage is
-    evaluated over blocks that double from n_sub up to _MAX_HOLD_BLOCK
-    sub-steps; from the first sub-step where it rises, the ratchet steps one
-    sub-step at a time while it keeps rising. A NaN candidate (S2 cut off)
-    fails the > test on both paths, so the node holds.
+    steps is the _rc_steps table of the phase. The node starts at 0.0 and
+    carries over from period to period. The diode ratchet takes the RC
+    candidate only where it exceeds the held voltage, which happens on few
+    sub-steps. So the candidate at the held voltage is evaluated over blocks
+    that double from n_sub up to _MAX_HOLD_BLOCK sub-steps; from the first
+    sub-step where it rises, the ratchet steps one sub-step at a time while
+    it keeps rising. A NaN candidate (S2 cut off) fails the > test on both
+    paths, so the node holds.
     """
-    nsub = drive.shape[1] - 1
-    s = (drive[:, 1:] - drive[:, :-1]) * q
-    b = (drive[:, 1:] - s).ravel()
-    e0, s, a = drive[:, :-1].ravel(), s.ravel(), a.ravel()
+    nper, nsub = steps[0].shape
+    e0, s, a, b = flat = [m.ravel() for m in steps]
     n = len(e0)
     out = np.empty(n)
     v = 0.0
@@ -367,8 +368,7 @@ def _harvest(drive: np.ndarray, a: np.ndarray, q: np.ndarray) -> np.ndarray:
         while i < n:  # scalar steps, one window of nsub at a time
             j = min(i + nsub, n)
             risen = []
-            window = (m[i:j].tolist() for m in (e0, s, a, b))
-            for e0_j, s_j, a_j, b_j in zip(*window):
+            for e0_j, s_j, a_j, b_j in zip(*(m[i:j].tolist() for m in flat)):
                 cand = _rc_update(v, e0_j, s_j, a_j, b_j)
                 if not cand > v:
                     break
@@ -381,7 +381,7 @@ def _harvest(drive: np.ndarray, a: np.ndarray, q: np.ndarray) -> np.ndarray:
                 i += 1
                 break
         block = nsub
-    return out.reshape(drive.shape[0], nsub)
+    return out.reshape(nper, nsub)
 
 
 def _rows(aq: np.ndarray, eh: np.ndarray) -> np.ndarray:
@@ -405,17 +405,14 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
         eh: compute steady-state harvesting metrics from the trace.
 
     Raises:
-        ValidationError: invalid scenario, or spectral metrics requested for
-            a run shorter than n_fft periods / a non-coherent stimulus.
+        ValidationError: invalid scenario, spectral metrics for a run shorter
+            than n_fft periods / a non-coherent stimulus, or harvesting
+            metrics for a table source with no p_in; all before the transient.
         NotConverged: harvesting metrics requested before steady state.
     """
     s1 = validate(scenario)
     sig_bin = _signal_bin(scenario) if spectral else 0
-    if spectral and scenario.clock.n_periods < scenario.n_fft:
-        raise ValidationError(
-            f"spectral metrics need n_periods >= n_fft "
-            f"({scenario.clock.n_periods} < {scenario.n_fft})"
-        )
+    p_in = input_power(scenario) if eh else None
 
     plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
     nper, nsub = plan.n_periods, scenario.n_sub
@@ -425,15 +422,13 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
     v_eh_in = scenario.source.sample_at(t_eh_grid)
     env = rectified_envelope(v_eh_in, ehc.rectifier)
 
-    # The last sub-step of each phase absorbs the snap onto the exact
-    # boundary, so its width can differ from the nominal one by round-off.
-    dt_aq_last = t_aq_grid[:, -1] - t_aq_grid[:, -2]
-    dt_eh_last = t_eh_grid[:, -1] - t_eh_grid[:, -2]
-    a, q = _rc_factors(s1, 0.0, c_dac(adc), v_aq, plan.t_aq / nsub, dt_aq_last)
-    dac_aq, codes_arr = _acquisition(v_aq, a, q, adc)
-    a, q = _rc_factors(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, plan.t_eh / nsub, dt_eh_last)
-    with np.errstate(invalid="ignore"):  # a cut-off S2 makes NaN candidates
-        ceh_eh = _harvest(env, a, q)
+    dac_aq, codes_arr = _acquisition(
+        _rc_steps(s1, 0.0, c_dac(adc), v_aq, t_aq_grid, plan.t_aq / nsub), v_aq[:, -1], adc
+    )
+    with np.errstate(invalid="ignore"):  # a cut-off S2 makes NaN steps and candidates
+        ceh_eh = _harvest(
+            _rc_steps(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, t_eh_grid, plan.t_eh / nsub)
+        )
 
     # --- assemble the trace ----------------------------------------------
     # Each phase moves one node; the other holds its value through the phase.
@@ -461,7 +456,6 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
 
     metrics = None
     if eh:
-        p_in = input_power(scenario)
         v_m = max(abs(x) for x in _source_extremes(scenario.source))
         metrics = steady_state_metrics(trace, p_in, ehc, v_m, tol=scenario.steady_tol)
 
@@ -497,9 +491,7 @@ def apply_parameter(base: Scenario, parameter: str, value: float) -> Scenario:
             return dataclasses.replace(base, adc=dataclasses.replace(base.adc, n_bits=int(value)))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    raise ValueError(
-        f"unknown sweep parameter {parameter!r}; choose from {', '.join(SWEEPABLE_PARAMETERS)}"
-    )
+    raise ValueError(_UNKNOWN_PARAMETER.format(parameter))
 
 
 def _sweep_worker(args) -> SweepRow:
@@ -530,9 +522,7 @@ def sweep(
         ValueError: unknown parameter name (checked before any run starts).
     """
     if parameter not in SWEEPABLE_PARAMETERS:
-        raise ValueError(
-            f"unknown sweep parameter {parameter!r}; choose from {', '.join(SWEEPABLE_PARAMETERS)}"
-        )
+        raise ValueError(_UNKNOWN_PARAMETER.format(parameter))
     tasks = [(base, parameter, float(v), spectral, eh) for v in values]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -64,7 +64,6 @@ class TableSource:
 
     times: np.ndarray
     volts: np.ndarray
-    source_resistance: float = 50.0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -73,13 +72,11 @@ class TableSource:
             raise ValueError("table source needs matching 1-D time/voltage arrays with >= 2 rows")
         if not np.all(np.diff(t) > 0.0):
             raise ValueError("table source times must be strictly increasing")
-        if not (self.source_resistance > 0.0):
-            raise ValueError("source_resistance must be positive")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "volts", v)
 
     @classmethod
-    def from_csv(cls, path, source_resistance: float = 50.0) -> "TableSource":
+    def from_csv(cls, path) -> "TableSource":
         """Load a two-column CSV with header ``time_s,volts``."""
         times = []
         volts = []
@@ -93,7 +90,7 @@ class TableSource:
                     continue
                 times.append(float(row[0]))
                 volts.append(float(row[1]))
-        return cls(np.asarray(times), np.asarray(volts), source_resistance)
+        return cls(np.asarray(times), np.asarray(volts))
 
     def sample_at(self, t):
         out = np.interp(np.asarray(t, dtype=float), self.times, self.volts)

@@ -145,6 +145,20 @@ class TestBuildScenario:
         assert scenario.adc.s1.kind is SwitchKind.PASS_TRANSISTOR
         assert scenario.adc.s1.v_gate == 3.0
 
+    @pytest.mark.parametrize(
+        "k_gain, v_th, line, message",
+        [("10.0", "-0.1", 12, "v_th >= 0"), ("0.0", "0.5", 11, "k_gain > 0")],
+    )
+    def test_pass_switch_error_is_anchored_at_the_bad_key(self, k_gain, v_th, line, message):
+        text = MINIMAL + (
+            f"switch.s1.type = pass\nswitch.s1.k_gain = {k_gain}\n"
+            f"switch.s1.v_th = {v_th}\nswitch.s1.v_gate = 3.0\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            scenario_from(text)
+        assert exc.value.line == line
+        assert message in exc.value.message
+
     def test_s2_rejects_auto(self):
         with pytest.raises(ConfigError) as exc:
             scenario_from(MINIMAL + "switch.s2.type = auto\n")

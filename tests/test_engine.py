@@ -388,6 +388,15 @@ class TestValidation:
         result = run(dataclasses.replace(scenario, p_in=1e-4), spectral=False, eh=True)
         assert result.eh.v_eh == pytest.approx(0.35 - 0.09284, rel=1e-6)
 
+    def test_missing_input_power_is_rejected_before_the_transient(self, monkeypatch):
+        def no_transient(*args):
+            raise AssertionError("the transient ran")
+
+        monkeypatch.setattr(engine, "_acquisition", no_transient)
+        scenario = small_scenario(source=TableSource(times=(0.0, 1.0), volts=(0.35, 0.35)))
+        with pytest.raises(ValidationError, match="table source needs a configured input power"):
+            run(scenario, spectral=False, eh=True)
+
     def test_too_little_input_power_is_not_converged(self):
         # The cap stores more energy than 1 uW delivers in t_ceh: eta_e = 73.4.
         scenario = small_scenario(
