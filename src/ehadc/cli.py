@@ -213,7 +213,10 @@ def _parse_values(spec: str) -> list[float]:
             raise ValueError(f"bad range {spec!r}")
         n = math.floor((stop - start) / step + 1e-9)
         return [start + i * step for i in range(n + 1)]
-    return [float(p) for p in spec.split(",") if p.strip()]
+    values = [float(p) for p in spec.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"no sweep values in {spec!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:
@@ -270,9 +273,15 @@ def _cmd_analyze(args) -> int:
             f"need at least n_fft = {args.n_fft} codes, file has {len(codes)}",
             str(args.codes_csv),
         )
-    codes = codes[-args.n_fft:]
     try:
         adc = AdcConfig(n_bits=args.n_bits, v_ref=args.v_ref, c_unit=1e-12)
+        bad = np.flatnonzero((codes < 0) | (codes >= adc.n_codes))
+        if bad.size:
+            raise ConfigError(
+                f"code {codes[bad[0]]} lies outside [0, {adc.n_codes}) for n_bits = {adc.n_bits}",
+                str(args.codes_csv),
+            )
+        codes = codes[-args.n_fft:]
         if args.signal_bin is not None:
             bin_idx = args.signal_bin
             spec = spectral.spectrum(codes, adc, args.f_s, bin_idx)

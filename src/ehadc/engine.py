@@ -13,9 +13,9 @@ done on whole arrays:
 
 * Acquisition (_acquisition): a period depends on the one before only
   through the DAC level of the previous code. Waveform relaxation guesses
-  every start level, settles all periods at once, converts them with the
-  array SAR ladder, and redoes the periods whose start level changed. The
-  discrete codes make the fixed point exact, and it is the sequential
+  every start level, settles all periods at once, converts them all with
+  one sar_convert call, and redoes the periods whose start level changed.
+  The discrete codes make the fixed point exact, and it is the sequential
   answer. After 2*n_periods period updates the rest is finished in order.
 * Harvest (_harvest): the diode ratchet holds the storage voltage on most
   sub-steps, so the RC candidate at the held voltage is tested over growing
@@ -39,7 +39,7 @@ from .clocking import ClockPlan, Phase, time_grid
 from .errors import NotConverged, ValidationError
 from .frontend import Switch, SwitchKind, default_settling_factor, r_on, required_r_on
 from .harvester import EhConfig, EhMetrics, rectified_envelope, steady_state_metrics
-from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert, sar_convert_array
+from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
 from .stimulus import SineSource, rms_power
 
@@ -306,9 +306,9 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
 
     start = np.empty(nper)
     start[0] = 0.0
-    start[1:] = dac_output(sar_convert_array(boundary_in[:-1], adc), adc)
+    start[1:] = dac_output(sar_convert(boundary_in[:-1], adc), adc)
     v = settle(start, slice(None))
-    codes = sar_convert_array(v[:, -1], adc)
+    codes = sar_convert(v[:, -1], adc)
     updates = nper
     while True:
         level = dac_output(codes[:-1], adc)
@@ -319,7 +319,7 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
             break
         start[redo] = level[redo - 1]
         v[redo] = settle(start[redo], redo)
-        codes[redo] = sar_convert_array(v[redo, -1], adc)
+        codes[redo] = sar_convert(v[redo, -1], adc)
         updates += redo.size
 
     # Sequential finish: a period is redone only if its start level differs
@@ -473,7 +473,8 @@ def apply_parameter(base: Scenario, parameter: str, value: float) -> Scenario:
 
     Raises:
         ValueError: unknown parameter name.
-        ValidationError: the new value violates a constructor invariant.
+        ValidationError: the new value violates a constructor invariant, or an
+            n_bits value is not a whole number.
     """
     try:
         if parameter == "alpha":
@@ -488,6 +489,8 @@ def apply_parameter(base: Scenario, parameter: str, value: float) -> Scenario:
         if parameter == "r_on_s1":
             return dataclasses.replace(base, adc=dataclasses.replace(base.adc, s1=Switch.constant(value)))
         if parameter == "n_bits":
+            if not float(value).is_integer():
+                raise ValueError(f"n_bits must be a whole number, got {value}")
             return dataclasses.replace(base, adc=dataclasses.replace(base.adc, n_bits=int(value)))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc

@@ -187,14 +187,15 @@ def size_capacitor(i_load: float, t_p: float, delta_v: float) -> float:
     droops the capacitor by i_load*t_p/C, so C = i_load*t_p/delta_v.
 
     Raises:
-        ValueError: nonpositive delta_v or t_p, or negative i_load.
+        ValueError: nonpositive delta_v or t_p, negative i_load, or any of
+            them not finite.
     """
-    if not (delta_v > 0.0):
-        raise ValueError(f"delta_v must be positive, got {delta_v}")
-    if not (t_p > 0.0):
-        raise ValueError(f"t_p must be positive, got {t_p}")
-    if i_load < 0.0:
-        raise ValueError(f"i_load must be nonnegative, got {i_load}")
+    if not (0.0 < delta_v < math.inf):
+        raise ValueError(f"delta_v must be positive and finite, got {delta_v}")
+    if not (0.0 < t_p < math.inf):
+        raise ValueError(f"t_p must be positive and finite, got {t_p}")
+    if not (0.0 <= i_load < math.inf):
+        raise ValueError(f"i_load must be nonnegative and finite, got {i_load}")
     return i_load * t_p / delta_v
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .frontend import Switch
 
 
@@ -66,43 +64,22 @@ def dac_output(code, config: AdcConfig):
     return -config.v_ref + (code + 0.5) * config.lsb
 
 
-def sar_convert(v_sampled: float, config: AdcConfig) -> int:
-    """Convert a sampled voltage by successive approximation.
+def sar_convert(v_sampled, config: AdcConfig):
+    """Convert a sampled voltage, or each element of an array, by successive approximation.
 
-    One comparison per bit against the DAC threshold of the trial code. The
-    strict ``>`` acceptance makes a voltage exactly on a decision boundary
-    resolve to the lower code, the tie-break of a nearest-level quantizer. Inputs
-    outside [-v_ref, v_ref) clip silently to the edge codes; callers that
-    need to know flag saturation themselves.
+    One comparison per bit against the DAC threshold of the trial code; an
+    array gets int64 codes of its own shape. The strict ``>`` acceptance makes
+    a voltage exactly on a decision boundary resolve to the lower code, the
+    tie-break of a nearest-level quantizer. No clip step is needed: below
+    -v_ref every comparison fails (code 0), from v_ref up every one passes
+    (the top code), and NaN fails them all (code 0). Callers that need to
+    know flag saturation themselves.
     """
-    if v_sampled < -config.v_ref:
-        return 0
-    if v_sampled >= config.v_ref:
-        return config.n_codes - 1
+    lo = -config.v_ref
     lsb = config.lsb
     code = 0
     for bit in range(config.n_bits - 1, -1, -1):
-        trial = code | (1 << bit)
-        # Decision boundary below code `trial` in the mid-rise transfer.
-        threshold = -config.v_ref + trial * lsb
-        if v_sampled > threshold:
-            code = trial
-    return code
-
-
-def sar_convert_array(v_sampled: np.ndarray, config: AdcConfig) -> np.ndarray:
-    """sar_convert of every element of an array, as int64 codes.
-
-    Makes the same comparisons against the same thresholds, one bit at a
-    time for all elements at once, so each code equals the scalar one. No
-    clipping step is needed: below -v_ref every comparison fails (code 0),
-    and from v_ref up every one passes (the top code). NaN fails them all
-    and converts to code 0 on both paths.
-    """
-    v = np.asarray(v_sampled, dtype=float)
-    lsb = config.lsb
-    code = np.zeros(v.shape, dtype=np.int64)
-    for bit in range(config.n_bits - 1, -1, -1):
-        trial = code | (1 << bit)
-        code = np.where(v > -config.v_ref + trial * lsb, trial, code)
+        step = 1 << bit
+        # Decision boundary below the trial code in the mid-rise transfer.
+        code += (v_sampled > lo + (code + step) * lsb) * step
     return code

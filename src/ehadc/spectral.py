@@ -42,6 +42,8 @@ class Spectrum:
             )
         if len(self.power) != self.n_fft // 2 + 1:
             raise ValueError("power must hold n_fft/2 + 1 one-sided bins")
+        if not (0.0 < self.f_s < math.inf):
+            raise ValueError(f"f_s must be positive and finite, got {self.f_s}")
 
     def bin_frequency(self, k: int) -> float:
         return k * self.f_s / self.n_fft
@@ -56,7 +58,8 @@ def spectrum(codes, config: AdcConfig, f_s: float, signal_bin: int) -> Spectrum:
     record's mean square.
 
     Raises:
-        ValueError: record length not a power of two, or signal_bin out of range.
+        ValueError: record length not a power of two, signal_bin out of range,
+            or f_s not positive and finite.
     """
     n = len(codes)
     x = np.fft.rfft(dac_output(np.asarray(codes), config))

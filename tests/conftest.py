@@ -11,6 +11,12 @@ from ehadc.engine import run
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.fixture(autouse=True)
+def no_out_dir_override(monkeypatch):
+    """Clear ESAMPLE_OUT_DIR, so each command writes where the test says."""
+    monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+
+
 @pytest.fixture(scope="session")
 def repo_root() -> Path:
     return REPO_ROOT

@@ -93,13 +93,15 @@ def test_c05_ideal_quantizer_metrology():
 
 def test_c06_converter_matches_the_oracle_exhaustively():
     """sar_convert == quantize_oracle on 2**(n+3)-point grids for n in
-    {4, 8, 10}; reconstruction error <= LSB/2 everywhere."""
+    {4, 8, 10}, one voltage at a time and on the whole grid as one array;
+    reconstruction error <= LSB/2 everywhere."""
     for n in (4, 8, 10):
         cfg = AdcConfig(n_bits=n, v_ref=0.4, c_unit=1e-12)
         points = 1 << (n + 3)
         pitch = 2.0 * cfg.v_ref / points
         grid = -cfg.v_ref + (np.arange(points) + 0.5) * pitch
         half = 0.5 * cfg.lsb * (1.0 + 1e-12)
+        assert sar_convert(grid, cfg).tolist() == [quantize_oracle(float(v), cfg) for v in grid]
         for v in grid:
             v = float(v)
             code = sar_convert(v, cfg)

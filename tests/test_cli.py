@@ -152,8 +152,7 @@ class TestTraceWriter:
 
 
 class TestRunCommand:
-    def test_writes_all_outputs(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_writes_all_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG)
         out = tmp_path / "results"
         assert main(["run", cfg, "--out", str(out)]) == 0
@@ -178,16 +177,14 @@ class TestRunCommand:
         first = codes_lines[1].split(",")
         assert first[0] == "0" and first[3] in ("0", "1")
 
-    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG)
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
         assert main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
         for name in ("trace.csv", "codes.csv", "spectrum.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_rerun_without_spectral_metrics_removes_the_old_spectrum(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_rerun_without_spectral_metrics_removes_the_old_spectrum(self, tmp_path):
         out = tmp_path / "results"
         assert main(["run", write_cfg(tmp_path, FAST_CFG), "--out", str(out)]) == 0
         assert (out / "spectrum.csv").exists()
@@ -204,8 +201,12 @@ class TestRunCommand:
         assert (env_out / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
 
-    def test_config_error_exits_2_without_partial_outputs(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_out_dir_key_picks_the_directory(self, tmp_path):
+        out = tmp_path / "from_key"
+        assert main(["run", write_cfg(tmp_path, FAST_CFG + f"run.out_dir = {out}\n")]) == 0
+        assert (out / "summary.json").exists()
+
+    def test_config_error_exits_2_without_partial_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_CFG + "bogus.key = 1\n")
         out = tmp_path / "results"
         assert main(["run", cfg, "--out", str(out)]) == 2
@@ -213,8 +214,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "bogus.key" in err and ":12:" in err
 
-    def test_not_converged_exits_3_without_partial_outputs(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_not_converged_exits_3_without_partial_outputs(self, tmp_path, capsys):
         # A huge storage cap cannot reach steady state in 64 periods.
         text = FAST_CFG.replace("eh.c_eh_f = 1e-9", "eh.c_eh_f = 100e-6")
         cfg = write_cfg(tmp_path, text)
@@ -224,7 +224,6 @@ class TestRunCommand:
         assert "not converged" in capsys.readouterr().err
 
     def test_failed_write_leaves_no_partial_outputs(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
 
         def fail(trace, path):
             raise OSError(28, "No space left on device")
@@ -257,9 +256,8 @@ class TestRunCommand:
         ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1"],
     )
     def test_bad_scenario_values_exit_2_before_the_transient(
-        self, tmp_path, monkeypatch, capsys, edits, message
+        self, tmp_path, capsys, edits, message
     ):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
         text = FAST_CFG
         for old, new in edits.items():  # an empty key appends its line
             text = text.replace(old, new) if old else text + new
@@ -270,8 +268,7 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
-    def test_range_syntax_produces_inclusive_rows(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_range_syntax_produces_inclusive_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG + "run.metrics =\n")
         out = tmp_path / "sweep_out"
         code = main(
@@ -284,8 +281,7 @@ class TestSweepCommand:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values[0] == 0.05 and values[-1] == pytest.approx(0.5, rel=1e-12)
 
-    def test_comma_list_with_metrics(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_comma_list_with_metrics(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG.replace("engine.n_fft = 16", "engine.n_fft = 32"))
         out = tmp_path / "sweep_out"
         code = main(
@@ -301,10 +297,9 @@ class TestSweepCommand:
         assert _parse_values("0:1:0.6") == [0.0, 0.6]
         assert _parse_values("0.05:0.3:0.05") == [0.05 + i * 0.05 for i in range(6)]
 
-    def test_metric_cells_equal_the_run_summary(self, tmp_path, monkeypatch):
+    def test_metric_cells_equal_the_run_summary(self, tmp_path):
         """Each metric cell of a sweep row is the repr of the same key in the
         summary.json of a standalone run at that value."""
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
         cfg = write_cfg(tmp_path, FAST_CFG)
         out = tmp_path / "sweep_out"
         assert main(["sweep", cfg, "--param", "alpha", "--values", "0.1,0.2", "--out", str(out)]) == 0
@@ -319,8 +314,7 @@ class TestSweepCommand:
             summary = json.loads((run_out / "summary.json").read_text())
             assert cells[2:-1] == [repr(summary[k]) for k in SWEEP_COLUMNS]
 
-    def test_error_cell_is_one_quoted_field(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_error_cell_is_one_quoted_field(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG + "run.metrics =\n")
         out = tmp_path / "sweep_out"
         assert main(["sweep", cfg, "--param", "n_bits", "--values", "4,17", "--out", str(out)]) == 0
@@ -334,7 +328,6 @@ class TestSweepCommand:
         assert rows[2][-1] == str(exc.value)
 
     def test_failed_write_keeps_the_previous_sweep(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
         cfg = write_cfg(tmp_path, FAST_CFG + "run.metrics =\n")
         out = tmp_path / "sweep_out"
         argv = ["sweep", cfg, "--param", "alpha", "--values", "0.1,0.2", "--out", str(out)]
@@ -377,6 +370,38 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--param", "alpha", "--values", "0.5:0.1:0.1"]) == 2
         assert "range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [("1:2", "range syntax is start:stop:step"), ("", "no sweep values"), (",", "no sweep values")],
+        ids=["two-part-range", "empty", "comma"],
+    )
+    def test_bad_value_list_exits_2(self, tmp_path, capsys, values, message):
+        out = tmp_path / "sweep_out"
+        argv = ["sweep", write_cfg(tmp_path, FAST_CFG), "--param", "alpha", "--values", values]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_n_bits_values_must_be_whole_numbers(self, tmp_path):
+        cfg = write_cfg(tmp_path, FAST_CFG + "run.metrics =\n")
+        out = tmp_path / "sweep_out"
+
+        def sweep_rows(values):
+            argv = ["sweep", cfg, "--param", "n_bits", "--values", values, "--out", str(out)]
+            assert main(argv) == 0
+            with open(out / "sweep.csv", newline="") as fh:
+                return [(row[1], row[-1]) for row in list(csv.reader(fh))[1:]]
+
+        not_whole = "n_bits must be a whole number, got {}".format
+        assert sweep_rows("4:6:0.5") == [
+            ("4.0", ""),
+            ("4.5", not_whole(4.5)),
+            ("5.0", ""),
+            ("5.5", not_whole(5.5)),
+            ("6.0", ""),
+        ]
+        assert sweep_rows("inf,8") == [("inf", not_whole(float("inf"))), ("8.0", "")]
+
 
 class TestSummarize:
     def test_table_source_without_input_power_is_a_validation_error(self):
@@ -407,10 +432,23 @@ class TestSizeCapCommand:
         assert main(["size-cap", "--i-load", "1e-3", "--t-p", "1e-4", "--delta-v", "0"]) == 2
         assert "delta_v" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--i-load", "inf", "i_load"),
+            ("--i-load", "nan", "i_load"),
+            ("--t-p", "inf", "t_p"),
+            ("--delta-v", "inf", "delta_v"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, capsys, flag, value, name):
+        args = {"--i-load": "1e-3", "--t-p": "1e-4", "--delta-v": "1e-3", flag: value}
+        assert main(["size-cap", *(x for pair in args.items() for x in pair)]) == 2
+        assert f"{name} must be" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
-    def test_reproduces_the_run_sndr_exactly(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_reproduces_the_run_sndr_exactly(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_CFG)
         out = tmp_path / "results"
         assert main(["run", cfg, "--out", str(out)]) == 0
@@ -436,8 +474,7 @@ class TestAnalyzeCommand:
         assert float(lines["enob"]) == summary["enob"]
         assert (tmp_path / "analysis" / "spectrum.csv").exists()
 
-    def test_short_record_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_short_record_exits_2(self, tmp_path, capsys):
         path = tmp_path / "codes.csv"
         path.write_text("period,code,v_sampled,saturated\n0,10,0.1,0\n1,12,0.2,0\n")
         code = main(
@@ -447,9 +484,8 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "n_fft" in capsys.readouterr().err
 
-    def test_record_without_signal_power_reports_minus_inf(self, tmp_path, monkeypatch, capsys):
+    def test_record_without_signal_power_reports_minus_inf(self, tmp_path, capsys):
         # Alternating codes put all AC power at Nyquist, none in any signal bin.
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
         path = tmp_path / "codes.csv"
         path.write_text("code\n" + "".join(f"{k % 2}\n" for k in range(16)))
         code = main(
@@ -469,10 +505,14 @@ class TestAnalyzeCommand:
             (["--n-bits", "8", "--signal-bin", "5000"], "signal_bin"),
             (["--n-bits", "8", "--n-fft", "0", "--signal-bin", "41"], "n_fft must be positive"),
             (["--n-bits", "8", "--n-fft", "-4"], "n_fft must be positive"),
+            # The codes are 7*k mod 256; the first one from 128 up is 133 (k = 19).
+            (["--n-bits", "7"], "code 133 lies outside [0, 128) for n_bits = 7"),
+            (["--n-bits", "8", "--f-s", "0"], "f_s must be positive and finite, got 0.0"),
+            (["--n-bits", "8", "--f-s=-1e4"], "f_s must be positive and finite, got -10000.0"),
+            (["--n-bits", "8", "--f-s", "nan"], "f_s must be positive and finite, got nan"),
         ],
     )
-    def test_invalid_analysis_arguments_exit_2(self, tmp_path, monkeypatch, capsys, flags, message):
-        monkeypatch.delenv("ESAMPLE_OUT_DIR", raising=False)
+    def test_invalid_analysis_arguments_exit_2(self, tmp_path, capsys, flags, message):
         path = tmp_path / "codes.csv"
         path.write_text("code\n" + "".join(f"{(7 * k) % 256}\n" for k in range(1024)))
         out = tmp_path / "analysis"
@@ -483,6 +523,28 @@ class TestAnalyzeCommand:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read codes"), ("code\n1\n2.5\n", "bad code value")],
+        ids=["missing-file", "non-integer-code"],
+    )
+    def test_unreadable_codes_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "codes.csv"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "analysis"
+        argv = ["analyze", str(path), "--n-bits", "8", "--v-ref", "0.4", "--f-s", "10e3"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_output_directory_is_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "codes.csv").write_text("code\n" + "".join(f"{(7 * k) % 256}\n" for k in range(16)))
+        argv = ["analyze", "codes.csv", "--n-bits", "8", "--v-ref", "0.4", "--f-s", "10e3", "--n-fft", "16"]
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "spectrum.csv").exists()
 
     def test_missing_code_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "codes.csv"

@@ -4,7 +4,7 @@ import pytest
 
 from ehadc.config import build_scenario, load_config, parse_config
 from ehadc.errors import ConfigError
-from ehadc.frontend import SwitchKind
+from ehadc.frontend import Switch, SwitchKind
 
 MINIMAL = """\
 signal.amplitude_v = 0.4
@@ -158,6 +158,16 @@ class TestBuildScenario:
             scenario_from(text)
         assert exc.value.line == line
         assert message in exc.value.message
+
+    def test_ideal_switch_builds(self):
+        scenario, _ = scenario_from(MINIMAL + "switch.s1.type = ideal\n")
+        assert scenario.adc.s1 == Switch.ideal()
+
+    def test_constant_switch_error_is_anchored_at_r_on(self):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from(MINIMAL + "switch.s1.type = constant\nswitch.s1.r_on = -1\n")
+        assert exc.value.line == 11
+        assert "r_on" in exc.value.message
 
     def test_s2_rejects_auto(self):
         with pytest.raises(ConfigError) as exc:

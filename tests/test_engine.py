@@ -94,19 +94,18 @@ def reference_walk(scenario):
 def conversions(monkeypatch):
     """Counts of the converter calls made inside engine.run.
 
-    "array" counts the array SAR ladder: one call for the initial guess and
-    one per relaxation pass. "scalar" counts sar_convert: one call per period
-    redone by the sequential finish.
+    "array" counts sar_convert calls on an array: one for the initial guess
+    and one per relaxation pass. "scalar" counts its calls on one voltage:
+    one per period redone by the sequential finish.
     """
     counts = {"array": 0, "scalar": 0}
-    for name, key in (("sar_convert_array", "array"), ("sar_convert", "scalar")):
-        real = getattr(engine, name)
+    real = engine.sar_convert
 
-        def counted(*args, _real=real, _key=key):
-            counts[_key] += 1
-            return _real(*args)
+    def counted(v, adc):
+        counts["array" if np.ndim(v) else "scalar"] += 1
+        return real(v, adc)
 
-        monkeypatch.setattr(engine, name, counted)
+    monkeypatch.setattr(engine, "sar_convert", counted)
     return counts
 
 
@@ -377,6 +376,11 @@ class TestValidation:
             source=SineSource(amplitude=0.3, frequency=123.4)
         )
         with pytest.raises(ValidationError):
+            run(scenario, spectral=True, eh=False)
+
+    def test_spectral_needs_a_sine_stimulus(self):
+        scenario = small_scenario(source=TableSource(times=(0.0, 1.0), volts=(0.35, 0.35)))
+        with pytest.raises(ValidationError, match="spectral metrics need a sine stimulus"):
             run(scenario, spectral=True, eh=False)
 
     def test_table_source_needs_configured_power_for_eh_metrics(self):

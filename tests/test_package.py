@@ -1,7 +1,9 @@
 """Tests for the package's public namespace."""
 
+import ast
 import functools
 import re
+import sys
 from pathlib import Path
 
 import ehadc
@@ -51,3 +53,19 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_modules_import_only_the_stdlib_numpy_and_the_package():
+    """No runtime dependency beyond numpy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ehadc"}
+    foreign = []
+    for path in sorted(Path(ehadc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert foreign == []

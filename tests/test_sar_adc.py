@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ehadc.sar_adc import AdcConfig, c_dac, dac_output, sar_convert, sar_convert_array
+from ehadc.sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 
 from oracles import quantize_oracle
 
@@ -118,7 +118,7 @@ class TestDacOutput:
             assert sar_convert(dac_output(code, cfg), cfg) == code
 
 
-class TestSarConvertArray:
+class TestSarConvertOnArrays:
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -142,16 +142,16 @@ class TestSarConvertArray:
                 [-10.0, 10.0, -np.inf, np.inf, 0.0, -0.0],
             )
         )
-        codes = sar_convert_array(v, cfg)
+        codes = sar_convert(v, cfg)
         assert codes.dtype == np.int64
         assert codes.tolist() == [sar_convert(x, cfg) for x in v.tolist()]
 
     def test_nan_converts_to_code_zero_on_both_paths(self):
         assert sar_convert(float("nan"), CFG8) == 0
-        assert sar_convert_array(np.array([np.nan, 0.1]), CFG8).tolist() == [0, sar_convert(0.1, CFG8)]
+        assert sar_convert(np.array([np.nan, 0.1]), CFG8).tolist() == [0, sar_convert(0.1, CFG8)]
 
     def test_keeps_the_input_shape(self):
         v = np.linspace(-0.5, 0.5, 12).reshape(3, 4)
-        codes = sar_convert_array(v, CFG8)
+        codes = sar_convert(v, CFG8)
         assert codes.shape == (3, 4)
         assert codes.ravel().tolist() == [sar_convert(x, CFG8) for x in v.ravel().tolist()]
