@@ -9,6 +9,7 @@ accumulating durations) so long runs cannot drift.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class ClockPlan:
     n_periods: int
 
     def __post_init__(self):
-        if not (self.f_s > 0.0):
-            raise ValueError(f"f_s must be positive, got {self.f_s}")
+        if not (0.0 < self.f_s < math.inf):
+            raise ValueError(f"f_s must be positive and finite, got {self.f_s}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.n_periods < 1:

@@ -111,10 +111,12 @@ class SimulationResult:
     """Trace plus the metrics computed from it.
 
     Spectral and harvesting metrics are None when not requested. When both
-    are present, enob == (sndr_db - 1.76)/6.02 by construction.
+    are present, enob == (sndr_db - 1.76)/6.02 by construction. trace is
+    None only in a sweep row, which carries the metrics without the
+    per-sub-step waveforms.
     """
 
-    trace: TransientTrace
+    trace: TransientTrace | None
     sndr_db: float | None
     enob: float | None
     spectrum: Spectrum | None
@@ -123,7 +125,10 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One point of a parameter sweep; exactly one of result/error is set."""
+    """One point of a parameter sweep; exactly one of result/error is set.
+
+    result holds the run's metrics with trace None.
+    """
 
     parameter: str
     value: float
@@ -502,7 +507,9 @@ def _sweep_worker(args) -> SweepRow:
     try:
         scenario = apply_parameter(base, parameter, value)
         result = run(scenario, spectral=spectral, eh=eh)
-        return SweepRow(parameter, value, result, None)
+        # The trace is megabytes per row and no sweep output reads it, so
+        # it stays in the worker instead of being pickled back.
+        return SweepRow(parameter, value, dataclasses.replace(result, trace=None), None)
     except (ValidationError, NotConverged) as exc:
         return SweepRow(parameter, value, None, str(exc))
 
@@ -519,15 +526,19 @@ def sweep(
 
     Per-row validation and convergence failures are recorded in the row's
     error field instead of aborting the sweep. Rows are returned in input
-    order regardless of jobs.
+    order regardless of jobs, and carry no trace. At most jobs worker
+    processes run, and never more than there are values.
 
     Raises:
-        ValueError: unknown parameter name (checked before any run starts).
+        ValueError: unknown parameter name or jobs < 1 (checked before any
+            run starts).
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(_UNKNOWN_PARAMETER.format(parameter))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(base, parameter, float(v), spectral, eh) for v in values]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_sweep_worker, tasks))
     return [_sweep_worker(task) for task in tasks]

@@ -27,10 +27,10 @@ class RectifierModel:
     r_series: float
 
     def __post_init__(self):
-        if self.v_drop < 0.0:
-            raise ValueError(f"v_drop must be >= 0, got {self.v_drop}")
-        if not (self.r_series > 0.0):
-            raise ValueError(f"r_series must be positive, got {self.r_series}")
+        if not (0.0 <= self.v_drop < math.inf):
+            raise ValueError(f"v_drop must be finite and >= 0, got {self.v_drop}")
+        if not (0.0 < self.r_series < math.inf):
+            raise ValueError(f"r_series must be positive and finite, got {self.r_series}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class EhConfig:
     s2: Switch
 
     def __post_init__(self):
-        if not (self.c_eh > 0.0):
-            raise ValueError(f"c_eh must be positive, got {self.c_eh}")
+        if not (0.0 < self.c_eh < math.inf):
+            raise ValueError(f"c_eh must be positive and finite, got {self.c_eh}")
 
 
 @dataclass(frozen=True)

@@ -382,6 +382,14 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep_out"
+        argv = ["sweep", write_cfg(tmp_path, FAST_CFG), "--param", "alpha", "--values", "0.1,0.2"]
+        assert main([*argv, f"--jobs={jobs}", "--out", str(out)]) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_n_bits_values_must_be_whole_numbers(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG + "run.metrics =\n")
         out = tmp_path / "sweep_out"

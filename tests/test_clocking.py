@@ -53,6 +53,11 @@ class TestClockPlan:
         with pytest.raises(ValueError):
             ClockPlan(f_s=1e3, alpha=0.5, n_periods=0)
 
+    @pytest.mark.parametrize("f_s", [math.inf, math.nan, 0.0, -1e3])
+    def test_sampling_rate_must_be_positive_and_finite(self, f_s):
+        with pytest.raises(ValueError, match=f"^f_s must be positive and finite, got {f_s}$"):
+            ClockPlan(f_s=f_s, alpha=0.1, n_periods=1)
+
 
 class TestTimeGrid:
     def test_first_period_at_10khz(self):

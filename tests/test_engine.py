@@ -8,6 +8,7 @@ from the documented single-step semantics.
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ehadc.harvester import EhConfig, RectifierModel, eh_step, rectified_envelop
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from ehadc.stimulus import SineSource, TableSource, coherent_frequency
 from ehadc import engine
+from ehadc.cli import summarize
 from ehadc.engine import (
     SWEEPABLE_PARAMETERS,
     Scenario,
@@ -48,6 +50,12 @@ def small_scenario(**overrides):
     )
     defaults.update(overrides)
     return Scenario(**defaults)
+
+
+def assert_same_metrics(a, b):
+    """Two SimulationResults report the same metrics and the same spectrum."""
+    assert a.sndr_db == b.sndr_db and a.enob == b.enob and a.eh == b.eh
+    assert np.array_equal(a.spectrum.power, b.spectrum.power)
 
 
 def reference_walk(scenario):
@@ -425,11 +433,11 @@ class TestValidation:
 class TestSweep:
     def test_single_value_sweep_matches_run(self):
         scenario = small_scenario()
-        rows = sweep(scenario, "alpha", [0.1], spectral=True, eh=False)
+        rows = sweep(scenario, "alpha", [0.1], spectral=True, eh=True)
         assert len(rows) == 1 and rows[0].error is None
-        direct = run(scenario, spectral=True, eh=False)
-        assert np.array_equal(rows[0].result.trace.codes, direct.trace.codes)
-        assert rows[0].result.sndr_db == direct.sndr_db
+        row, direct = rows[0].result, run(scenario, spectral=True, eh=True)
+        assert_same_metrics(row, direct)
+        assert summarize(apply_parameter(scenario, "alpha", 0.1), row) == summarize(scenario, direct)
 
     def test_rows_keep_input_order_and_record_errors(self):
         scenario = small_scenario()
@@ -441,12 +449,64 @@ class TestSweep:
     def test_parallel_rows_match_serial_rows(self):
         scenario = small_scenario()
         values = [0.1, 0.2, 0.3]
-        serial = sweep(scenario, "alpha", values, jobs=1, spectral=False, eh=False)
-        parallel = sweep(scenario, "alpha", values, jobs=2, spectral=False, eh=False)
+        serial = sweep(scenario, "alpha", values, jobs=1, spectral=True, eh=True)
+        parallel = sweep(scenario, "alpha", values, jobs=2, spectral=True, eh=True)
         for a, b in zip(serial, parallel):
-            assert a.value == b.value and a.error == b.error
-            assert np.array_equal(a.result.trace.v_ceh, b.result.trace.v_ceh)
-            assert np.array_equal(a.result.trace.codes, b.result.trace.codes)
+            assert a.value == b.value and a.error is None and b.error is None
+            assert_same_metrics(a.result, b.result)
+            case = apply_parameter(scenario, "alpha", a.value)
+            assert summarize(case, a.result) == summarize(case, b.result)
+
+    def test_rows_carry_metrics_without_the_trace(self):
+        # n_sub = 64 makes each row's trace alone larger than the bound.
+        scenario = small_scenario(n_sub=64)
+        rows = sweep(scenario, "alpha", [0.1, 0.2, 0.3], jobs=2, spectral=True, eh=False)
+        for row in rows:
+            assert row.error is None and row.result.trace is None
+            assert row.result.spectrum is not None
+            assert len(pickle.dumps(row)) < 64 * 1024
+
+    @pytest.mark.parametrize("jobs, n_values, pools", [(64, 3, [3]), (2, 3, [2]), (4, 1, [])])
+    def test_pool_is_never_larger_than_the_value_list(self, monkeypatch, jobs, n_values, pools):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        values = [0.1 + 0.05 * i for i in range(n_values)]
+        rows = sweep(small_scenario(), "alpha", values, jobs=jobs, spectral=False, eh=False)
+        assert started == pools
+        assert [r.value for r in rows] == values
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_rejected(self, monkeypatch, jobs):
+        monkeypatch.setattr(engine, "_sweep_worker", None)  # no row may run
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            sweep(small_scenario(), "alpha", [0.1, 0.2], jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "parameter, value, message",
+        [
+            ("f_s", math.inf, "f_s must be positive and finite, got inf"),
+            ("v_drop", math.nan, "v_drop must be finite and >= 0, got nan"),
+            ("c_eh", math.inf, "c_eh must be positive and finite, got inf"),
+        ],
+    )
+    def test_non_finite_values_give_error_rows(self, parameter, value, message):
+        scenario = small_scenario()
+        rows = sweep(scenario, parameter, [value], spectral=False, eh=True)
+        assert rows[0].result is None and rows[0].error == message
 
     def test_unknown_parameter_is_rejected_up_front(self):
         scenario = small_scenario()

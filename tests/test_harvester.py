@@ -60,6 +60,21 @@ class TestRectifiedEnvelope:
         with pytest.raises(ValueError):
             RectifierModel(v_drop=0.1, r_series=0.0)
 
+    @pytest.mark.parametrize(
+        "v_drop, r_series, message",
+        [
+            (math.nan, 1.0, "v_drop must be finite and >= 0, got nan"),
+            (math.inf, 1.0, "v_drop must be finite and >= 0, got inf"),
+            (-0.1, 1.0, "v_drop must be finite and >= 0, got -0.1"),
+            (0.1, math.inf, "r_series must be positive and finite, got inf"),
+            (0.1, math.nan, "r_series must be positive and finite, got nan"),
+            (0.1, 0.0, "r_series must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_rectifier_rejects_each_bad_value_by_name(self, v_drop, r_series, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RectifierModel(v_drop=v_drop, r_series=r_series)
+
 
 class TestEhStep:
     def test_charges_toward_a_constant_envelope(self):
@@ -209,3 +224,8 @@ class TestConfigValidation:
     def test_eh_config_rejects_bad_capacitance(self):
         with pytest.raises(ValueError):
             EhConfig(c_eh=0.0, rectifier=RECT, s2=Switch.ideal())
+
+    @pytest.mark.parametrize("c_eh", [math.inf, math.nan, 0.0, -1e-6])
+    def test_storage_cap_must_be_positive_and_finite(self, c_eh):
+        with pytest.raises(ValueError, match=f"^c_eh must be positive and finite, got {c_eh}$"):
+            eh_config(c_eh=c_eh)
