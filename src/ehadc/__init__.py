@@ -33,7 +33,6 @@ from .harvester import (
     EhMetrics,
     RectifierModel,
     boost_charge_time,
-    eh_step,
     harvested_energy,
     rectified_envelope,
     size_capacitor,
@@ -41,7 +40,7 @@ from .harvester import (
 )
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
-from .stimulus import SineSource, TableSource, coherent_frequency, rms_power
+from .stimulus import SineSource, coherent_frequency, rms_power
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "SweepRow",
     "Switch",
     "SwitchKind",
-    "TableSource",
     "TransientTrace",
     "ValidationError",
     "boost_charge_time",
@@ -69,7 +67,6 @@ __all__ = [
     "coherent_frequency",
     "dac_output",
     "default_settling_factor",
-    "eh_step",
     "enob",
     "harvested_energy",
     "r_on",

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import decimal
 import functools
 import json
 import math
@@ -162,7 +163,7 @@ def summarize(scenario: Scenario, result: SimulationResult) -> dict:
         "t_aq_s": plan.t_aq,
         "t_eh_s": plan.t_eh,
         "alpha": plan.alpha,
-        "f_in_hz": getattr(scenario.source, "frequency", None),
+        "f_in_hz": scenario.source.frequency,
         "n_bits": scenario.adc.n_bits,
         "v_ref_v": scenario.adc.v_ref,
         "c_dac_f": c_dac(scenario.adc),
@@ -203,16 +204,23 @@ def _cmd_run(args) -> int:
 
 
 def _parse_values(spec: str) -> list[float]:
-    """Sweep value list: either 'a,b,c' or an inclusive 'start:stop:step'."""
+    """Sweep value list: either 'a,b,c' or an inclusive 'start:stop:step'.
+
+    A range steps in exact decimals from the strings given, so
+    0.05:0.3:0.05 yields 0.15, not 0.15000000000000002.
+    """
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"range syntax is start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad range {spec!r}")
-        n = math.floor((stop - start) / step + 1e-9)
-        return [start + i * step for i in range(n + 1)]
+        try:
+            start, stop, step = (decimal.Decimal(p) for p in parts)
+            if not all(x.is_finite() for x in (start, stop, step)) or step <= 0 or stop < start:
+                raise decimal.InvalidOperation
+            n = int((stop - start) // step)
+        except decimal.InvalidOperation:
+            raise ValueError(f"bad range {spec!r}") from None
+        return [float(start + i * step) for i in range(n + 1)]
     values = [float(p) for p in spec.split(",") if p.strip()]
     if not values:
         raise ValueError(f"no sweep values in {spec!r}")

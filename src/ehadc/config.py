@@ -53,7 +53,6 @@ KEY_TABLE: dict[str, tuple[type, object]] = {
     "eh.steady_tol": (float, 0.01),
     "engine.n_sub": (int, 64),
     "engine.n_fft": (int, 4096),
-    "engine.max_periods": (int, 1_048_576),
     "engine.settling_factor_k": (float, None),
     "run.out_dir": (str, "out"),
     "run.metrics": (str, "spectral,eh"),
@@ -229,7 +228,6 @@ def build_scenario(cfg: ParsedConfig) -> tuple[Scenario, RunOptions]:
         n_sub=cfg.get("engine.n_sub"),
         n_fft=n_fft,
         settling_factor_k=cfg.get("engine.settling_factor_k"),
-        max_periods=cfg.get("engine.max_periods"),
         steady_tol=cfg.get("eh.steady_tol"),
     )
 

@@ -47,6 +47,9 @@ from .stimulus import SineSource, rms_power
 # resistance solved exactly from the budget is not rejected by round-off.
 _FEASIBILITY_SLACK = 1e-9
 
+# Hard cap on the simulated periods of one run.
+MAX_PERIODS = 1_048_576
+
 # Largest block of harvest sub-steps over which the held storage voltage is
 # tested for a rise at once.
 _MAX_HOLD_BLOCK = 16384
@@ -60,21 +63,20 @@ class Scenario:
     """Complete description of one simulation run.
 
     Attributes:
-        source: stimulus (SineSource or TableSource).
+        source: sine stimulus.
         clock: two-phase sampling schedule.
         adc: converter configuration (including the S1 switch model).
         eh: harvesting branch configuration.
         p_in: measured input power in watts for the energy efficiency; when
-            None, rms_power of the sine source (a table source needs it set).
+            None, rms_power of the sine source.
         n_sub: sub-steps per phase segment.
         n_fft: record length for spectral metrics.
         settling_factor_k: acquisition settling factor; None selects
             (n_bits + 1)*ln 2, the half-LSB budget.
-        max_periods: guard against runaway run lengths.
         steady_tol: steady-state fraction for harvesting metrics.
     """
 
-    source: object
+    source: SineSource
     clock: ClockPlan
     adc: AdcConfig
     eh: EhConfig
@@ -82,7 +84,6 @@ class Scenario:
     n_sub: int = 64
     n_fft: int = 4096
     settling_factor_k: float | None = None
-    max_periods: int = 1_048_576
     steady_tol: float = 0.01
 
 
@@ -136,12 +137,8 @@ class SweepRow:
     error: str | None
 
 
-def _source_extremes(source) -> tuple[float, float]:
-    if isinstance(source, SineSource):
-        lo = source.dc_offset - source.amplitude
-        hi = source.dc_offset + source.amplitude
-        return lo, hi
-    return float(np.min(source.volts)), float(np.max(source.volts))
+def _source_extremes(source: SineSource) -> tuple[float, float]:
+    return source.dc_offset - source.amplitude, source.dc_offset + source.amplitude
 
 
 def resolve_s1(scenario: Scenario) -> Switch:
@@ -167,7 +164,7 @@ def validate(scenario: Scenario) -> Switch:
     """Check cross-parameter constraints; returns the resolved S1 switch.
 
     Raises:
-        ValidationError: Nyquist violation, run length over max_periods,
+        ValidationError: Nyquist violation, run length over MAX_PERIODS,
             nonpositive n_sub, settling factor or input power, a steady-state
             tolerance outside (0, 1), or an S1 that cannot settle the DAC
             capacitance within the acquisition window anywhere in the input
@@ -182,16 +179,15 @@ def validate(scenario: Scenario) -> Switch:
     k = _settling_factor(scenario)
     if not (k > 0.0):
         raise ValidationError(f"settling_factor_k must be positive, got {k}")
-    if scenario.clock.n_periods > scenario.max_periods:
+    if scenario.clock.n_periods > MAX_PERIODS:
         raise ValidationError(
-            f"n_periods {scenario.clock.n_periods} exceeds max_periods {scenario.max_periods}"
+            f"n_periods {scenario.clock.n_periods} exceeds the cap of {MAX_PERIODS} periods"
         )
-    if isinstance(scenario.source, SineSource):
-        if not (scenario.source.frequency < scenario.clock.f_s / 2.0):
-            raise ValidationError(
-                f"stimulus at {scenario.source.frequency} Hz violates Nyquist for "
-                f"f_s = {scenario.clock.f_s} Hz"
-            )
+    if not (scenario.source.frequency < scenario.clock.f_s / 2.0):
+        raise ValidationError(
+            f"stimulus at {scenario.source.frequency} Hz violates Nyquist for "
+            f"f_s = {scenario.clock.f_s} Hz"
+        )
 
     s1 = resolve_s1(scenario)
     # Worst-case on-resistance over the input range. A pass transistor is
@@ -212,22 +208,12 @@ def validate(scenario: Scenario) -> Switch:
 
 
 def input_power(scenario: Scenario) -> float:
-    """The configured input power in watts, else the RMS power of the sine source.
-
-    Raises:
-        ValidationError: a table source with no configured input power.
-    """
-    if scenario.p_in is not None:
-        return scenario.p_in
-    if not isinstance(scenario.source, SineSource):
-        raise ValidationError("a table source needs a configured input power (Scenario.p_in)")
-    return rms_power(scenario.source)
+    """The configured input power in watts, else the RMS power of the sine source."""
+    return rms_power(scenario.source) if scenario.p_in is None else scenario.p_in
 
 
 def _signal_bin(scenario: Scenario) -> int:
     """Stimulus bin index for the FFT record; rejects non-coherent or too short records."""
-    if not isinstance(scenario.source, SineSource):
-        raise ValidationError("spectral metrics need a sine stimulus")
     n = scenario.n_fft
     if n < 2 or (n & (n - 1)) != 0:
         raise ValidationError(f"n_fft must be a power of two, got {n}")
@@ -410,9 +396,9 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
         eh: compute steady-state harvesting metrics from the trace.
 
     Raises:
-        ValidationError: invalid scenario, spectral metrics for a run shorter
-            than n_fft periods / a non-coherent stimulus, or harvesting
-            metrics for a table source with no p_in; all before the transient.
+        ValidationError: invalid scenario, or spectral metrics for a run
+            shorter than n_fft periods / a non-coherent stimulus; all before
+            the transient.
         NotConverged: harvesting metrics requested before steady state.
     """
     s1 = validate(scenario)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged
-from .frontend import Switch, r_on, rc_step_value
+from .frontend import Switch
 
 
 @dataclass(frozen=True)
@@ -72,30 +72,6 @@ def rectified_envelope(v_in, rect: RectifierModel):
     rectifier does not conduct and the output is zero.
     """
     return np.maximum(np.abs(v_in) - rect.v_drop, 0.0)
-
-
-def eh_step(
-    v_cap: float,
-    v_in_start: float,
-    v_in_end: float,
-    cfg: EhConfig,
-    dt: float,
-) -> float:
-    """Storage-cap voltage after one harvesting sub-step.
-
-    The drive is the rectified envelope of the input, linear between the
-    sub-step endpoints; the branch resistance is r_series plus the S2 switch
-    resistance. Blocking rule: the capacitor voltage never decreases. When
-    the envelope sits below the stored voltage the RC solution would decay,
-    so v_cap is held instead; when S2 is cut off the branch is open and
-    v_cap is likewise held.
-    """
-    env0 = float(rectified_envelope(v_in_start, cfg.rectifier))
-    env1 = float(rectified_envelope(v_in_end, cfg.rectifier))
-    r_tot = cfg.rectifier.r_series + r_on(cfg.s2, env0)
-    if r_tot == math.inf:
-        return v_cap
-    return max(v_cap, rc_step_value(v_cap, env0, env1, r_tot, cfg.c_eh, dt))
 
 
 def steady_state_metrics(

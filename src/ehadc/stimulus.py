@@ -1,14 +1,12 @@
 """Analog stimulus sources and their input power.
 
 Provides deterministic sine sources, coherent test-frequency selection for
-leakage-free FFT records, a small table-driven source for replaying
-measured waveforms from CSV, and the RMS input power of a sine source in
+leakage-free FFT records, and the RMS input power of a sine source in
 watts.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -49,51 +47,6 @@ class SineSource:
         """Evaluate the source voltage at time t (scalar or ndarray, seconds)."""
         w = 2.0 * math.pi * self.frequency
         out = self.dc_offset + self.amplitude * np.sin(w * np.asarray(t, dtype=float) + self.phase)
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
-
-
-@dataclass(frozen=True)
-class TableSource:
-    """Waveform replayed from sampled (time, voltage) pairs.
-
-    Values between table rows are linearly interpolated; queries outside the
-    table hold the first/last voltage. Used for importing measured stimuli.
-    """
-
-    times: np.ndarray
-    volts: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.volts, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValueError("table source needs matching 1-D time/voltage arrays with >= 2 rows")
-        if not np.all(np.diff(t) > 0.0):
-            raise ValueError("table source times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "volts", v)
-
-    @classmethod
-    def from_csv(cls, path) -> "TableSource":
-        """Load a two-column CSV with header ``time_s,volts``."""
-        times = []
-        volts = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["time_s", "volts"]:
-                raise ValueError(f"{path}: expected header 'time_s,volts'")
-            for row in reader:
-                if not row:
-                    continue
-                times.append(float(row[0]))
-                volts.append(float(row[1]))
-        return cls(np.asarray(times), np.asarray(volts))
-
-    def sample_at(self, t):
-        out = np.interp(np.asarray(t, dtype=float), self.times, self.volts)
         if np.ndim(t) == 0:
             return float(out)
         return out

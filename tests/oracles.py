@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 
-from ehadc.clocking import Phase
+from ehadc.clocking import Phase, time_grid
+from ehadc.engine import resolve_s1
+from ehadc.frontend import r_on, rc_step_value
+from ehadc.harvester import rectified_envelope
+from ehadc.sar_adc import c_dac, dac_output, sar_convert
 
 
 def quantize_oracle(v: float, config) -> int:
@@ -20,6 +24,64 @@ def quantize_oracle(v: float, config) -> int:
         return config.n_codes - 1
     centers = -config.v_ref + (np.arange(config.n_codes) + 0.5) * config.lsb
     return int(np.abs(v - centers).argmin())
+
+
+def eh_step(v_cap: float, v_in_start: float, v_in_end: float, cfg, dt: float) -> float:
+    """Storage-cap voltage after one harvesting sub-step.
+
+    The drive is the rectified envelope of the input, linear between the
+    sub-step endpoints; the branch resistance is r_series plus the S2 switch
+    resistance. Blocking rule: the capacitor voltage never decreases. When
+    the envelope sits below the stored voltage the RC solution would decay,
+    so v_cap is held instead; when S2 is cut off the branch is open and
+    v_cap is likewise held.
+    """
+    env0 = float(rectified_envelope(v_in_start, cfg.rectifier))
+    env1 = float(rectified_envelope(v_in_end, cfg.rectifier))
+    r_tot = cfg.rectifier.r_series + r_on(cfg.s2, env0)
+    if r_tot == math.inf:
+        return v_cap
+    return max(v_cap, rc_step_value(v_cap, env0, env1, r_tot, cfg.c_eh, dt))
+
+
+def reference_walk(scenario):
+    """Re-run a scenario one sub-step at a time through the one-step APIs.
+
+    Returns (v_dac_rows, v_ceh_rows, codes, v_sampled) built with
+    rc_step_value / eh_step / sar_convert on the engine's own time grid.
+    """
+    s1 = resolve_s1(scenario)
+    plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
+    nper, nsub = plan.n_periods, scenario.n_sub
+    t_aq_grid, t_eh_grid = time_grid(plan, nsub)
+    v_aq = scenario.source.sample_at(t_aq_grid)
+    v_eh_in = scenario.source.sample_at(t_eh_grid)
+    c_load = c_dac(adc)
+
+    # Interior sub-steps use the nominal width; the final one absorbs the
+    # snap onto the exact boundary expression.
+    dt_aq = plan.t_aq / nsub
+    dt_eh = plan.t_eh / nsub
+
+    v_dac, v_ceh = 0.0, 0.0
+    v_dac_rows, v_ceh_rows, codes, sampled = [], [], [], []
+    for p in range(nper):
+        for j in range(nsub):
+            u0, u1 = float(v_aq[p, j]), float(v_aq[p, j + 1])
+            dt = dt_aq if j < nsub - 1 else float(t_aq_grid[p, -1] - t_aq_grid[p, -2])
+            v_dac = rc_step_value(v_dac, u0, u1, r_on(s1, u0), c_load, dt)
+            v_dac_rows.append(v_dac)
+            v_ceh_rows.append(v_ceh)
+        code = sar_convert(v_dac, adc)
+        codes.append(code)
+        sampled.append(v_dac)
+        v_dac = dac_output(code, adc)
+        for j in range(nsub):
+            dt = dt_eh if j < nsub - 1 else float(t_eh_grid[p, -1] - t_eh_grid[p, -2])
+            v_ceh = eh_step(v_ceh, float(v_eh_in[p, j]), float(v_eh_in[p, j + 1]), ehc, dt)
+            v_dac_rows.append(v_dac)
+            v_ceh_rows.append(v_ceh)
+    return v_dac_rows, v_ceh_rows, codes, sampled
 
 
 def settling_error(r: float, c: float, t_aq: float) -> float:

@@ -200,13 +200,14 @@ class TestBuildScenario:
             MINIMAL
             + "engine.n_sub = 32\n"
             + "engine.n_fft = 1024\n"
-            + "engine.max_periods = 5000\n"
             + "engine.settling_factor_k = 4.0\n"
             + "eh.steady_tol = 0.02\n"
         )
         scenario, _ = scenario_from(text)
         assert scenario.n_sub == 32
         assert scenario.n_fft == 1024
-        assert scenario.max_periods == 5000
         assert scenario.settling_factor_k == 4.0
         assert scenario.steady_tol == 0.02
+        # The run-length cap is the constant engine.MAX_PERIODS.
+        with pytest.raises(ConfigError, match="unknown key 'engine.max_periods'"):
+            scenario_from(text + "engine.max_periods = 5000\n")

@@ -1,9 +1,10 @@
 """Tests for the transient engine.
 
-The main cross-check walks the same schedule through the public single-step
-APIs (time grid, exact RC update, harvesting step, converter) and demands
-bit-identical waveforms, so the engine's vectorized fast paths cannot drift
-from the documented single-step semantics.
+The main cross-check walks the same schedule one sub-step at a time
+(oracles.reference_walk: time grid, exact RC update, harvesting step,
+converter) and demands bit-identical waveforms, on hand-picked and on seeded
+random scenarios, so the engine's vectorized fast paths cannot drift from
+the documented single-step semantics.
 """
 
 import dataclasses
@@ -15,13 +16,14 @@ import pytest
 
 from ehadc.clocking import ClockPlan, Phase, time_grid
 from ehadc.errors import NotConverged, ValidationError
-from ehadc.frontend import Switch, default_settling_factor, r_on, rc_step_value, required_r_on
-from ehadc.harvester import EhConfig, RectifierModel, eh_step, rectified_envelope
-from ehadc.sar_adc import AdcConfig, c_dac, dac_output, sar_convert
-from ehadc.stimulus import SineSource, TableSource, coherent_frequency
+from ehadc.frontend import Switch, default_settling_factor, r_on, required_r_on
+from ehadc.harvester import EhConfig, RectifierModel, rectified_envelope
+from ehadc.sar_adc import AdcConfig, c_dac, dac_output
+from ehadc.stimulus import SineSource, coherent_frequency
 from ehadc import engine
 from ehadc.cli import summarize
 from ehadc.engine import (
+    MAX_PERIODS,
     SWEEPABLE_PARAMETERS,
     Scenario,
     apply_parameter,
@@ -31,7 +33,7 @@ from ehadc.engine import (
     validate,
 )
 
-from oracles import check_phase_isolation
+from oracles import check_phase_isolation, reference_walk
 
 
 def small_scenario(**overrides):
@@ -56,46 +58,6 @@ def assert_same_metrics(a, b):
     """Two SimulationResults report the same metrics and the same spectrum."""
     assert a.sndr_db == b.sndr_db and a.enob == b.enob and a.eh == b.eh
     assert np.array_equal(a.spectrum.power, b.spectrum.power)
-
-
-def reference_walk(scenario):
-    """Re-run a scenario through the public one-step APIs.
-
-    Returns (v_dac_rows, v_ceh_rows, codes, v_sampled) built with
-    rc_step_value / eh_step / sar_convert on the engine's own time grid.
-    """
-    s1 = resolve_s1(scenario)
-    plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
-    nper, nsub = plan.n_periods, scenario.n_sub
-    t_aq_grid, t_eh_grid = time_grid(plan, nsub)
-    v_aq = scenario.source.sample_at(t_aq_grid)
-    v_eh_in = scenario.source.sample_at(t_eh_grid)
-    c_load = c_dac(adc)
-
-    # Interior sub-steps use the nominal width; the final one absorbs the
-    # snap onto the exact boundary expression.
-    dt_aq = plan.t_aq / nsub
-    dt_eh = plan.t_eh / nsub
-
-    v_dac, v_ceh = 0.0, 0.0
-    v_dac_rows, v_ceh_rows, codes, sampled = [], [], [], []
-    for p in range(nper):
-        for j in range(nsub):
-            u0, u1 = float(v_aq[p, j]), float(v_aq[p, j + 1])
-            dt = dt_aq if j < nsub - 1 else float(t_aq_grid[p, -1] - t_aq_grid[p, -2])
-            v_dac = rc_step_value(v_dac, u0, u1, r_on(s1, u0), c_load, dt)
-            v_dac_rows.append(v_dac)
-            v_ceh_rows.append(v_ceh)
-        code = sar_convert(v_dac, adc)
-        codes.append(code)
-        sampled.append(v_dac)
-        v_dac = dac_output(code, adc)
-        for j in range(nsub):
-            dt = dt_eh if j < nsub - 1 else float(t_eh_grid[p, -1] - t_eh_grid[p, -2])
-            v_ceh = eh_step(v_ceh, float(v_eh_in[p, j]), float(v_eh_in[p, j + 1]), ehc, dt)
-            v_dac_rows.append(v_dac)
-            v_ceh_rows.append(v_ceh)
-    return v_dac_rows, v_ceh_rows, codes, sampled
 
 
 @pytest.fixture
@@ -126,6 +88,70 @@ def assert_walks_bit_identically(scenario):
     assert trace.v_dac.tolist() == v_dac
     assert trace.v_ceh.tolist() == v_ceh
     return trace
+
+
+def random_walk_scenario(rng):
+    """A feasible scenario drawn over the ranges the engine's fast paths branch on.
+
+    1-64 periods, n_sub 1-8, 1-12 bits, alpha 0.05-0.5 and settling factor
+    0.05-4, so S1 often under-settles and relaxation needs several passes
+    or the sequential finish. S1 is auto, constant or a pass transistor
+    sized to meet the settling budget at its weakest input; S2 is constant
+    or a pass transistor that may be cut off over part of the envelope.
+    """
+    f_s = 10.0 ** float(rng.uniform(3.0, 8.0))
+    clock = ClockPlan(
+        f_s=f_s, alpha=float(rng.uniform(0.05, 0.5)), n_periods=int(rng.integers(1, 65))
+    )
+    n_bits = int(rng.integers(1, 13))
+    v_ref = float(rng.uniform(0.1, 2.0))
+    source = SineSource(
+        amplitude=v_ref * float(rng.uniform(0.2, 1.2)),
+        frequency=f_s * float(rng.uniform(0.01, 0.49)),
+        phase=float(rng.uniform(0.0, 2.0 * math.pi)),
+        dc_offset=v_ref * float(rng.uniform(-0.1, 0.1)),
+    )
+    k = float(rng.uniform(0.05, 4.0))
+    c_unit = 10.0 ** float(rng.uniform(-15.0, -9.0))
+    c_load = float(1 << (n_bits - 1)) * c_unit
+    r_budget = required_r_on(clock.t_aq, c_load, k)
+    s1_kind = int(rng.integers(0, 3))
+    if s1_kind == 0:
+        s1 = "auto"
+    elif s1_kind == 1:
+        s1 = Switch.constant(r_budget * float(rng.uniform(0.1, 1.0)))
+    else:
+        # The gate sits above the input range, so the top of the range is
+        # the weakest input; k_gain meets the budget there with margin.
+        v_th = float(rng.uniform(0.05, 0.5))
+        overdrive = float(rng.uniform(0.1, 1.0))
+        v_gate = source.dc_offset + source.amplitude + v_th + overdrive
+        k_gain = float(rng.uniform(1.0, 10.0)) / (r_budget * overdrive)
+        s1 = Switch.pass_transistor(k_gain=k_gain, v_th=v_th, v_gate=v_gate)
+    if rng.integers(0, 2):
+        s2 = Switch.constant(10.0 ** float(rng.uniform(-1.0, 3.0)))
+    else:
+        s2 = Switch.pass_transistor(
+            k_gain=10.0 ** float(rng.uniform(-3.0, 0.0)),
+            v_th=float(rng.uniform(0.05, 0.5)),
+            v_gate=float(rng.uniform(0.0, 3.0)),
+        )
+    eh = EhConfig(
+        c_eh=10.0 ** float(rng.uniform(-10.0, -5.0)),
+        rectifier=RectifierModel(
+            v_drop=v_ref * float(rng.uniform(0.0, 0.3)),
+            r_series=10.0 ** float(rng.uniform(0.0, 3.0)),
+        ),
+        s2=s2,
+    )
+    return Scenario(
+        source=source,
+        clock=clock,
+        adc=AdcConfig(n_bits=n_bits, v_ref=v_ref, c_unit=c_unit, s1=s1),
+        eh=eh,
+        n_sub=int(rng.integers(1, 9)),
+        settling_factor_k=k,
+    )
 
 
 class TestEngineAgainstReferenceWalk:
@@ -231,6 +257,16 @@ class TestEngineAgainstReferenceWalk:
         assert longest > 2 * scenario.n_sub
 
 
+    def test_random_scenarios_walk_bit_identically(self, conversions):
+        """150 seeded scenarios; together they reach every path of both
+        phase solvers: relaxation, the sequential finish, held blocks and
+        scalar rises, and cut-off S2 sub-steps."""
+        rng = np.random.default_rng(20261018)
+        for _ in range(150):
+            assert_walks_bit_identically(random_walk_scenario(rng))
+        assert conversions["scalar"] > 0
+
+
 class TestTraceLayout:
     def test_row_counts_and_ordering(self):
         scenario = small_scenario()
@@ -324,10 +360,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             validate(scenario)
 
-    def test_run_length_guard(self):
-        scenario = small_scenario(max_periods=8)
-        with pytest.raises(ValidationError):
+    def test_run_length_guard(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr(engine, "time_grid", no_grid)
+        n = MAX_PERIODS + 1
+        scenario = small_scenario(clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=n))
+        message = f"n_periods {n} exceeds the cap of {MAX_PERIODS} periods"
+        with pytest.raises(ValidationError, match=message):
             validate(scenario)
+        with pytest.raises(ValidationError, match=message):
+            run(scenario, spectral=False, eh=False)
 
     def test_nonpositive_substeps(self):
         scenario = small_scenario(n_sub=0)
@@ -386,35 +430,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             run(scenario, spectral=True, eh=False)
 
-    def test_spectral_needs_a_sine_stimulus(self):
-        scenario = small_scenario(source=TableSource(times=(0.0, 1.0), volts=(0.35, 0.35)))
-        with pytest.raises(ValidationError, match="spectral metrics need a sine stimulus"):
-            run(scenario, spectral=True, eh=False)
-
-    def test_table_source_needs_configured_power_for_eh_metrics(self):
-        table = TableSource(times=(0.0, 1.0), volts=(0.35, 0.35))
-        scenario = small_scenario(source=table)
-        with pytest.raises(ValidationError):
-            run(scenario, spectral=False, eh=True)
-        # eta_e = 0.734 at 100 uW.
-        result = run(dataclasses.replace(scenario, p_in=1e-4), spectral=False, eh=True)
-        assert result.eh.v_eh == pytest.approx(0.35 - 0.09284, rel=1e-6)
-
-    def test_missing_input_power_is_rejected_before_the_transient(self, monkeypatch):
-        def no_transient(*args):
-            raise AssertionError("the transient ran")
-
-        monkeypatch.setattr(engine, "_acquisition", no_transient)
-        scenario = small_scenario(source=TableSource(times=(0.0, 1.0), volts=(0.35, 0.35)))
-        with pytest.raises(ValidationError, match="table source needs a configured input power"):
-            run(scenario, spectral=False, eh=True)
-
     def test_too_little_input_power_is_not_converged(self):
-        # The cap stores more energy than 1 uW delivers in t_ceh: eta_e = 73.4.
-        scenario = small_scenario(
-            source=TableSource(times=(0.0, 1.0), volts=(0.35, 0.35)), p_in=1e-6
-        )
-        with pytest.raises(NotConverged, match="eta_e = 73.4.* above its limit of 1"):
+        # The cap stores more energy than 1 uW delivers in t_ceh: eta_e = 24.16.
+        scenario = small_scenario(p_in=1e-6)
+        with pytest.raises(NotConverged, match="eta_e = 24.155.* above its limit of 1"):
             run(scenario, spectral=False, eh=True)
 
     @pytest.mark.parametrize("p_in", [0.0, -1e-6, math.nan])

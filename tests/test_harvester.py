@@ -12,12 +12,13 @@ from ehadc.harvester import (
     EhConfig,
     RectifierModel,
     boost_charge_time,
-    eh_step,
     harvested_energy,
     rectified_envelope,
     size_capacitor,
     steady_state_metrics,
 )
+
+from oracles import eh_step
 
 RECT = RectifierModel(v_drop=0.09284, r_series=73.8)
 P_IN = 27.7e-6
@@ -77,6 +78,8 @@ class TestRectifiedEnvelope:
 
 
 class TestEhStep:
+    """The one-step harvest reference the engine is checked against."""
+
     def test_charges_toward_a_constant_envelope(self):
         # With S2 ideal the branch resistance is essentially r_series; one
         # time constant of charging from zero reaches (1 - 1/e) of the drive.

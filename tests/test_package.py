@@ -4,12 +4,17 @@ import ast
 import functools
 import re
 import sys
+import types
 from pathlib import Path
+
+import numpy as np
 
 import ehadc
 from ehadc import config
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+BENCH = ROOT / "bench"
 
 
 def test_every_exported_name_resolves():
@@ -26,7 +31,7 @@ def test_readme_names_only_exported_pieces():
     start = readme.index("Lower-level pieces are exported too:")
     paragraph = readme[start : readme.index("\n\n", start)]
     names = re.findall(r"`([A-Za-z_][\w.]*)", paragraph)
-    assert "rc_step_value" in names and "eh_step" in names
+    assert "rc_step_value" in names and "steady_state_metrics" in names
     missing = []
     for name in names:
         try:
@@ -69,3 +74,100 @@ def test_modules_import_only_the_stdlib_numpy_and_the_package():
                 continue
             foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def _bench_trees() -> dict[str, ast.Module]:
+    """The parsed bench/ scripts, plus each string constant in them that is
+    itself Python importing ehadc (code they hand to a child interpreter)."""
+    trees = {}
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        trees[path.name] = tree
+        for node in ast.walk(tree):
+            code = node.value if isinstance(node, ast.Constant) else None
+            if isinstance(code, str) and "import" in code and "ehadc" in code:
+                try:
+                    trees[f"{path.name}:{node.lineno}"] = ast.parse(code)
+                except SyntaxError:
+                    pass
+    return trees
+
+
+def _chain(node) -> list[str] | None:
+    """["a", "b", "c"] for the expression a.b.c, None for anything else."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(names)] if isinstance(node, ast.Name) and names else None
+
+
+def _unresolved(root, chain: list[str]) -> str | None:
+    try:
+        functools.reduce(getattr, chain[1:], root)
+    except AttributeError:
+        return ".".join(chain)
+    return None
+
+
+def _imported_modules(tree: ast.Module, missing: list[str]) -> dict[str, types.ModuleType]:
+    """Local name -> ehadc module, from running each import of the package
+    in tree; an import that fails is appended to missing."""
+    namespace = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            roots = [node.module or ""]
+        else:
+            continue
+        if any(root.split(".")[0] == "ehadc" for root in roots):
+            try:
+                exec(ast.unparse(node), namespace)
+            except ImportError as exc:
+                missing.append(f"{ast.unparse(node)}: {exc}")
+    return {
+        name: value
+        for name, value in namespace.items()
+        if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "ehadc"
+    }
+
+
+def test_bench_reads_only_what_the_package_has(lowfreq_scenario, lowfreq_run):
+    """The scripts under bench/ run against the checkout's package. Every
+    ehadc module attribute they read, and every attribute chain they read
+    off a scenario, a run result or its trace, resolves; so a deletion that
+    would make the benchmark fail, fails here first."""
+    result, _ = lowfreq_run
+    objects = {"scenario": lowfreq_scenario, "result": result, "trace": result.trace}
+    missing, checked = [], set()
+    for name, tree in _bench_trees().items():
+        modules = _imported_modules(tree, missing)
+        for node in ast.walk(tree):
+            chain = _chain(node)
+            root = modules.get(chain[0], objects.get(chain[0])) if chain else None
+            if root is None:
+                continue
+            checked.add(".".join(chain))
+            if bad := _unresolved(root, chain):
+                missing.append(f"{name}: {bad}")
+    assert {"stimulus.rms_power", "frontend.rc_step_value", "cli.write_trace_csv"} <= checked
+    assert {"ehadc.__version__", "scenario.steady_tol", "result.trace"} <= checked
+    assert missing == []
+
+
+def test_trace_has_the_arrays_the_bench_hashes(lowfreq_run):
+    """bench/api_loop.py hashes the bytes of these trace arrays."""
+    digest = next(
+        node
+        for node in ast.walk(_bench_trees()["api_loop.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "digest"
+    )
+    hashed = {
+        node.attr
+        for node in ast.walk(digest)
+        if isinstance(node, ast.Attribute) and _chain(node) == ["trace", node.attr]
+    }
+    assert len(hashed) == 8
+    trace = lowfreq_run[0].trace
+    assert all(isinstance(getattr(trace, name, None), np.ndarray) for name in hashed)

@@ -7,7 +7,6 @@ import pytest
 
 from ehadc.stimulus import (
     SineSource,
-    TableSource,
     coherent_frequency,
     rms_power,
 )
@@ -107,42 +106,3 @@ class TestRmsPower:
         lo = rms_power(SineSource(amplitude=0.4, frequency=1.0, source_resistance=50.0))
         hi = rms_power(SineSource(amplitude=0.4, frequency=1.0, source_resistance=100.0))
         assert lo == pytest.approx(2.0 * hi, rel=1e-12)
-
-
-class TestTableSource:
-    def test_linear_interpolation_between_points(self):
-        src = TableSource(times=(0.0, 1.0, 2.0), volts=(0.0, 1.0, 0.0))
-        assert src.sample_at(0.5) == 0.5
-        assert src.sample_at(1.5) == 0.5
-
-    def test_clamps_outside_the_table(self):
-        src = TableSource(times=(0.0, 1.0), volts=(0.2, 0.8))
-        assert src.sample_at(-1.0) == 0.2
-        assert src.sample_at(5.0) == 0.8
-
-    def test_array_sampling(self):
-        src = TableSource(times=(0.0, 1.0), volts=(0.0, 1.0))
-        v = src.sample_at(np.array([0.0, 0.25, 1.0]))
-        assert np.array_equal(v, np.array([0.0, 0.25, 1.0]))
-
-    def test_rejects_non_increasing_times(self):
-        with pytest.raises(ValueError):
-            TableSource(times=(0.0, 1.0, 1.0), volts=(0.0, 0.5, 1.0))
-        with pytest.raises(ValueError):
-            TableSource(times=(0.0,), volts=(0.0,))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            TableSource(times=(0.0, 1.0), volts=(0.0, 0.5, 1.0))
-
-    def test_from_csv(self, tmp_path):
-        path = tmp_path / "wave.csv"
-        path.write_text("time_s,volts\n0.0,0.1\n1e-3,0.3\n2e-3,0.2\n")
-        src = TableSource.from_csv(path)
-        assert src.sample_at(0.5e-3) == pytest.approx(0.2, rel=1e-12)
-
-    def test_from_csv_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "wave.csv"
-        path.write_text("t,v\n0.0,0.1\n1.0,0.2\n")
-        with pytest.raises(ValueError):
-            TableSource.from_csv(path)
