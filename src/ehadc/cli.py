@@ -50,8 +50,9 @@ RUN_OUTPUTS = ("trace.csv", "codes.csv", "spectrum.csv", "summary.json")
 # The summarize() keys that sweep.csv reports for each row.
 SWEEP_COLUMNS = ("v_eh_v", "t_ceh_s", "eta_v", "eta_e", "sndr_db", "enob")
 
-# Rows of trace.csv formatted and written at a time.
-_TRACE_CHUNK = 8192
+# Rows of trace.csv formatted and written at a time, rounded down to whole
+# periods (at least one).
+_TRACE_BLOCK_ROWS = 8192
 
 
 def _out_dir(args, options: RunOptions | None) -> str:
@@ -65,38 +66,48 @@ def _out_dir(args, options: RunOptions | None) -> str:
     return "out"
 
 
-def _float_reprs(col: np.ndarray) -> list[str]:
-    """repr of each float64 in col, computed once per run of bit-identical values.
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """repr of each float64 in values, as an object array of the same shape,
+    computed once per run of bit-identical values in C order.
 
     Runs are found on the int64 view, not with float ==, because 0.0 == -0.0
     while their reprs differ.
     """
-    bits = col.view(np.int64)
+    flat = values.ravel()
+    bits = flat.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if len(starts) == len(col):
-        return list(map(repr, col.tolist()))
-    heads = np.array(list(map(repr, col[starts].tolist())), dtype=object)
-    return np.repeat(heads, np.diff(starts, append=len(col))).tolist()
+    heads = np.array(list(map(repr, flat[starts].tolist())), dtype=object)
+    if len(starts) < len(flat):
+        heads = np.repeat(heads, np.diff(starts, append=len(flat)))
+    return heads.reshape(values.shape)
 
 
 def write_trace_csv(trace: TransientTrace, path) -> None:
-    """One row per sub-step, each float cell its repr; formatted and written
-    _TRACE_CHUNK rows at a time so memory does not grow with the row count."""
-    labels = np.array([PHASE_LABELS[Phase(p)] for p in (0, 1)], dtype=object)
+    """One row per sub-step, each float cell its repr.
+
+    Written in blocks of whole periods, about _TRACE_BLOCK_ROWS rows each, so
+    memory does not grow with the row count. A block is a (period, phase,
+    sub-step, cell) array of strings with the separators fixed in place. Each
+    phase's columns are repr'd straight from the per-phase trace, the value
+    a phase holds (v_ceh in acquisition, v_dac in harvest) once per period.
+    """
+    nper, nsub = trace.dac_aq.shape
+    per_block = max(1, _TRACE_BLOCK_ROWS // (2 * nsub))
+    columns = (  # t, v_in, v_dac, v_ceh of each phase, indexed by period
+        (trace.t_aq[:, 1:], trace.v_in_aq[:, 1:], trace.dac_aq, trace.ceh_held[:, None]),
+        (trace.t_eh[:, 1:], trace.v_in_eh[:, 1:], trace.dac_level[:, None], trace.ceh_eh),
+    )
+    cells = np.empty((min(per_block, nper), 2, nsub, 8), dtype=object)
+    for phase in Phase:
+        cells[:, phase, :, 1::2] = [",", f",{PHASE_LABELS[phase]},", ",", "\n"]
     with open(path, "w", newline="") as fh:
         fh.write("t_s,v_in,phase,v_dac,v_ceh\n")
-        for lo in range(0, len(trace.t), _TRACE_CHUNK):
-            block = slice(lo, lo + _TRACE_CHUNK)
-            fh.writelines(
-                f"{t},{vi},{ph},{vd},{vc}\n"
-                for t, vi, ph, vd, vc in zip(
-                    _float_reprs(trace.t[block]),
-                    _float_reprs(trace.v_in[block]),
-                    labels[trace.phase[block]].tolist(),
-                    _float_reprs(trace.v_dac[block]),
-                    _float_reprs(trace.v_ceh[block]),
-                )
-            )
+        for lo in range(0, nper, per_block):
+            block = cells[: min(per_block, nper - lo)]
+            for phase, phase_columns in zip(Phase, columns):
+                for j, col in enumerate(phase_columns):
+                    block[:, phase, :, 2 * j] = _reprs(col[lo : lo + per_block])
+            fh.write("".join(block.ravel().tolist()))
 
 
 def write_codes_csv(trace: TransientTrace, path) -> None:

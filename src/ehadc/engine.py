@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,22 +88,57 @@ class Scenario:
 
 @dataclass(frozen=True)
 class TransientTrace:
-    """Recorded waveforms and codes of one run.
+    """Recorded waveforms and codes of one run, stored per phase.
 
-    Per sub-step arrays (one row per sub-step end, 2*n_sub rows per period):
-    t, v_in, phase (Phase enum values), v_dac, v_ceh. Per-period arrays:
-    codes, v_sampled, saturated. period_s is the sampling period.
+    t_aq, t_eh (the time_grid of each phase) and v_in_aq, v_in_eh (the input
+    at those times) are (n_periods, n_sub + 1), column 0 the phase start.
+    dac_aq (the DAC node after each acquisition sub-step) and ceh_eh (the
+    storage cap after each harvest sub-step) are (n_periods, n_sub). Per
+    period: codes, v_sampled (the settled voltage each code converts),
+    saturated, and dac_level (the level of each code, held through the
+    harvest phase). period_s is the sampling period.
+
+    The flat columns t, v_in, phase (Phase values), v_dac and v_ceh, one row
+    per sub-step end and 2*n_sub rows per period, are built on each access.
     """
 
-    t: np.ndarray
-    v_in: np.ndarray
-    phase: np.ndarray
-    v_dac: np.ndarray
-    v_ceh: np.ndarray
+    t_aq: np.ndarray
+    t_eh: np.ndarray
+    v_in_aq: np.ndarray
+    v_in_eh: np.ndarray
+    dac_aq: np.ndarray
+    ceh_eh: np.ndarray
     codes: np.ndarray
     v_sampled: np.ndarray
     saturated: np.ndarray
+    dac_level: np.ndarray
     period_s: float
+
+    @property
+    def ceh_held(self) -> np.ndarray:
+        """The storage cap held through each acquisition phase, per period."""
+        return np.concatenate(([0.0], self.ceh_eh[:-1, -1]))
+
+    @property
+    def t(self) -> np.ndarray:
+        return _rows(self.t_aq[:, 1:], self.t_eh[:, 1:])
+
+    @property
+    def v_in(self) -> np.ndarray:
+        return _rows(self.v_in_aq[:, 1:], self.v_in_eh[:, 1:])
+
+    @property
+    def phase(self) -> np.ndarray:
+        nper, nsub = self.dac_aq.shape
+        return np.tile(np.repeat(np.array(list(Phase), dtype=np.uint8), nsub), nper)
+
+    @property
+    def v_dac(self) -> np.ndarray:
+        return _rows(self.dac_aq, self.dac_level[:, None])
+
+    @property
+    def v_ceh(self) -> np.ndarray:
+        return _rows(self.ceh_held[:, None], self.ceh_eh)
 
 
 @dataclass(frozen=True)
@@ -112,9 +146,9 @@ class SimulationResult:
     """Trace plus the metrics computed from it.
 
     Spectral and harvesting metrics are None when not requested. When both
-    are present, enob == (sndr_db - 1.76)/6.02 by construction. trace is
-    None only in a sweep row, which carries the metrics without the
-    per-sub-step waveforms.
+    are present, enob == (sndr_db - 1.76)/6.02 by construction. trace holds
+    the waveforms per phase (TransientTrace); it is None only in a sweep
+    row, which carries the metrics without the waveforms.
     """
 
     trace: TransientTrace | None
@@ -406,7 +440,7 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
     p_in = input_power(scenario) if eh else None
 
     plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
-    nper, nsub = plan.n_periods, scenario.n_sub
+    nsub = scenario.n_sub
 
     t_aq_grid, t_eh_grid = time_grid(plan, nsub)
     v_aq = scenario.source.sample_at(t_aq_grid)
@@ -421,21 +455,18 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
             _rc_steps(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, t_eh_grid, plan.t_eh / nsub)
         )
 
-    # --- assemble the trace ----------------------------------------------
-    # Each phase moves one node; the other holds its value through the phase.
-    ceh_held = np.concatenate(([0.0], ceh_eh[:-1, -1]))[:, None]
-    v_sampled = dac_aq[:, -1].copy()  # the settled voltage each code converts
-    phases = np.array([Phase.ACQUISITION, Phase.ENERGY_HARVEST], dtype=np.uint8)
-
+    v_sampled = dac_aq[:, -1].copy()
     trace = TransientTrace(
-        t=_rows(t_aq_grid[:, 1:], t_eh_grid[:, 1:]),
-        v_in=_rows(v_aq[:, 1:], v_eh_in[:, 1:]),
-        phase=np.tile(np.repeat(phases, nsub), nper),
-        v_dac=_rows(dac_aq, dac_output(codes_arr, adc)[:, None]),
-        v_ceh=_rows(ceh_held, ceh_eh),
+        t_aq=t_aq_grid,
+        t_eh=t_eh_grid,
+        v_in_aq=v_aq,
+        v_in_eh=v_eh_in,
+        dac_aq=dac_aq,
+        ceh_eh=ceh_eh,
         codes=codes_arr,
         v_sampled=v_sampled,
         saturated=(v_sampled < -adc.v_ref) | (v_sampled >= adc.v_ref),
+        dac_level=dac_output(codes_arr, adc),
         period_s=plan.t_s,
     )
 
@@ -525,6 +556,10 @@ def sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(base, parameter, float(v), spectral, eh) for v in values]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: the pool pulls in multiprocessing, which a single
+        # run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_sweep_worker, tasks))
     return [_sweep_worker(task) for task in tasks]

@@ -83,16 +83,21 @@ def reference_trace_csv(trace, path):
         )
 
 
-def make_trace(t, v_in, phase, v_dac, v_ceh):
+def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level):
+    """A per-phase trace: grids and inputs (n_periods, n_sub + 1), the phase
+    nodes (n_periods, n_sub) and the held DAC level per period."""
+    dac_aq = np.asarray(dac_aq, dtype=np.float64)
     return TransientTrace(
-        t=np.asarray(t, dtype=np.float64),
-        v_in=np.asarray(v_in, dtype=np.float64),
-        phase=np.asarray(phase, dtype=np.uint8),
-        v_dac=np.asarray(v_dac, dtype=np.float64),
-        v_ceh=np.asarray(v_ceh, dtype=np.float64),
-        codes=np.zeros(1, dtype=np.int64),
-        v_sampled=np.zeros(1),
-        saturated=np.zeros(1, dtype=bool),
+        t_aq=np.asarray(t_aq, dtype=np.float64),
+        t_eh=np.asarray(t_eh, dtype=np.float64),
+        v_in_aq=np.asarray(v_in_aq, dtype=np.float64),
+        v_in_eh=np.asarray(v_in_eh, dtype=np.float64),
+        dac_aq=dac_aq,
+        ceh_eh=np.asarray(ceh_eh, dtype=np.float64),
+        codes=np.zeros(len(dac_aq), dtype=np.int64),
+        v_sampled=dac_aq[:, -1].copy(),
+        saturated=np.zeros(len(dac_aq), dtype=bool),
+        dac_level=np.asarray(dac_level, dtype=np.float64),
         period_s=1.0,
     )
 
@@ -106,37 +111,49 @@ class TestTraceWriter:
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_edge_values_match_the_reference_writer(self, tmp_path, monkeypatch):
-        # 13 rows in blocks of 5: the held 0.25 in v_dac runs across the first
-        # block boundary, 0.0 is followed by -0.0 (equal as floats, not in
-        # repr), and v_ceh passes where repr switches notation.
-        monkeypatch.setattr(cli, "_TRACE_CHUNK", 5)
+        # 5 periods of 2 sub-steps per phase (4 rows each) in blocks of 2
+        # periods, so the last block is short. The held 0.25 in v_dac and the
+        # held 1e16 in v_ceh run across the first block boundary; 0.0 is
+        # followed by -0.0 (equal as floats, not in repr); v_ceh passes where
+        # repr switches notation. Column 0 of grids and inputs is the phase
+        # start, which is not a row.
+        monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 8)
         inf, nan = float("inf"), float("nan")
         trace = make_trace(
-            t=[k * 1e-4 for k in range(13)],
-            v_in=[0.0, -0.0, 0.1, 0.1, -0.1, 1 / 3, 2 / 3, 0.2, 0.2, -0.0, 0.0, 0.3, 0.3],
-            phase=[0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1],
-            v_dac=[0.1, 0.0, -0.0, 0.25, 0.25, 0.25, 0.25, -0.0, 0.0, nan, nan, inf, -inf],
-            v_ceh=[5e-324, 5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0, 1e16,
-                   inf, inf, -inf, nan, 0.0, -0.0],
+            t_aq=[[4 * p + j for j in (0, 1, 2)] for p in range(5)],
+            t_eh=[[4 * p + j for j in (2, 3, 4)] for p in range(5)],
+            v_in_aq=[[nan, 0.0, -0.0], [nan, 0.1, 0.1], [nan, 1 / 3, 2 / 3],
+                     [nan, -0.0, 0.0], [nan, inf, -inf]],
+            v_in_eh=[[nan, 0.1, -0.1], [nan, 0.2, 0.2], [nan, nan, nan],
+                     [nan, 5e-324, -5e-324], [nan, 0.3, 0.3]],
+            dac_aq=[[0.1, 0.0], [-0.0, 0.25], [0.25, 0.25], [nan, nan], [inf, -inf]],
+            ceh_eh=[[5e-324, 1e-05], [0.0001, 1e16], [9999999999999998.0, 1e16],
+                    [inf, -inf], [nan, -0.0]],
+            dac_level=[-0.0, 0.25, 0.25, 0.0, -0.0],
         )
         write_trace_csv(trace, tmp_path / "blocks.csv")
         reference_trace_csv(trace, tmp_path / "reference.csv")
         text = (tmp_path / "blocks.csv").read_text()
         assert text == (tmp_path / "reference.csv").read_text()
+        assert len(text.splitlines()) == 1 + 5 * 4
         assert [line.split(",")[3] for line in text.splitlines()[2:4]] == ["0.0", "-0.0"]
 
     def test_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_TRACE_CHUNK", 512)
+        monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 512)
         rng = np.random.default_rng(0)
+        nsub = 64
 
         def peak(n_blocks):
-            rows = n_blocks * cli._TRACE_CHUNK
+            nper = n_blocks * cli._TRACE_BLOCK_ROWS // (2 * nsub)
+            grid = np.cumsum(rng.random((nper, nsub + 1)), axis=1)
             trace = make_trace(
-                rng.standard_normal(rows),
-                rng.standard_normal(rows),
-                np.arange(rows) % 2,
-                rng.standard_normal(rows),
-                rng.standard_normal(rows),
+                grid,
+                grid + nsub,
+                rng.standard_normal((nper, nsub + 1)),
+                rng.standard_normal((nper, nsub + 1)),
+                rng.standard_normal((nper, nsub)),
+                rng.standard_normal((nper, nsub)),
+                rng.standard_normal(nper),
             )
             tracemalloc.start()
             try:

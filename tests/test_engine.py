@@ -7,6 +7,7 @@ random scenarios, so the engine's vectorized fast paths cannot drift from
 the documented single-step semantics.
 """
 
+import concurrent.futures
 import dataclasses
 import math
 import pickle
@@ -280,6 +281,19 @@ class TestTraceLayout:
         assert trace.codes.shape == (scenario.clock.n_periods,)
         assert trace.period_s == scenario.clock.t_s
 
+    def test_trace_is_stored_per_phase(self):
+        """No stored array has one element per row; the flat columns are
+        built on access, the same on every access."""
+        scenario = small_scenario()
+        trace = run(scenario, spectral=False, eh=True).trace
+        n_rows = 2 * scenario.n_sub * scenario.clock.n_periods
+        stored = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
+        assert [a.size for a in stored if isinstance(a, np.ndarray) and a.size == n_rows] == []
+        for name in ("t", "v_in", "phase", "v_dac", "v_ceh"):
+            first, second = getattr(trace, name), getattr(trace, name)
+            assert first.shape == (n_rows,)
+            assert np.array_equal(first, second, equal_nan=first.dtype.kind == "f")
+
     def test_phase_pattern_per_period(self):
         scenario = small_scenario()
         trace = run(scenario, spectral=False, eh=False).trace
@@ -502,7 +516,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         values = [0.1 + 0.05 * i for i in range(n_values)]
         rows = sweep(small_scenario(), "alpha", values, jobs=jobs, spectral=False, eh=False)
         assert started == pools

@@ -2,7 +2,9 @@
 
 import ast
 import functools
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -74,6 +76,15 @@ def test_modules_import_only_the_stdlib_numpy_and_the_package():
                 continue
             foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_importing_the_cli_leaves_out_multiprocessing():
+    """The process pool is imported only by a parallel sweep, so a single
+    run does not pay for loading multiprocessing."""
+    code = "import sys, ehadc.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _bench_trees() -> dict[str, ast.Module]:
