@@ -22,14 +22,19 @@ done on whole arrays:
   blocks, and single steps are taken only while the voltage rises.
 
 Both apply one table of RC step coefficients (_rc_steps) with the float
-operations of the one-step RC update in their order (_rc_update), and every
-decay factor comes from math.exp, not np.exp, which can differ in the last bit.
+operations of the one-step RC update in their order (_rc_update). Every decay
+factor either solver applies comes from math.exp, not np.exp, which can differ
+in the last bit. A pass-transistor S2 has one decay argument per sub-step, and
+most harvest sub-steps hold, so its table carries np.exp only as a screen: the
+held-block test widens it by _SCREEN_SLACK toward a rise, and math.exp is
+taken only at the sub-steps the ratchet steps one at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +57,11 @@ MAX_PERIODS = 1_048_576
 # Largest block of harvest sub-steps over which the held storage voltage is
 # tested for a rise at once.
 _MAX_HOLD_BLOCK = 16384
+
+# Relative slack of an np.exp screen around math.exp; np.exp strays from it by
+# about one ulp (2**-52). The absolute term covers subnormal and flushed decays.
+_SCREEN_SLACK = 2.0**-40
+_SCREEN_FLOOR = sys.float_info.min
 
 SWEEPABLE_PARAMETERS = ("alpha", "c_eh", "v_drop", "r_on_s1", "n_bits", "f_s")
 _UNKNOWN_PARAMETER = "unknown sweep parameter {!r}; choose from " + ", ".join(SWEEPABLE_PARAMETERS)
@@ -265,9 +275,15 @@ def _signal_bin(scenario: Scenario) -> int:
 
 
 def _rc_steps(
-    switch: Switch, r_series: float, c: float, drive: np.ndarray, grid: np.ndarray, dt: float
+    switch: Switch,
+    r_series: float,
+    c: float,
+    drive: np.ndarray,
+    grid: np.ndarray,
+    dt: float,
+    screen: bool = False,
 ):
-    """The RC step table (u0, s, a, b) of one phase, each (n_periods, n_sub).
+    """The RC step table (u0, s, a, b, x) of one phase, each (n_periods, n_sub).
 
     drive holds the (n_periods, n_sub + 1) branch drive voltages at the grid
     times. Steps are dt wide, except the last of each period, which absorbs
@@ -276,24 +292,45 @@ def _rc_steps(
     operations of frontend.r_on) at the drive at the start of each sub-step;
     cut off, tau is infinite and the RC update yields NaN. With u1 the drive
     at the step end, s = (u1 - u0)*(tau/h), b = u1 - s and a = exp(-h/tau)
-    from math.exp, because np.exp can differ from it in the last bit.
+    from math.exp, because np.exp can differ from it in the last bit; x is
+    None.
+
+    With screen set and a pass transistor, x holds the decay arguments -h/tau
+    and a is np.exp(x), a screen for _harvest, which takes math.exp(x) only
+    where it steps. A constant switch has one argument per step width, so
+    its table stays exact.
     """
     u0, u1 = drive[:, :-1], drive[:, 1:]
     h = np.full(u0.shape, dt)
     h[:, -1] = grid[:, -1] - grid[:, -2]
+    x = None
     if switch.kind is not SwitchKind.PASS_TRANSISTOR:
         tau = (r_series + r_on(switch)) * c
         a = np.full(h.shape, math.exp(-dt / tau))
-        a[:, -1] = list(map(math.exp, (-h[:, -1] / tau).tolist()))
+        a[:, -1] = _math_exp(-h[:, -1] / tau)
     else:
         overdrive = np.abs(switch.v_gate - u0) - switch.v_th
         r = np.full(h.shape, math.inf)
         np.divide(1.0, switch.k_gain * overdrive, out=r, where=overdrive > 0.0)
         tau = (r_series + r) * c
-        a = np.fromiter(map(math.exp, (-h / tau).ravel().tolist()), float, count=h.size)
-        a = a.reshape(h.shape)
+        if screen:
+            x = -h / tau
+            a = np.exp(x)
+        else:
+            a = _math_exp((-h / tau).ravel()).reshape(h.shape)
     s = (u1 - u0) * (tau / h)
-    return u0, s, a, u1 - s
+    return u0, s, a, u1 - s, x
+
+
+def _math_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of every element of a contiguous 1-D array."""
+    return np.fromiter(map(math.exp, memoryview(x)), float, count=x.size)
+
+
+def _screen_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) around np.exp decay factors a, holding math.exp of the same
+    arguments: a*(1 -/+ _SCREEN_SLACK) -/+ _SCREEN_FLOOR."""
+    return a * (1.0 - _SCREEN_SLACK) - _SCREEN_FLOOR, a * (1.0 + _SCREEN_SLACK) + _SCREEN_FLOOR
 
 
 def _rc_update(v, u0, s, a, b):
@@ -309,8 +346,8 @@ def _rc_update(v, u0, s, a, b):
 def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
     """DAC node after every acquisition sub-step (n_periods, n_sub), and the codes.
 
-    steps is the _rc_steps table of the phase and boundary_in the input at
-    each window's end. A period depends on the one before only through its
+    steps is the exact _rc_steps table of the phase and boundary_in the input
+    at each window's end. A period depends on the one before only through its
     start level, the DAC level of the previous code (0.0 for period 0).
     Waveform relaxation: guess every start level from the code of the
     previous boundary input, settle all periods at once, convert, and redo
@@ -319,7 +356,7 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
     updates the rest is finished in order, from the first unsettled period,
     so a slowly settling S1 costs no more than a scalar walk.
     """
-    u0, s, a, b = steps
+    u0, s, a, b, _ = steps
     nper, nsub = u0.shape
 
     def settle(start, rows):
@@ -354,7 +391,7 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
         if x == start[p]:
             continue
         start[p] = x
-        for j, (u0_j, s_j, a_j, b_j) in enumerate(zip(*(m[p].tolist() for m in steps))):
+        for j, (u0_j, s_j, a_j, b_j) in enumerate(zip(*(m[p].tolist() for m in (u0, s, a, b)))):
             x = v[p, j] = _rc_update(x, u0_j, s_j, a_j, b_j)
         codes[p] = sar_convert(x, adc)
     return v, codes
@@ -371,9 +408,23 @@ def _harvest(steps) -> np.ndarray:
     sub-step where it rises, the ratchet steps one sub-step at a time while
     it keeps rising. A NaN candidate (S2 cut off) fails the > test on both
     paths, so the node holds.
+
+    A screened table (x set) tests the blocks with a bound on the candidate:
+    the screen factor widened by _screen_bounds toward a rise, hi where
+    w = (v - u0) + s >= 0 and lo elsewhere. IEEE rounding is monotone, so
+    b + w*hi (or lo) is at least the candidate b + w*math.exp(x) with the
+    same float operations, and a sub-step the bound holds truly holds. The
+    single steps take math.exp(x) at the sub-steps they visit; a screened
+    sub-step that does not rise after all is held there. Where the bound is
+    NaN, the candidate is NaN or -inf, and the node holds either way.
     """
     nper, nsub = steps[0].shape
-    e0, s, a, b = flat = [m.ravel() for m in steps]
+    e0, s, a, b, x = (None if m is None else m.ravel() for m in steps)
+    if x is not None:
+        lo, hi = _screen_bounds(a)
+    # The single steps read Python floats straight from the table.
+    e0_m, s_m, b_m = (memoryview(m) for m in (e0, s, b))
+    decay = memoryview(a if x is None else x)
     n = len(e0)
     out = np.empty(n)
     v = 0.0
@@ -381,7 +432,11 @@ def _harvest(steps) -> np.ndarray:
     block = nsub
     while i < n:
         j = min(i + block, n)
-        rises = np.flatnonzero(_rc_update(v, e0[i:j], s[i:j], a[i:j], b[i:j]) > v)
+        cand = v - e0[i:j]
+        cand += s[i:j]
+        cand *= a[i:j] if x is None else np.where(cand >= 0.0, hi[i:j], lo[i:j])
+        cand += b[i:j]
+        rises = np.flatnonzero(cand > v)
         if rises.size == 0:
             out[i:j] = v
             i = j
@@ -393,7 +448,10 @@ def _harvest(steps) -> np.ndarray:
         while i < n:  # scalar steps, one window of nsub at a time
             j = min(i + nsub, n)
             risen = []
-            for e0_j, s_j, a_j, b_j in zip(*(m[i:j].tolist() for m in flat)):
+            # zip stops at the first sub-step that holds, so a screened table
+            # takes math.exp only of the sub-steps visited.
+            a_w = decay[i:j] if x is None else map(math.exp, decay[i:j])
+            for e0_j, s_j, a_j, b_j in zip(e0_m[i:j], s_m[i:j], a_w, b_m[i:j]):
                 cand = _rc_update(v, e0_j, s_j, a_j, b_j)
                 if not cand > v:
                     break
@@ -452,7 +510,10 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
     )
     with np.errstate(invalid="ignore"):  # a cut-off S2 makes NaN steps and candidates
         ceh_eh = _harvest(
-            _rc_steps(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, t_eh_grid, plan.t_eh / nsub)
+            _rc_steps(
+                ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, t_eh_grid, plan.t_eh / nsub,
+                screen=True,
+            )
         )
 
     v_sampled = dac_aq[:, -1].copy()

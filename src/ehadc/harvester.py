@@ -71,7 +71,12 @@ def rectified_envelope(v_in, rect: RectifierModel):
     Accepts scalars or ndarrays. Inside the dead zone |v_in| <= v_drop the
     rectifier does not conduct and the output is zero.
     """
-    return np.maximum(np.abs(v_in) - rect.v_drop, 0.0)
+    if np.ndim(v_in) == 0:
+        return np.maximum(np.abs(v_in) - rect.v_drop, 0.0)
+    out = np.abs(v_in, dtype=float)
+    out -= rect.v_drop
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def steady_state_metrics(

@@ -46,9 +46,14 @@ class SineSource:
     def sample_at(self, t):
         """Evaluate the source voltage at time t (scalar or ndarray, seconds)."""
         w = 2.0 * math.pi * self.frequency
-        out = self.dc_offset + self.amplitude * np.sin(w * np.asarray(t, dtype=float) + self.phase)
         if np.ndim(t) == 0:
-            return float(out)
+            return float(self.dc_offset + self.amplitude * np.sin(w * float(t) + self.phase))
+        # In place: one array instead of a temporary per operation.
+        out = np.multiply(w, t, dtype=float)
+        out += self.phase
+        np.sin(out, out=out)
+        out *= self.amplitude
+        out += self.dc_offset
         return out
 
 

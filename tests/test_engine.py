@@ -11,6 +11,7 @@ import concurrent.futures
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ehadc.sar_adc import AdcConfig, c_dac, dac_output
 from ehadc.stimulus import SineSource, coherent_frequency
 from ehadc import engine
 from ehadc.cli import summarize
+from ehadc.config import build_scenario, load_config
 from ehadc.engine import (
     MAX_PERIODS,
     SWEEPABLE_PARAMETERS,
@@ -266,6 +268,157 @@ class TestEngineAgainstReferenceWalk:
         for _ in range(150):
             assert_walks_bit_identically(random_walk_scenario(rng))
         assert conversions["scalar"] > 0
+
+
+@pytest.fixture
+def harvest_exps(monkeypatch):
+    """The arguments of the math.exp calls made inside engine._harvest.
+
+    A pass-transistor S2 table is screened, so these are the decay
+    arguments of the sub-steps the ratchet's single steps visit.
+    """
+    args = []
+    inside = [False]
+    real_exp, real_harvest = math.exp, engine._harvest
+
+    def counted_exp(x):
+        if inside[0]:
+            args.append(x)
+        return real_exp(x)
+
+    def harvest(steps):
+        inside[0] = True
+        try:
+            return real_harvest(steps)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(math, "exp", counted_exp)
+    monkeypatch.setattr(engine, "_harvest", harvest)
+    return args
+
+
+def rises_and_runs(trace):
+    """Harvest sub-steps where the storage cap rose, and the maximal runs of them."""
+    rose = np.diff(np.concatenate(([0.0], trace.ceh_eh.ravel()))) > 0.0
+    return int(rose.sum()), int(rose[0]) + int((rose[1:] & ~rose[:-1]).sum())
+
+
+def eh_branch(c_eh, r_series, s2):
+    return EhConfig(c_eh=c_eh, rectifier=RectifierModel(v_drop=0.09284, r_series=r_series), s2=s2)
+
+
+# small_scenario's harvest sub-step is h = 0.9e-4/8 s. A strong pass switch
+# (r_on under 1 mOhm) leaves tau = (r_series + r_on)*c_eh close to
+# r_series*c_eh, so c_eh sets the decay argument -h/tau of every sub-step.
+_STRONG_S2 = Switch.pass_transistor(k_gain=1e3, v_th=0.05, v_gate=2.0)
+_H_EH = 0.9e-4 / 8
+SCREEN_EDGES = {
+    # exp(x) is subnormal for x in (-745, -708)
+    "subnormal-decay": (
+        eh_branch(_H_EH / 720.0, 1.0, _STRONG_S2),
+        lambda x: 0.0 < math.exp(x) < sys.float_info.min,
+    ),
+    # and flushes to zero below about -745.13
+    "flushed-decay": (eh_branch(_H_EH / 800.0, 1.0, _STRONG_S2), lambda x: math.exp(x) == 0.0),
+    # tau/h >= 1e7, where the two s*tau terms of the step cancel
+    "tau-over-h-1e7": (eh_branch(_H_EH * 2e7 / 1e3, 1e3, _STRONG_S2), lambda x: -1e-7 <= x < 0.0),
+    # S2 cut off for an envelope in [0.05, 0.15] V: tau is infinite, x is -0.0
+    "cut-off": (
+        eh_branch(1e-7, 73.8, Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1)),
+        lambda x: x == 0.0,
+    ),
+}
+
+
+class TestScreenedHarvest:
+    """A pass-transistor S2 screens its held blocks with np.exp and takes
+    math.exp only at the sub-steps the ratchet steps one at a time."""
+
+    @pytest.mark.parametrize("edge", list(SCREEN_EDGES))
+    def test_screen_at_its_edges_walks_bit_identically(self, edge, harvest_exps):
+        eh, in_regime = SCREEN_EDGES[edge]
+        assert_walks_bit_identically(small_scenario(eh=eh))
+        visited = [x for x in harvest_exps if in_regime(x)]
+        assert visited, f"no single step visited the {edge} regime"
+
+    @pytest.mark.parametrize("w", [1.0, -1.0])
+    def test_a_rise_that_np_exp_would_hide_is_taken(self, w):
+        """One sub-step from v = 0 whose candidate b + w*a rises with
+        a = math.exp(x) and would hold with a = np.exp(x). The screen is
+        widened toward a rise on either sign of w = (v - u0) + s."""
+        grid = np.linspace(-1.0, 0.0, 1001)
+        # w > 0 needs np.exp below math.exp to hide the rise, w < 0 above it.
+        gap = (np.array([math.exp(v) for v in grid.tolist()]) - np.exp(grid)) * w
+        if not (gap > 0.0).any():
+            pytest.skip("np.exp never errs on that side on this grid")
+        x = float(grid[np.argmax(gap > 0.0)])
+        u0, s = (0.0, 1.0) if w > 0.0 else (1.0, 0.0)
+        b = -w * float(np.exp(x))
+        assert not b + w * float(np.exp(x)) > 0.0
+        rise = b + (0.0 - u0 + s) * math.exp(x)
+        assert rise > 0.0
+        table = [np.array([[value]]) for value in (u0, s, np.exp(x), b, x)]
+        assert engine._harvest(table).tolist() == [[rise]]
+
+    def test_harvest_takes_math_exp_only_where_it_steps(self, monkeypatch):
+        """The S1 table of a pass switch takes one math.exp per sub-step; the
+        harvest takes one per sub-step its single steps visit: every rise,
+        and the hold that ends each rising run."""
+        calls = [0]
+        real_exp = math.exp
+
+        def counted_exp(x):
+            calls[0] += 1
+            return real_exp(x)
+
+        scenario = small_scenario(
+            source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 256, 5)),
+            clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=256),
+            adc=AdcConfig(
+                n_bits=8,
+                v_ref=0.4,
+                c_unit=12e-10,
+                s1=Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8),
+            ),
+            eh=eh_branch(1e-5, 73.8, Switch.pass_transistor(k_gain=2.0, v_th=0.4, v_gate=0.9)),
+            n_sub=16,
+        )
+        monkeypatch.setattr(math, "exp", counted_exp)
+        trace = run(scenario, spectral=False, eh=False).trace
+        monkeypatch.undo()
+        sub_steps = scenario.clock.n_periods * scenario.n_sub
+        harvest_share = calls[0] - sub_steps
+        rises, runs = rises_and_runs(trace)
+        assert 0 < rises
+        assert harvest_share <= rises + runs
+        assert harvest_share < sub_steps
+
+    def test_np_exp_stays_within_the_screen_slack(self, repo_root, monkeypatch):
+        """The screen is exact only while np.exp stays within _SCREEN_SLACK
+        (relative, plus the smallest normal float) of math.exp; today the
+        gap is at most 1 ulp. Checked over [-745, 0], densely where exp is
+        subnormal or flushes to zero, and over the S2 decay arguments of the
+        pass-transistor bench config."""
+        scenario, _ = build_scenario(load_config(repo_root / "bench/configs/lowfreq_pass.cfg"))
+        tables = []
+        real_harvest = engine._harvest
+
+        def harvest(steps):
+            tables.append(steps)
+            return real_harvest(steps)
+
+        monkeypatch.setattr(engine, "_harvest", harvest)
+        run(scenario, spectral=False, eh=False)
+        x_s2 = tables[0][4]
+        assert x_s2 is not None and x_s2.size == scenario.clock.n_periods * scenario.n_sub
+        x = np.concatenate(
+            (np.linspace(-745.0, 0.0, 200_001), np.linspace(-746.0, -708.0, 400_001), x_s2.ravel())
+        )
+        lo, hi = engine._screen_bounds(np.exp(x))
+        exact = np.array([math.exp(v) for v in x.tolist()])
+        stray = (exact < lo) | (exact > hi)
+        assert not stray.any(), f"np.exp strays past the screen at x = {x[stray][:5].tolist()}"
 
 
 class TestTraceLayout:
