@@ -70,12 +70,15 @@ def time_grid(plan: ClockPlan, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
     boundary k*T_s + alpha*T_s; row k of the harvest grid steps by T_EH/n_sub
     from that boundary to (k+1)*T_s. The last endpoint of each row is snapped
     to the closed-form boundary, so both phases share identical boundary times.
+    The acquisition grid is sub-step-major (Fortran order), as the engine's
+    acquisition solver reads it; the harvest grid is period-major.
     """
     k = np.arange(plan.n_periods, dtype=float)
     starts = k * plan.t_s
     boundaries = k * plan.t_s + plan.alpha * plan.t_s
     j = np.arange(n_sub + 1, dtype=float)
-    aq = starts[:, None] + j[None, :] * (plan.t_aq / n_sub)
+    aq = np.empty((plan.n_periods, n_sub + 1), order="F")
+    np.add(starts[:, None], j[None, :] * (plan.t_aq / n_sub), out=aq)
     aq[:, -1] = boundaries
     eh = boundaries[:, None] + j[None, :] * (plan.t_eh / n_sub)
     eh[:, -1] = (k + 1.0) * plan.t_s

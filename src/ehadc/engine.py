@@ -17,9 +17,12 @@ done on whole arrays:
   one sar_convert call, and redoes the periods whose start level changed.
   The discrete codes make the fixed point exact, and it is the sequential
   answer. After 2*n_periods period updates the rest is finished in order.
+  Its tables are sub-step-major, as time_grid lays out the acquisition
+  grid, so each settle step reads one contiguous column of all periods.
 * Harvest (_harvest): the diode ratchet holds the storage voltage on most
   sub-steps, so the RC candidate at the held voltage is tested over growing
-  blocks, and single steps are taken only while the voltage rises.
+  blocks, and single steps are taken only while the voltage rises. Its
+  tables are period-major, so the flat walk runs in time order.
 
 Both apply one table of RC step coefficients (_rc_steps) with the float
 operations of the one-step RC update in their order (_rc_update). Every decay
@@ -283,7 +286,8 @@ def _rc_steps(
     dt: float,
     screen: bool = False,
 ):
-    """The RC step table (u0, s, a, b, x) of one phase, each (n_periods, n_sub).
+    """The RC step table (u0, s, a, b, x) of one phase, each (n_periods, n_sub)
+    and laid out in memory as drive is.
 
     drive holds the (n_periods, n_sub + 1) branch drive voltages at the grid
     times. Steps are dt wide, except the last of each period, which absorbs
@@ -301,30 +305,40 @@ def _rc_steps(
     its table stays exact.
     """
     u0, u1 = drive[:, :-1], drive[:, 1:]
-    h = np.full(u0.shape, dt)
+    h = np.full_like(u0, dt)
     h[:, -1] = grid[:, -1] - grid[:, -2]
     x = None
     if switch.kind is not SwitchKind.PASS_TRANSISTOR:
         tau = (r_series + r_on(switch)) * c
-        a = np.full(h.shape, math.exp(-dt / tau))
+        a = np.full_like(h, math.exp(-dt / tau))
         a[:, -1] = _math_exp(-h[:, -1] / tau)
     else:
-        overdrive = np.abs(switch.v_gate - u0) - switch.v_th
-        r = np.full(h.shape, math.inf)
-        np.divide(1.0, switch.k_gain * overdrive, out=r, where=overdrive > 0.0)
-        tau = (r_series + r) * c
+        overdrive = np.subtract(switch.v_gate, u0)
+        np.abs(overdrive, out=overdrive)
+        overdrive -= switch.v_th
+        on = overdrive > 0.0
+        overdrive *= switch.k_gain
+        tau = np.full_like(h, math.inf)
+        np.divide(1.0, overdrive, out=tau, where=on)
+        tau += r_series
+        tau *= c
+        # negative(h/tau) has the bits of -h/tau, -0.0 included where tau = inf.
+        x = np.negative(np.divide(h, tau, out=overdrive), out=overdrive)
         if screen:
-            x = -h / tau
             a = np.exp(x)
         else:
-            a = _math_exp((-h / tau).ravel()).reshape(h.shape)
-    s = (u1 - u0) * (tau / h)
-    return u0, s, a, u1 - s, x
+            a, x = _math_exp(x), None
+    s = np.subtract(u1, u0)
+    s *= np.divide(tau, h, out=h)
+    return u0, s, a, np.subtract(u1, s, out=h), x
 
 
 def _math_exp(x: np.ndarray) -> np.ndarray:
-    """math.exp of every element of a contiguous 1-D array."""
-    return np.fromiter(map(math.exp, memoryview(x)), float, count=x.size)
+    """x with every element replaced by its math.exp; x is contiguous in C or
+    Fortran order, and is walked in memory order."""
+    flat = x.ravel(order="K")
+    flat[:] = np.fromiter(map(math.exp, memoryview(flat)), float, count=flat.size)
+    return x
 
 
 def _screen_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +374,8 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
     nper, nsub = u0.shape
 
     def settle(start, rows):
-        v = np.empty((len(start), nsub))
+        # Sub-step-major, as the table is: each column is contiguous.
+        v = np.empty((len(start), nsub), order="F")
         x = start
         for j in range(nsub):
             x = v[:, j] = _rc_update(x, u0[rows, j], s[rows, j], a[rows, j], b[rows, j])
@@ -452,7 +467,7 @@ def _harvest(steps) -> np.ndarray:
             # takes math.exp only of the sub-steps visited.
             a_w = decay[i:j] if x is None else map(math.exp, decay[i:j])
             for e0_j, s_j, a_j, b_j in zip(e0_m[i:j], s_m[i:j], a_w, b_m[i:j]):
-                cand = _rc_update(v, e0_j, s_j, a_j, b_j)
+                cand = b_j + (v - e0_j + s_j) * a_j  # _rc_update, inlined
                 if not cand > v:
                     break
                 v = cand

@@ -48,7 +48,8 @@ class SineSource:
         w = 2.0 * math.pi * self.frequency
         if np.ndim(t) == 0:
             return float(self.dc_offset + self.amplitude * np.sin(w * float(t) + self.phase))
-        # In place: one array instead of a temporary per operation.
+        # In place and in the memory layout of t: one array, not a temporary
+        # per operation.
         out = np.multiply(w, t, dtype=float)
         out += self.phase
         np.sin(out, out=out)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -102,6 +103,30 @@ def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level):
     )
 
 
+def edge_trace():
+    """5 periods of 2 sub-steps per phase, with the float values whose text is
+    easiest to get wrong."""
+    inf, nan = float("inf"), float("nan")
+    return make_trace(
+        t_aq=[[4 * p + j for j in (0, 1, 2)] for p in range(5)],
+        t_eh=[[4 * p + j for j in (2, 3, 4)] for p in range(5)],
+        v_in_aq=[[nan, 0.0, -0.0], [nan, 0.1, 0.1], [nan, 1 / 3, 2 / 3],
+                 [nan, -0.0, 0.0], [nan, inf, -inf]],
+        v_in_eh=[[nan, 0.1, -0.1], [nan, 0.2, 0.2], [nan, nan, nan],
+                 [nan, 5e-324, -5e-324], [nan, 0.3, 0.3]],
+        dac_aq=[[0.1, 0.0], [-0.0, 0.25], [0.25, 0.25], [nan, nan], [inf, -inf]],
+        ceh_eh=[[5e-324, 1e-05], [0.0001, 1e16], [9999999999999998.0, 1e16],
+                [inf, -inf], [nan, -0.0]],
+        dac_level=[-0.0, 0.25, 0.25, 0.0, -0.0],
+    )
+
+
+def with_layout(trace, order):
+    """A copy of trace with every per-phase array in the given memory order."""
+    fields = ("t_aq", "t_eh", "v_in_aq", "v_in_eh", "dac_aq", "ceh_eh")
+    return dataclasses.replace(trace, **{f: np.array(getattr(trace, f), order=order) for f in fields})
+
+
 class TestTraceWriter:
     def test_run_trace_matches_the_reference_writer(self, tmp_path):
         scenario, options = build_scenario(parse_config(FAST_CFG))
@@ -118,25 +143,27 @@ class TestTraceWriter:
         # repr switches notation. Column 0 of grids and inputs is the phase
         # start, which is not a row.
         monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 8)
-        inf, nan = float("inf"), float("nan")
-        trace = make_trace(
-            t_aq=[[4 * p + j for j in (0, 1, 2)] for p in range(5)],
-            t_eh=[[4 * p + j for j in (2, 3, 4)] for p in range(5)],
-            v_in_aq=[[nan, 0.0, -0.0], [nan, 0.1, 0.1], [nan, 1 / 3, 2 / 3],
-                     [nan, -0.0, 0.0], [nan, inf, -inf]],
-            v_in_eh=[[nan, 0.1, -0.1], [nan, 0.2, 0.2], [nan, nan, nan],
-                     [nan, 5e-324, -5e-324], [nan, 0.3, 0.3]],
-            dac_aq=[[0.1, 0.0], [-0.0, 0.25], [0.25, 0.25], [nan, nan], [inf, -inf]],
-            ceh_eh=[[5e-324, 1e-05], [0.0001, 1e16], [9999999999999998.0, 1e16],
-                    [inf, -inf], [nan, -0.0]],
-            dac_level=[-0.0, 0.25, 0.25, 0.0, -0.0],
-        )
+        trace = edge_trace()
         write_trace_csv(trace, tmp_path / "blocks.csv")
         reference_trace_csv(trace, tmp_path / "reference.csv")
         text = (tmp_path / "blocks.csv").read_text()
         assert text == (tmp_path / "reference.csv").read_text()
         assert len(text.splitlines()) == 1 + 5 * 4
         assert [line.split(",")[3] for line in text.splitlines()[2:4]] == ["0.0", "-0.0"]
+
+    def test_memory_order_of_the_trace_does_not_change_the_bytes(self, tmp_path, monkeypatch):
+        """A run stores its acquisition arrays sub-step-major; period-major and
+        sub-step-major copies of a trace write the same file, also in short
+        blocks that cut the arrays into slices contiguous in neither order."""
+        scenario, options = build_scenario(parse_config(FAST_CFG))
+        traces = {"edge": edge_trace(), "run": run(scenario, spectral=False, eh=False).trace}
+        monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 8)
+        for name, trace in traces.items():
+            texts = set()
+            for order in "CF":
+                write_trace_csv(with_layout(trace, order), tmp_path / f"{name}-{order}.csv")
+                texts.add((tmp_path / f"{name}-{order}.csv").read_bytes())
+            assert len(texts) == 1, name
 
     def test_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 512)

@@ -123,6 +123,19 @@ class TestTimeGrid:
         assert aq[k, 0] == k * plan.t_s
         assert aq[k, -1] == k * plan.t_s + plan.t_aq
 
+    @pytest.mark.parametrize("plan", REFERENCE_PLANS + (ClockPlan(f_s=40e6, alpha=0.37, n_periods=4096),))
+    def test_acquisition_grid_is_substep_major_with_the_closed_form_values(self, plan):
+        """The acquisition grid is stored sub-step-major and holds, bit for
+        bit, the period-major closed form; the harvest grid stays period-major."""
+        n_sub = 64
+        aq, eh = time_grid(plan, n_sub)
+        assert aq.flags.f_contiguous and not aq.flags.c_contiguous
+        assert eh.flags.c_contiguous
+        k = np.arange(plan.n_periods, dtype=float)
+        closed = k[:, None] * plan.t_s + np.arange(n_sub + 1, dtype=float) * (plan.t_aq / n_sub)
+        closed[:, -1] = k * plan.t_s + plan.alpha * plan.t_s
+        assert np.array_equal(aq.view(np.uint64), closed.view(np.uint64))
+
     def test_duty_identity(self):
         for plan in REFERENCE_PLANS:
             aq, eh = time_grid(plan, 8)

@@ -471,6 +471,51 @@ class TestTraceLayout:
         assert a.sndr_db == b.sndr_db
 
 
+# RC step tables as (switch, r_series, c, screen). The cut-off pass S1 is
+# open while the drive is within 0.05 V of 0.1 V.
+_LAYOUT_TABLES = {
+    "constant": (Switch.constant(40.0), 0.0, 1e-9, False),
+    "pass-exact": (Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8), 0.0, 1e-9, False),
+    "pass-screened": (Switch.pass_transistor(k_gain=2.0, v_th=0.4, v_gate=0.9), 73.8, 1e-5, True),
+    "pass-cut-off": (Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1), 0.0, 1e-9, False),
+}
+
+
+class TestTableLayout:
+    """The acquisition phase runs on sub-step-major arrays. The reference
+    walk shares time_grid and sample_at with the engine, so these checks are
+    what catches a numpy that computes sub-step-major arrays differently."""
+
+    @pytest.mark.parametrize("case", list(_LAYOUT_TABLES))
+    def test_rc_steps_from_a_substep_major_drive_match_a_contiguous_copy(self, case):
+        switch, r_series, c, screen = _LAYOUT_TABLES[case]
+        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=512)
+        grid, _ = time_grid(plan, 16)
+        drive = SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 512, 5)).sample_at(grid)
+        assert drive.flags.f_contiguous
+        dt = plan.t_aq / 16
+        f_tables = engine._rc_steps(switch, r_series, c, drive, grid, dt, screen=screen)
+        c_tables = engine._rc_steps(
+            switch, r_series, c, np.ascontiguousarray(drive), np.ascontiguousarray(grid), dt,
+            screen=screen,
+        )
+        if case == "pass-cut-off":
+            assert np.isinf(f_tables[1]).any()  # s = (u1 - u0)*inf where S1 is open
+        for f, c_ in zip(f_tables, c_tables):
+            if f is None:
+                assert c_ is None
+                continue
+            assert f.flags.f_contiguous
+            assert np.array_equal(f.view(np.uint64), c_.view(np.uint64))
+
+    def test_acquisition_arrays_are_substep_major(self):
+        trace = run(small_scenario(), spectral=False, eh=False).trace
+        for name in ("t_aq", "v_in_aq", "dac_aq"):
+            assert getattr(trace, name).flags.f_contiguous, name
+        for name in ("t_eh", "v_in_eh", "ceh_eh"):
+            assert getattr(trace, name).flags.c_contiguous, name
+
+
 class TestDcOperatingPoint:
     def test_dc_input_at_a_code_center_is_a_fixed_point(self):
         cfg = AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-10)

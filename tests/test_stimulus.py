@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ehadc.clocking import ClockPlan, time_grid
 from ehadc.stimulus import (
     SineSource,
     coherent_frequency,
@@ -38,6 +39,16 @@ class TestSineSource:
         assert v.shape == t.shape
         for k in (0, 17, 100):
             assert v[k] == src.sample_at(float(t[k]))
+
+    def test_substep_major_grid_samples_like_a_contiguous_copy(self):
+        """Sampling keeps the grid's memory layout, and a sub-step-major grid
+        gives the bits of its period-major copy."""
+        src = SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 4096, 41), phase=0.3)
+        grid, _ = time_grid(ClockPlan(f_s=10e3, alpha=0.1, n_periods=4096), 64)
+        v = src.sample_at(grid)
+        assert v.flags.f_contiguous and not v.flags.c_contiguous
+        expected = src.sample_at(np.ascontiguousarray(grid))
+        assert np.array_equal(v.view(np.uint64), expected.view(np.uint64))
 
     def test_scalar_sample_is_a_float(self):
         src = SineSource(amplitude=0.3, frequency=1e3)
