@@ -74,7 +74,10 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
     sub-step, byte) array with the separators and phase labels fixed in
     place; each cell is a NUL-padded slot of floattext.text, and the NULs are
     dropped as the block is written. The value a phase holds (v_ceh in
-    acquisition, v_dac in harvest) is formatted once per period.
+    acquisition, v_dac in harvest) is formatted once per period. The block,
+    its values and their text are buffers allocated once per call, because
+    megabyte buffers allocated anew per block are faulted in anew when the
+    heap is small.
     """
     # Loaded here, after the simulation's memory peak, which loading it
     # before would raise by its tables and code (about 0.2 MB).
@@ -97,7 +100,12 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
         (aq, v_ceh, trace.ceh_held[:, None]),
         (eh, v_ceh, trace.ceh_eh),
     )
-    block = np.zeros((min(per_block, nper), 2, nsub, 4 * w + 8), dtype=np.uint8)
+    rows = min(per_block, nper)
+    # A bytearray, so a whole block is written without a tobytes copy.
+    canvas = bytearray(rows * 2 * nsub * (4 * w + 8))
+    block = np.frombuffer(canvas, dtype=np.uint8).reshape(rows, 2, nsub, 4 * w + 8)
+    n_max = sum(values[:rows].size for _, _, values in cells)
+    values_buf, text_buf = np.empty(n_max), np.empty((n_max, w), dtype=np.uint8)
     for phase in Phase:
         label = f",{PHASE_LABELS[phase]},".encode().ljust(5, b"\0")
         block[:, phase, :, 2 * w + 1 : 2 * w + 6] = np.frombuffer(label, dtype=np.uint8)
@@ -106,13 +114,15 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
         fh.write(b"t_s,v_in,phase,v_dac,v_ceh\n")
         for lo in range(0, nper, per_block):
             parts = [values[lo : lo + per_block] for _, _, values in cells]
-            text = floattext.text(np.concatenate([part.ravel() for part in parts]))
+            n = sum(part.size for part in parts)
+            flat = np.concatenate([part.ravel() for part in parts], out=values_buf[:n])
+            text = floattext.text(flat, out=text_buf[:n])
             b = block[: len(parts[0])]
             at = 0
             for (phase, field, _), part in zip(cells, parts):
                 b[:, phase, :, field] = text[at : at + part.size].reshape(*part.shape, w)
                 at += part.size
-            fh.write(b.tobytes().translate(None, b"\0"))
+            fh.write((canvas if len(b) == rows else b.tobytes()).translate(None, b"\0"))
 
 
 def write_codes_csv(trace: TransientTrace, path) -> None:

@@ -9,20 +9,27 @@ integrated with the exact RC update, so the only discretization left is the
 piecewise-linear approximation of the sine drive.
 
 The result equals a sub-step-by-sub-step walk bit for bit, but the work is
-done on whole arrays:
+done on whole arrays. Each phase is solved in blocks of whole periods, in
+time order, of at most _BLOCK_SUBSTEPS sub-steps (_blocks): a block's RC step
+table (_rc_steps) is built from row slices of the drive and the grid, solved,
+and dropped, and its node voltages go into the trace arrays allocated once
+per run. So a run's peak memory is the trace it returns plus one block.
 
 * Acquisition (_acquisition): a period depends on the one before only
   through the DAC level of the previous code. Waveform relaxation guesses
-  every start level, settles all periods at once, converts them all with
-  one sar_convert call, and redoes the periods whose start level changed.
-  The discrete codes make the fixed point exact, and it is the sequential
-  answer. After 2*n_periods period updates the rest is finished in order.
-  Its tables are sub-step-major, as time_grid lays out the acquisition
-  grid, so each settle step reads one contiguous column of all periods.
+  every start level of a block, settles its periods at once, converts them
+  all with one sar_convert call, and redoes the periods whose start level
+  changed. The discrete codes make the fixed point exact, and it is the
+  sequential answer. After 2 period updates per period of the block the rest
+  of the block is finished in order. A block's first period starts at the
+  DAC level of the previous block's last code, which is final. Its tables
+  are sub-step-major, as time_grid lays out the acquisition grid, so each
+  settle step reads one contiguous column of the block's periods.
 * Harvest (_harvest): the diode ratchet holds the storage voltage on most
   sub-steps, so the RC candidate at the held voltage is tested over growing
   blocks, and single steps are taken only while the voltage rises. Its
-  tables are period-major, so the flat walk runs in time order.
+  tables are period-major, so the flat walk runs in time order, and the
+  storage voltage carries from one block of periods to the next.
 
 Both apply one table of RC step coefficients (_rc_steps) with the float
 operations of the one-step RC update in their order (_rc_update). Every decay
@@ -56,6 +63,10 @@ _FEASIBILITY_SLACK = 1e-9
 
 # Hard cap on the simulated periods of one run.
 MAX_PERIODS = 1_048_576
+
+# Sub-steps per block of periods that a phase solver tables at once, rounded
+# down to whole periods and at least one period.
+_BLOCK_SUBSTEPS = 65536
 
 # Largest block of harvest sub-steps over which the held storage voltage is
 # tested for a rise at once.
@@ -286,12 +297,13 @@ def _rc_steps(
     dt: float,
     screen: bool = False,
 ):
-    """The RC step table (u0, s, a, b, x) of one phase, each (n_periods, n_sub)
-    and laid out in memory as drive is.
+    """The RC step table (u0, s, a, b, x) of some periods of one phase, each
+    (periods, n_sub) and laid out in memory as drive is.
 
-    drive holds the (n_periods, n_sub + 1) branch drive voltages at the grid
-    times. Steps are dt wide, except the last of each period, which absorbs
-    the snap onto the exact boundary and takes its width h from grid.
+    drive holds the (periods, n_sub + 1) branch drive voltages at the grid
+    times, for a whole phase or for a row slice of it (a block, see
+    _blocks). Steps are dt wide, except the last of each period, which
+    absorbs the snap onto the exact boundary and takes its width h from grid.
     tau = (r_series + r_on) * c, with a pass transistor's r_on (the float
     operations of frontend.r_on) at the drive at the start of each sub-step;
     cut off, tau is infinite and the RC update yields NaN. With u1 the drive
@@ -357,34 +369,44 @@ def _rc_update(v, u0, s, a, b):
     return b + (v - u0 + s) * a
 
 
-def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
+def _blocks(n_periods: int, n_sub: int) -> list[slice]:
+    """Row slices of whole periods that cover a phase in time order, each of at
+    most _BLOCK_SUBSTEPS sub-steps, and at least one period."""
+    step = max(1, _BLOCK_SUBSTEPS // n_sub)
+    return [slice(p, min(p + step, n_periods)) for p in range(0, n_periods, step)]
+
+
+def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float = 0.0, out=None):
     """DAC node after every acquisition sub-step (n_periods, n_sub), and the codes.
 
-    steps is the exact _rc_steps table of the phase and boundary_in the input
-    at each window's end. A period depends on the one before only through its
-    start level, the DAC level of the previous code (0.0 for period 0).
-    Waveform relaxation: guess every start level from the code of the
-    previous boundary input, settle all periods at once, convert, and redo
-    the periods whose start level changed until none does. That fixed point
-    is the sequential answer. Once the passes have done 2*n_periods period
-    updates the rest is finished in order, from the first unsettled period,
-    so a slowly settling S1 costs no more than a scalar walk.
+    steps is the exact _rc_steps table of the periods and boundary_in the
+    input at each window's end. A period depends on the one before only
+    through its start level, the DAC level of the previous code; the first
+    period starts at v0. Waveform relaxation: guess every other start level
+    from the code of the previous boundary input, settle all periods at once,
+    convert, and redo the periods whose start level changed until none does.
+    That fixed point is the sequential answer. Once the passes have done
+    2*n_periods period updates the rest is finished in order, from the first
+    unsettled period, so a slowly settling S1 costs no more than a scalar
+    walk. The node values go into out, a sub-step-major (n_periods, n_sub)
+    array, when given.
     """
     u0, s, a, b, _ = steps
     nper, nsub = u0.shape
 
-    def settle(start, rows):
+    def settle(start, rows, v=None):
         # Sub-step-major, as the table is: each column is contiguous.
-        v = np.empty((len(start), nsub), order="F")
+        if v is None:
+            v = np.empty((len(start), nsub), order="F")
         x = start
         for j in range(nsub):
             x = v[:, j] = _rc_update(x, u0[rows, j], s[rows, j], a[rows, j], b[rows, j])
         return v
 
     start = np.empty(nper)
-    start[0] = 0.0
+    start[0] = v0
     start[1:] = dac_output(sar_convert(boundary_in[:-1], adc), adc)
-    v = settle(start, slice(None))
+    v = settle(start, slice(None), out)
     codes = sar_convert(v[:, -1], adc)
     updates = nper
     while True:
@@ -412,17 +434,18 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig):
     return v, codes
 
 
-def _harvest(steps) -> np.ndarray:
+def _harvest(steps, v0: float = 0.0, out=None) -> np.ndarray:
     """Storage-cap voltage after every harvest sub-step, shape (n_periods, n_sub).
 
-    steps is the _rc_steps table of the phase. The node starts at 0.0 and
+    steps is the _rc_steps table of the periods. The node starts at v0 and
     carries over from period to period. The diode ratchet takes the RC
     candidate only where it exceeds the held voltage, which happens on few
     sub-steps. So the candidate at the held voltage is evaluated over blocks
     that double from n_sub up to _MAX_HOLD_BLOCK sub-steps; from the first
     sub-step where it rises, the ratchet steps one sub-step at a time while
     it keeps rising. A NaN candidate (S2 cut off) fails the > test on both
-    paths, so the node holds.
+    paths, so the node holds. The voltages go into out, a C-contiguous
+    (n_periods, n_sub) array, when given.
 
     A screened table (x set) tests the blocks with a bound on the candidate:
     the screen factor widened by _screen_bounds toward a rise, hi where
@@ -435,30 +458,34 @@ def _harvest(steps) -> np.ndarray:
     """
     nper, nsub = steps[0].shape
     e0, s, a, b, x = (None if m is None else m.ravel() for m in steps)
-    if x is not None:
-        lo, hi = _screen_bounds(a)
     # The single steps read Python floats straight from the table.
     e0_m, s_m, b_m = (memoryview(m) for m in (e0, s, b))
     decay = memoryview(a if x is None else x)
     n = len(e0)
-    out = np.empty(n)
-    v = 0.0
+    if out is None:
+        out = np.empty((nper, nsub))
+    flat = out.reshape(n)
+    v = v0
     i = 0
     block = nsub
     while i < n:
         j = min(i + block, n)
         cand = v - e0[i:j]
         cand += s[i:j]
-        cand *= a[i:j] if x is None else np.where(cand >= 0.0, hi[i:j], lo[i:j])
+        if x is None:
+            cand *= a[i:j]
+        else:
+            lo, hi = _screen_bounds(a[i:j])
+            cand *= np.where(cand >= 0.0, hi, lo)
         cand += b[i:j]
         rises = np.flatnonzero(cand > v)
         if rises.size == 0:
-            out[i:j] = v
+            flat[i:j] = v
             i = j
             block = min(2 * block, _MAX_HOLD_BLOCK)
             continue
         k = i + int(rises[0])
-        out[i:k] = v
+        flat[i:k] = v
         i = k
         while i < n:  # scalar steps, one window of nsub at a time
             j = min(i + nsub, n)
@@ -472,14 +499,47 @@ def _harvest(steps) -> np.ndarray:
                     break
                 v = cand
                 risen.append(v)
-            out[i : i + len(risen)] = risen
+            flat[i : i + len(risen)] = risen
             i += len(risen)
             if i < j:  # the candidate at sub-step i did not rise: it holds
-                out[i] = v
+                flat[i] = v
                 i += 1
                 break
         block = nsub
-    return out.reshape(nper, nsub)
+    return out
+
+
+def _solve_acquisition(s1: Switch, adc: AdcConfig, drive: np.ndarray, grid: np.ndarray, dt: float):
+    """DAC node after every acquisition sub-step, sub-step-major (n_periods,
+    n_sub), and the codes: _acquisition block by block, each block starting
+    at the DAC level of the previous block's last code."""
+    nper, nsub = drive.shape[0], drive.shape[1] - 1
+    dac_aq = np.empty((nper, nsub), order="F")
+    codes = np.empty(nper, dtype=np.int64)
+    level = 0.0
+    for rows in _blocks(nper, nsub):
+        steps = _rc_steps(s1, 0.0, c_dac(adc), drive[rows], grid[rows], dt)
+        codes[rows] = _acquisition(steps, drive[rows, -1], adc, level, out=dac_aq[rows])[1]
+        level = dac_output(int(codes[rows.stop - 1]), adc)
+        del steps  # freed before the next block's is built
+    return dac_aq, codes
+
+
+def _solve_harvest(ehc: EhConfig, v_in: np.ndarray, grid: np.ndarray, dt: float) -> np.ndarray:
+    """Storage-cap voltage after every harvest sub-step (n_periods, n_sub):
+    the rectified envelope of v_in and _harvest block by block, the storage
+    voltage carried from each block to the next."""
+    nper, nsub = v_in.shape[0], v_in.shape[1] - 1
+    ceh_eh = np.empty((nper, nsub))
+    rect = ehc.rectifier
+    v = 0.0
+    with np.errstate(invalid="ignore"):  # a cut-off S2 makes NaN steps and candidates
+        for rows in _blocks(nper, nsub):
+            env = rectified_envelope(v_in[rows], rect)
+            steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid[rows], dt, screen=True)
+            v = float(_harvest(steps, v, out=ceh_eh[rows])[-1, -1])
+            del env, steps  # freed before the next block's are built
+    return ceh_eh
 
 
 def _rows(aq: np.ndarray, eh: np.ndarray) -> np.ndarray:
@@ -518,18 +578,8 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
     t_aq_grid, t_eh_grid = time_grid(plan, nsub)
     v_aq = scenario.source.sample_at(t_aq_grid)
     v_eh_in = scenario.source.sample_at(t_eh_grid)
-    env = rectified_envelope(v_eh_in, ehc.rectifier)
-
-    dac_aq, codes_arr = _acquisition(
-        _rc_steps(s1, 0.0, c_dac(adc), v_aq, t_aq_grid, plan.t_aq / nsub), v_aq[:, -1], adc
-    )
-    with np.errstate(invalid="ignore"):  # a cut-off S2 makes NaN steps and candidates
-        ceh_eh = _harvest(
-            _rc_steps(
-                ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, t_eh_grid, plan.t_eh / nsub,
-                screen=True,
-            )
-        )
+    dac_aq, codes_arr = _solve_acquisition(s1, adc, v_aq, t_aq_grid, plan.t_aq / nsub)
+    ceh_eh = _solve_harvest(ehc, v_eh_in, t_eh_grid, plan.t_eh / nsub)
 
     v_sampled = dac_aq[:, -1].copy()
     trace = TransientTrace(

@@ -288,13 +288,16 @@ def _fill(x, out):
 _CHUNK = 12288
 
 
-def text(x) -> np.ndarray:
+def text(x, out=None) -> np.ndarray:
     """(len(x), WIDTH) uint8 canvas, row i repr(float(x[i])) with NUL slots.
 
-    The bytes of a row, NULs removed, are exactly repr(float(x[i])).
+    The bytes of a row, NULs removed, are exactly repr(float(x[i])). The
+    canvas is out, a C-contiguous (len(x), WIDTH) uint8 array, when given.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    words = np.empty((len(x), WIDTH // 8), dtype="<u8")
+    if out is None:
+        out = np.empty((len(x), WIDTH), dtype=np.uint8)
+    words = out.view("<u8")
     chunks = max(1, -(-len(x) // _CHUNK))
     step = max(1, -(-len(x) // chunks))  # even chunks of at most _CHUNK
     for lo in range(0, len(x), step):

@@ -88,9 +88,18 @@ def steady_state_metrics(
 ) -> EhMetrics:
     """Harvesting metrics from a finished transient trace.
 
+    The storage voltage is read per harvest phase: at the grid times t_eh of
+    each period, column 0 holds the value kept through the acquisition
+    before it (0.0 in period 0, else the previous harvest's end) and the
+    other columns the values of ceh_eh. The acquisition ends at t_eh[:, 0],
+    so this is the flat trace without the acquisition rows, which repeat the
+    held value.
+
     Args:
-        trace: object exposing ``t`` (seconds), ``v_ceh`` (volts), both
-            aligned 1-D arrays, and ``period_s`` (sampling period).
+        trace: a TransientTrace, or any object exposing its t_aq and t_eh
+            (seconds, (n_periods, n_sub + 1)), ceh_eh (volts,
+            (n_periods, n_sub)) and period_s (sampling period). The trace
+            starts at t_aq[0, 1], the end of the first sub-step.
         p_in: input power in watts, the energy-efficiency denominator.
         cfg: harvesting branch configuration (for c_eh).
         v_m: peak input magnitude, the reference for voltage efficiency.
@@ -110,34 +119,40 @@ def steady_state_metrics(
         raise ValueError(f"v_m must be positive, got {v_m}")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    t = np.asarray(trace.t, dtype=float)
-    v = np.asarray(trace.v_ceh, dtype=float)
-    if t.size < 2:
-        raise NotConverged(f"trace has {t.size} samples, steady-state metrics need at least 2")
+    t = np.asarray(trace.t_eh, dtype=float)
+    v = np.asarray(trace.ceh_eh, dtype=float)
+    nsub = v.shape[1]
 
-    v_eh = float(v[-1])
-    if v_eh <= 0.0:
+    def stored(p, j):
+        # The storage voltage at t[p, j]; ceh_eh[p, j - 1], or held at j = 0.
+        k = p * nsub + j - 1
+        return float(v.flat[k]) if k >= 0 else 0.0
+
+    v_eh = float(v[-1, -1])
+    if not (v_eh > 0.0):
         raise NotConverged(f"storage capacitor ended at {v_eh:.6g} V, which is not above 0 V")
 
-    window_start = t[-1] - 10.0 * trace.period_s
-    if t[0] > window_start:
-        raise NotConverged(f"trace spans {(t[-1] - t[0]) / trace.period_s:.4g} periods, under 10")
-    first = int(np.searchsorted(t, window_start, side="left"))
-    drift = abs(v_eh - float(v[first]))
+    t_first, t_last = float(trace.t_aq[0, 1]), float(t[-1, -1])
+    window_start = t_last - 10.0 * trace.period_s
+    if t_first > window_start:
+        raise NotConverged(f"trace spans {(t_last - t_first) / trace.period_s:.4g} periods, under 10")
+    first = int(np.searchsorted(t.ravel(), window_start, side="left"))
+    drift = abs(v_eh - stored(*divmod(first, nsub + 1)))
     if drift > tol * v_eh:
         raise NotConverged(
             f"storage voltage still moving: changed {drift:.3e} V over the last "
             f"10 periods, limit tol*v_eh = {tol * v_eh:.3e} V"
         )
 
+    # The first crossing is a ceh_eh value, because the held value at column
+    # 0 repeats the one before it and starts at 0.0. fmax skips NaN, which
+    # never crosses.
     threshold = (1.0 - tol) * v_eh
-    i = int(np.argmax(v >= threshold))
-    if i == 0:
-        t_ceh = float(t[0])
-    else:
-        t0, t1 = float(t[i - 1]), float(t[i])
-        v0, v1 = float(v[i - 1]), float(v[i])
-        t_ceh = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0)
+    p = int(np.argmax(np.fmax.reduce(v, axis=1) >= threshold))
+    j = int(np.argmax(v[p] >= threshold))
+    t0, t1 = float(t[p, j]), float(t[p, j + 1])
+    v0, v1 = stored(p, j), float(v[p, j])
+    t_ceh = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0)
 
     if t_ceh <= 0.0:
         raise NotConverged(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from ehadc.clocking import Phase, time_grid
-from ehadc.engine import resolve_s1
+from ehadc.engine import TransientTrace, resolve_s1
 from ehadc.frontend import r_on, rc_step_value
 from ehadc.harvester import rectified_envelope
 from ehadc.sar_adc import c_dac, dac_output, sar_convert
@@ -119,3 +119,55 @@ def check_phase_isolation(trace):
     assert np.array_equal(trace.v_dac[1:][eh_pairs], trace.v_dac[:-1][eh_pairs])
     cross = ~same_period & (phase[1:] == Phase.ACQUISITION)
     assert np.array_equal(trace.v_ceh[1:][cross], trace.v_ceh[:-1][cross])
+
+
+def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level, period_s=1.0):
+    """A per-phase trace: grids and inputs (n_periods, n_sub + 1), the phase
+    nodes (n_periods, n_sub) and the held DAC level per period."""
+    dac_aq = np.asarray(dac_aq, dtype=np.float64)
+    return TransientTrace(
+        t_aq=np.asarray(t_aq, dtype=np.float64),
+        t_eh=np.asarray(t_eh, dtype=np.float64),
+        v_in_aq=np.asarray(v_in_aq, dtype=np.float64),
+        v_in_eh=np.asarray(v_in_eh, dtype=np.float64),
+        dac_aq=dac_aq,
+        ceh_eh=np.asarray(ceh_eh, dtype=np.float64),
+        codes=np.zeros(len(dac_aq), dtype=np.int64),
+        v_sampled=dac_aq[:, -1].copy(),
+        saturated=np.zeros(len(dac_aq), dtype=bool),
+        dac_level=np.asarray(dac_level, dtype=np.float64),
+        period_s=period_s,
+    )
+
+
+def storage_trace(t, v_ceh, period_s):
+    """A trace whose storage-cap voltage is v_ceh at the times t, as
+    steady_state_metrics reads it.
+
+    Sample k is the one harvest sub-step of period k, and that harvest
+    starts at t[k - 1] (at t[0] for k = 0). The value held through each
+    acquisition repeats the sample before it at the same time, so it adds no
+    point to the curve; only period 0 holds 0.0, at t[0].
+    """
+    t = np.asarray(t, dtype=np.float64)
+    start = np.concatenate((t[:1], t[:-1]))
+    zeros = np.zeros((len(t), 2))
+    return make_trace(
+        t_aq=np.column_stack((start, start)),
+        t_eh=np.column_stack((start, t)),
+        v_in_aq=zeros,
+        v_in_eh=zeros,
+        dac_aq=zeros[:, :1],
+        ceh_eh=np.asarray(v_ceh, dtype=np.float64)[:, None],
+        dac_level=zeros[:, 0],
+        period_s=period_s,
+    )
+
+
+def ramp_then_flat_trace(v_eh, t_ceh, period_s, tol=0.01, extra_periods=20):
+    """Synthetic storage-cap trace whose interpolated (1 - tol) crossing is
+    exactly t_ceh."""
+    ramp_end = t_ceh / (1.0 - tol)
+    t = np.arange(0.0, ramp_end + extra_periods * period_s, period_s / 10.0)
+    v = np.minimum(t / ramp_end, 1.0) * v_eh
+    return storage_trace(t, v, period_s)

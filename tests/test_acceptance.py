@@ -7,7 +7,6 @@ definitions themselves.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,15 +24,7 @@ from ehadc.sar_adc import AdcConfig, dac_output, sar_convert
 from ehadc.spectral import enob, sndr, spectrum
 from ehadc.stimulus import SineSource
 
-from oracles import check_phase_isolation, euler_reference, quantize_oracle
-
-
-def ramp_then_flat_trace(v_eh, t_ceh, period_s, tol=0.01, extra_periods=20):
-    """Synthetic storage-cap trace whose (1 - tol) crossing is exactly t_ceh."""
-    ramp_end = t_ceh / (1.0 - tol)
-    t = np.arange(0.0, ramp_end + extra_periods * period_s, period_s / 10.0)
-    v = np.minimum(t / ramp_end, 1.0) * v_eh
-    return SimpleNamespace(t=t, v_ceh=v, period_s=period_s)
+from oracles import check_phase_isolation, euler_reference, quantize_oracle, ramp_then_flat_trace
 
 
 def eh_config(c_eh):

@@ -14,11 +14,12 @@ from ehadc import cli
 from ehadc.cli import SWEEP_COLUMNS, _parse_values, main, summarize, write_trace_csv
 from ehadc.clocking import PHASE_LABELS, Phase
 from ehadc.config import build_scenario, parse_config
-from ehadc.engine import TransientTrace, apply_parameter, run
+from ehadc.engine import apply_parameter, run
 from ehadc.errors import ValidationError
 from ehadc.frontend import IDEAL_R_FLOOR, Switch
 from ehadc.sar_adc import AdcConfig
 
+from oracles import make_trace
 from test_engine import small_scenario
 
 FAST_CFG = """\
@@ -82,25 +83,6 @@ def reference_trace_csv(trace, path):
                 trace.v_ceh.tolist(),
             )
         )
-
-
-def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level):
-    """A per-phase trace: grids and inputs (n_periods, n_sub + 1), the phase
-    nodes (n_periods, n_sub) and the held DAC level per period."""
-    dac_aq = np.asarray(dac_aq, dtype=np.float64)
-    return TransientTrace(
-        t_aq=np.asarray(t_aq, dtype=np.float64),
-        t_eh=np.asarray(t_eh, dtype=np.float64),
-        v_in_aq=np.asarray(v_in_aq, dtype=np.float64),
-        v_in_eh=np.asarray(v_in_eh, dtype=np.float64),
-        dac_aq=dac_aq,
-        ceh_eh=np.asarray(ceh_eh, dtype=np.float64),
-        codes=np.zeros(len(dac_aq), dtype=np.int64),
-        v_sampled=dac_aq[:, -1].copy(),
-        saturated=np.zeros(len(dac_aq), dtype=bool),
-        dac_level=np.asarray(dac_level, dtype=np.float64),
-        period_s=1.0,
-    )
 
 
 def edge_trace():

@@ -12,6 +12,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,39 +158,111 @@ def random_walk_scenario(rng):
     )
 
 
+def pass_walk_scenario():
+    return small_scenario(
+        adc=AdcConfig(
+            n_bits=8,
+            v_ref=0.4,
+            c_unit=12e-10,
+            s1=Switch.pass_transistor(k_gain=0.2, v_th=0.5, v_gate=3.0),
+        ),
+        eh=EhConfig(
+            c_eh=1e-7,
+            rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
+            s2=Switch.pass_transistor(k_gain=0.1, v_th=0.3, v_gate=2.0),
+        ),
+    )
+
+
+def cut_off_walk_scenario():
+    """S2 is open for part of the run, so the storage node holds through
+    some sub-steps instead of charging."""
+    s1 = Switch.pass_transistor(k_gain=1.0, v_th=0.05, v_gate=1.0)
+    s2 = Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1)
+    return small_scenario(
+        adc=AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-10, s1=s1),
+        eh=EhConfig(
+            c_eh=1e-7,
+            rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
+            s2=s2,
+        ),
+    )
+
+
+def math_exp_walk_scenario():
+    """np.exp differs from math.exp in the last bit on a few percent of
+    arguments, and a pass switch has one decay argument per sub-step.
+    Both RC branches here are slow enough that such a difference would
+    reach the DAC and the storage-cap traces."""
+    return small_scenario(
+        source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 64, 5)),
+        clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=64),
+        adc=AdcConfig(
+            n_bits=8,
+            v_ref=0.4,
+            c_unit=12e-10,
+            s1=Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8),
+        ),
+        eh=EhConfig(
+            c_eh=1e-5,
+            rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
+            s2=Switch.pass_transistor(k_gain=2.0, v_th=0.4, v_gate=0.9),
+        ),
+        n_sub=16,
+    )
+
+
+def under_settled_walk_scenario():
+    """At k = 2 each period keeps about e**-2 of the previous DAC level,
+    so the guessed start levels are wrong in chains that take several
+    relaxation passes to settle."""
+    return small_scenario(
+        source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 256, 3)),
+        clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=256),
+        settling_factor_k=2.0,
+    )
+
+
+def slowly_settling_walk_scenario():
+    """At k = 0.05 nearly every period's code depends on the one before,
+    so relaxation spends its update budget and the sequential finish
+    redoes the rest."""
+    return small_scenario(settling_factor_k=0.05)
+
+
+def rising_run_walk_scenario():
+    """A large storage cap charges on many consecutive sub-steps near
+    each input peak, more than the n_sub scalar steps taken at a time."""
+    return small_scenario(
+        eh=EhConfig(
+            c_eh=1e-4,
+            rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
+            s2=Switch.constant(1.0),
+        ),
+    )
+
+
+WALKS = {
+    "constant": small_scenario,
+    "pass": pass_walk_scenario,
+    "cut-off-s2": cut_off_walk_scenario,
+    "math-exp": math_exp_walk_scenario,
+    "under-settled-s1": under_settled_walk_scenario,
+    "sequential-finish": slowly_settling_walk_scenario,
+    "rising-run": rising_run_walk_scenario,
+}
+
+
 class TestEngineAgainstReferenceWalk:
     def test_constant_switches_walk_bit_identically(self):
         assert_walks_bit_identically(small_scenario())
 
     def test_pass_transistor_switches_walk_bit_identically(self):
-        scenario = small_scenario(
-            adc=AdcConfig(
-                n_bits=8,
-                v_ref=0.4,
-                c_unit=12e-10,
-                s1=Switch.pass_transistor(k_gain=0.2, v_th=0.5, v_gate=3.0),
-            ),
-            eh=EhConfig(
-                c_eh=1e-7,
-                rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
-                s2=Switch.pass_transistor(k_gain=0.1, v_th=0.3, v_gate=2.0),
-            ),
-        )
-        assert_walks_bit_identically(scenario)
+        assert_walks_bit_identically(pass_walk_scenario())
 
     def test_cut_off_harvest_switch_walks_bit_identically(self):
-        """S2 is open for part of the run, so the storage node holds through
-        some sub-steps instead of charging."""
-        s1 = Switch.pass_transistor(k_gain=1.0, v_th=0.05, v_gate=1.0)
-        s2 = Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1)
-        scenario = small_scenario(
-            adc=AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-10, s1=s1),
-            eh=EhConfig(
-                c_eh=1e-7,
-                rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
-                s2=s2,
-            ),
-        )
+        scenario = cut_off_walk_scenario()
+        s2 = scenario.eh.s2
         _, t_eh = time_grid(scenario.clock, scenario.n_sub)
         env = rectified_envelope(
             scenario.source.sample_at(t_eh[:, :-1]), scenario.eh.rectifier
@@ -199,58 +272,19 @@ class TestEngineAgainstReferenceWalk:
         assert_walks_bit_identically(scenario)
 
     def test_pass_switch_decay_factors_are_math_exp(self):
-        """np.exp differs from math.exp in the last bit on a few percent of
-        arguments, and a pass switch has one decay argument per sub-step.
-        Both RC branches here are slow enough that such a difference would
-        reach the DAC and the storage-cap traces."""
-        scenario = small_scenario(
-            source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 64, 5)),
-            clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=64),
-            adc=AdcConfig(
-                n_bits=8,
-                v_ref=0.4,
-                c_unit=12e-10,
-                s1=Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8),
-            ),
-            eh=EhConfig(
-                c_eh=1e-5,
-                rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
-                s2=Switch.pass_transistor(k_gain=2.0, v_th=0.4, v_gate=0.9),
-            ),
-            n_sub=16,
-        )
-        assert_walks_bit_identically(scenario)
+        assert_walks_bit_identically(math_exp_walk_scenario())
 
     def test_under_settled_s1_relaxes_in_more_than_two_passes(self, conversions):
-        """At k = 2 each period keeps about e**-2 of the previous DAC level,
-        so the guessed start levels are wrong in chains that take several
-        relaxation passes to settle."""
-        scenario = small_scenario(
-            source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 256, 3)),
-            clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=256),
-            settling_factor_k=2.0,
-        )
-        assert_walks_bit_identically(scenario)
+        assert_walks_bit_identically(under_settled_walk_scenario())
         assert conversions["array"] - 1 > 2
         assert conversions["scalar"] == 0
 
     def test_slowly_settling_s1_finishes_in_order(self, conversions):
-        """At k = 0.05 nearly every period's code depends on the one before,
-        so relaxation spends its update budget and the sequential finish
-        redoes the rest."""
-        assert_walks_bit_identically(small_scenario(settling_factor_k=0.05))
+        assert_walks_bit_identically(slowly_settling_walk_scenario())
         assert conversions["scalar"] > 0
 
     def test_rising_run_longer_than_a_scalar_window(self):
-        """A large storage cap charges on many consecutive sub-steps near
-        each input peak, more than the n_sub scalar steps taken at a time."""
-        scenario = small_scenario(
-            eh=EhConfig(
-                c_eh=1e-4,
-                rectifier=RectifierModel(v_drop=0.09284, r_series=73.8),
-                s2=Switch.constant(1.0),
-            ),
-        )
+        scenario = rising_run_walk_scenario()
         trace = assert_walks_bit_identically(scenario)
         stored = np.concatenate(([0.0], trace.v_ceh[trace.phase == Phase.ENERGY_HARVEST]))
         longest = run_ = 0
@@ -270,6 +304,89 @@ class TestEngineAgainstReferenceWalk:
         assert conversions["scalar"] > 0
 
 
+def trace_bytes(trace):
+    """Bytes of the arrays a TransientTrace holds."""
+    return sum(
+        a.nbytes for a in (getattr(trace, f.name) for f in dataclasses.fields(trace))
+        if isinstance(a, np.ndarray)
+    )
+
+
+class TestBlocks:
+    """Each phase is solved in blocks of whole periods (engine._blocks); a
+    block starts where the one before it ended."""
+
+    @pytest.mark.parametrize("periods", [1, 3])
+    @pytest.mark.parametrize("walk", list(WALKS))
+    def test_walks_bit_identically_across_block_edges(self, walk, periods, monkeypatch):
+        scenario = WALKS[walk]()
+        monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", periods * scenario.n_sub)
+        assert len(engine._blocks(scenario.clock.n_periods, scenario.n_sub)) > 1
+        assert_walks_bit_identically(scenario)
+
+    def test_sequential_finish_runs_inside_blocks(self, conversions, monkeypatch):
+        """A block of 1 or 3 periods settles within its 2 updates per
+        period; in blocks of 5 the slowly settling S1 spends that budget,
+        and each block's finish starts from the level its first period
+        was given."""
+        scenario = slowly_settling_walk_scenario()
+        monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", 5 * scenario.n_sub)
+        assert_walks_bit_identically(scenario)
+        assert conversions["scalar"] > 0
+
+    @pytest.mark.parametrize("periods", [1, 3])
+    def test_random_scenarios_walk_bit_identically_across_block_edges(self, periods, monkeypatch):
+        """The first 30 scenarios of the seeded differential walk."""
+        rng = np.random.default_rng(20261018)
+        for _ in range(30):
+            scenario = random_walk_scenario(rng)
+            monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", periods * scenario.n_sub)
+            assert_walks_bit_identically(scenario)
+
+    def test_blocks_cover_the_periods_in_order(self, monkeypatch):
+        monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", 100)
+        assert engine._blocks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert engine._blocks(2, 101) == [slice(0, 1), slice(1, 2)]
+
+    def test_lowfreq_run_in_blocks_equals_one_block(self, lowfreq_scenario, lowfreq_run, monkeypatch):
+        blocked = lowfreq_run[0]
+        nper, nsub = lowfreq_scenario.clock.n_periods, lowfreq_scenario.n_sub
+        assert len(engine._blocks(nper, nsub)) > 1
+        monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", nper * nsub)
+        whole = run(lowfreq_scenario)
+        for field in dataclasses.fields(whole.trace):
+            a, b = getattr(blocked.trace, field.name), getattr(whole.trace, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, field.name
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+        assert_same_metrics(blocked, whole)
+
+    @pytest.mark.parametrize("config", ["configs/lowfreq.cfg", "bench/configs/lowfreq_pass.cfg"])
+    def test_scratch_memory_does_not_grow_with_the_run(self, config, repo_root):
+        """The tracemalloc peak of run() beyond the trace it returns is one
+        block's tables, at any run length. The storage cap is 10 uF, so the
+        harvesting metrics converge within 2048 periods."""
+        base, _ = build_scenario(load_config(repo_root / config))
+        base = dataclasses.replace(base, eh=dataclasses.replace(base.eh, c_eh=1e-5))
+
+        def scratch(n_periods):
+            clock = dataclasses.replace(base.clock, n_periods=n_periods)
+            scenario = dataclasses.replace(base, clock=clock)
+            tracemalloc.start()
+            try:
+                result = run(scenario, spectral=False, eh=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - trace_bytes(result.trace)
+
+        scratch(2048)  # first-call set-up is not per-block memory
+        small, large = scratch(2048), scratch(16384)
+        assert large <= 1.5 * small, (small, large)
+
+
 @pytest.fixture
 def harvest_exps(monkeypatch):
     """The arguments of the math.exp calls made inside engine._harvest.
@@ -286,10 +403,10 @@ def harvest_exps(monkeypatch):
             args.append(x)
         return real_exp(x)
 
-    def harvest(steps):
+    def harvest(steps, *args, **kwargs):
         inside[0] = True
         try:
-            return real_harvest(steps)
+            return real_harvest(steps, *args, **kwargs)
         finally:
             inside[0] = False
 
@@ -404,16 +521,17 @@ class TestScreenedHarvest:
         tables = []
         real_harvest = engine._harvest
 
-        def harvest(steps):
+        def harvest(steps, *args, **kwargs):
             tables.append(steps)
-            return real_harvest(steps)
+            return real_harvest(steps, *args, **kwargs)
 
         monkeypatch.setattr(engine, "_harvest", harvest)
         run(scenario, spectral=False, eh=False)
-        x_s2 = tables[0][4]
-        assert x_s2 is not None and x_s2.size == scenario.clock.n_periods * scenario.n_sub
+        assert all(steps[4] is not None for steps in tables)
+        x_s2 = np.concatenate([steps[4].ravel() for steps in tables])
+        assert x_s2.size == scenario.clock.n_periods * scenario.n_sub
         x = np.concatenate(
-            (np.linspace(-745.0, 0.0, 200_001), np.linspace(-746.0, -708.0, 400_001), x_s2.ravel())
+            (np.linspace(-745.0, 0.0, 200_001), np.linspace(-746.0, -708.0, 400_001), x_s2)
         )
         lo, hi = engine._screen_bounds(np.exp(x))
         exact = np.array([math.exp(v) for v in x.tolist()])

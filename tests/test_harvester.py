@@ -1,7 +1,6 @@
 """Tests for the harvesting branch: rectifier, ratchet charging, metrics."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from ehadc.harvester import (
     steady_state_metrics,
 )
 
-from oracles import eh_step
+from oracles import eh_step, ramp_then_flat_trace, storage_trace
 
 RECT = RectifierModel(v_drop=0.09284, r_series=73.8)
 P_IN = 27.7e-6
@@ -26,14 +25,6 @@ P_IN = 27.7e-6
 
 def eh_config(c_eh=100e-6, rect=RECT, s2=None):
     return EhConfig(c_eh=c_eh, rectifier=rect, s2=s2 or Switch.constant(1.0))
-
-
-def ramp_then_flat_trace(v_eh, t_ceh, period_s, tol=0.01, extra_periods=20):
-    """Trace whose interpolated (1 - tol) crossing lands exactly on t_ceh."""
-    ramp_end = t_ceh / (1.0 - tol)
-    t = np.arange(0.0, ramp_end + extra_periods * period_s, period_s / 10.0)
-    v = np.minimum(t / ramp_end, 1.0) * v_eh
-    return SimpleNamespace(t=t, v_ceh=v, period_s=period_s)
 
 
 class TestRectifiedEnvelope:
@@ -131,22 +122,20 @@ class TestSteadyStateMetrics:
         assert m.eta_e == pytest.approx(m.e_h / (27.7e-6 * m.t_ceh), rel=1e-12)
 
     def test_short_trace_is_not_converged(self):
-        trace = SimpleNamespace(
-            t=np.array([0.0, 1e-4]), v_ceh=np.array([0.1, 0.1]), period_s=1e-4
-        )
+        trace = storage_trace(np.array([0.0, 1e-4]), np.array([0.1, 0.1]), period_s=1e-4)
         with pytest.raises(NotConverged):
             steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
 
     def test_still_moving_trace_is_not_converged(self):
         t = np.arange(0.0, 100e-4, 1e-5)
         v = 0.3 * t / t[-1]  # still ramping at the end
-        trace = SimpleNamespace(t=t, v_ceh=v, period_s=1e-4)
+        trace = storage_trace(t, v, period_s=1e-4)
         with pytest.raises(NotConverged):
             steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
 
     def test_unity_charge_is_not_converged(self):
         t = np.arange(0.0, 100e-4, 1e-5)
-        trace = SimpleNamespace(t=t, v_ceh=np.zeros_like(t), period_s=1e-4)
+        trace = storage_trace(t, np.zeros_like(t), period_s=1e-4)
         with pytest.raises(NotConverged):
             steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
 
@@ -155,7 +144,7 @@ class TestSteadyStateMetrics:
         # already at its final voltage pins t_ceh to that first sample.
         # Storing 4.5 uJ in 10 us takes at least 0.45 W: at 1 W eta_e = 0.45.
         t = np.arange(1e-5, 200e-4, 1e-5)
-        trace = SimpleNamespace(t=t, v_ceh=np.full_like(t, 0.3), period_s=1e-4)
+        trace = storage_trace(t, np.full_like(t, 0.3), period_s=1e-4)
         m = steady_state_metrics(trace, 1.0, eh_config(), v_m=0.4)
         assert m.t_ceh == 1e-5
         assert math.isfinite(m.eta_e)
@@ -163,7 +152,7 @@ class TestSteadyStateMetrics:
     def test_efficiency_above_one_is_not_converged(self):
         # The instant charge above at 27.7 uW would give eta_e = 16245.
         t = np.arange(1e-5, 200e-4, 1e-5)
-        trace = SimpleNamespace(t=t, v_ceh=np.full_like(t, 0.3), period_s=1e-4)
+        trace = storage_trace(t, np.full_like(t, 0.3), period_s=1e-4)
         with pytest.raises(NotConverged, match="eta_e = 16245.* above its limit of 1"):
             steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
         # A final voltage above the peak input magnitude: eta_v = 1.5.
@@ -172,7 +161,7 @@ class TestSteadyStateMetrics:
 
     def test_charge_before_the_record_starts_is_rejected(self):
         t = np.arange(0.0, 200e-4, 1e-5)
-        trace = SimpleNamespace(t=t, v_ceh=np.full_like(t, 0.3), period_s=1e-4)
+        trace = storage_trace(t, np.full_like(t, 0.3), period_s=1e-4)
         with pytest.raises(NotConverged):
             steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
 
