@@ -31,27 +31,23 @@ per run. So a run's peak memory is the trace it returns plus one block.
   tables are period-major, so the flat walk runs in time order, and the
   storage voltage carries from one block of periods to the next.
 
-Both apply one table of RC step coefficients (_rc_steps) with the float
-operations of the one-step RC update in their order (_rc_update). Every decay
-factor either solver applies comes from math.exp, not np.exp, which can differ
-in the last bit. A pass-transistor S2 has one decay argument per sub-step, and
-most harvest sub-steps hold, so its table carries np.exp only as a screen: the
-held-block test widens it by _SCREEN_SLACK toward a rise, and math.exp is
-taken only at the sub-steps the ratchet steps one at a time.
+Both apply a table of RC steps (_rc_steps) as v*a + q per sub-step, the float
+operations of the one-step update rc_step_value. The terms come from
+frontend.rc_step_terms, whose array and float forms give the same bits, so the
+solvers give the bits of the one-step walk.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clocking import ClockPlan, Phase, time_grid
 from .errors import NotConverged, ValidationError
-from .frontend import Switch, SwitchKind, default_settling_factor, r_on, required_r_on
+from .frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
 from .harvester import EhConfig, EhMetrics, rectified_envelope, steady_state_metrics
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
@@ -71,11 +67,6 @@ _BLOCK_SUBSTEPS = 65536
 # Largest block of harvest sub-steps over which the held storage voltage is
 # tested for a rise at once.
 _MAX_HOLD_BLOCK = 16384
-
-# Relative slack of an np.exp screen around math.exp; np.exp strays from it by
-# about one ulp (2**-52). The absolute term covers subnormal and flushed decays.
-_SCREEN_SLACK = 2.0**-40
-_SCREEN_FLOOR = sys.float_info.min
 
 SWEEPABLE_PARAMETERS = ("alpha", "c_eh", "v_drop", "r_on_s1", "n_bits", "f_s")
 _UNKNOWN_PARAMETER = "unknown sweep parameter {!r}; choose from " + ", ".join(SWEEPABLE_PARAMETERS)
@@ -288,16 +279,8 @@ def _signal_bin(scenario: Scenario) -> int:
     return int(m)
 
 
-def _rc_steps(
-    switch: Switch,
-    r_series: float,
-    c: float,
-    drive: np.ndarray,
-    grid: np.ndarray,
-    dt: float,
-    screen: bool = False,
-):
-    """The RC step table (u0, s, a, b, x) of some periods of one phase, each
+def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid: np.ndarray, dt: float):
+    """The RC step table (a, q) of some periods of one phase, each
     (periods, n_sub) and laid out in memory as drive is.
 
     drive holds the (periods, n_sub + 1) branch drive voltages at the grid
@@ -305,68 +288,43 @@ def _rc_steps(
     _blocks). Steps are dt wide, except the last of each period, which
     absorbs the snap onto the exact boundary and takes its width h from grid.
     tau = (r_series + r_on) * c, with a pass transistor's r_on (the float
-    operations of frontend.r_on) at the drive at the start of each sub-step;
-    cut off, tau is infinite and the RC update yields NaN. With u1 the drive
-    at the step end, s = (u1 - u0)*(tau/h), b = u1 - s and a = exp(-h/tau)
-    from math.exp, because np.exp can differ from it in the last bit; x is
-    None.
-
-    With screen set and a pass transistor, x holds the decay arguments -h/tau
-    and a is np.exp(x), a screen for _harvest, which takes math.exp(x) only
-    where it steps. A constant switch has one argument per step width, so
-    its table stays exact.
+    operations of frontend.r_on) at the drive at the start of each sub-step.
+    With (a, g, psi) from rc_step_terms at x = h/tau and u0, u1 the drive at
+    the step's ends, q = u0*g + (u1 - u0)*psi, so a step from v ends at
+    v*a + q. A cut-off switch has tau = inf and x = 0, so a = 1 and q = 0:
+    the node holds. A constant switch takes the terms once for dt and once
+    per period for its last width.
     """
     u0, u1 = drive[:, :-1], drive[:, 1:]
-    h = np.full_like(u0, dt)
-    h[:, -1] = grid[:, -1] - grid[:, -2]
-    x = None
+    h_last = grid[:, -1] - grid[:, -2]
     if switch.kind is not SwitchKind.PASS_TRANSISTOR:
         tau = (r_series + r_on(switch)) * c
-        a = np.full_like(h, math.exp(-dt / tau))
-        a[:, -1] = _math_exp(-h[:, -1] / tau)
-    else:
-        overdrive = np.subtract(switch.v_gate, u0)
-        np.abs(overdrive, out=overdrive)
-        overdrive -= switch.v_th
-        on = overdrive > 0.0
-        overdrive *= switch.k_gain
-        tau = np.full_like(h, math.inf)
-        np.divide(1.0, overdrive, out=tau, where=on)
-        tau += r_series
-        tau *= c
-        # negative(h/tau) has the bits of -h/tau, -0.0 included where tau = inf.
-        x = np.negative(np.divide(h, tau, out=overdrive), out=overdrive)
-        if screen:
-            a = np.exp(x)
-        else:
-            a, x = _math_exp(x), None
-    s = np.subtract(u1, u0)
-    s *= np.divide(tau, h, out=h)
-    return u0, s, a, np.subtract(u1, s, out=h), x
-
-
-def _math_exp(x: np.ndarray) -> np.ndarray:
-    """x with every element replaced by its math.exp; x is contiguous in C or
-    Fortran order, and is walked in memory order."""
-    flat = x.ravel(order="K")
-    flat[:] = np.fromiter(map(math.exp, memoryview(flat)), float, count=flat.size)
-    return x
-
-
-def _screen_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) around np.exp decay factors a, holding math.exp of the same
-    arguments: a*(1 -/+ _SCREEN_SLACK) -/+ _SCREEN_FLOOR."""
-    return a * (1.0 - _SCREEN_SLACK) - _SCREEN_FLOOR, a * (1.0 + _SCREEN_SLACK) + _SCREEN_FLOOR
-
-
-def _rc_update(v, u0, s, a, b):
-    """One exact RC step from v for a drive ramping from u0 over the step.
-
-    With (u0, s, a, b) from a row of _rc_steps this is rc_step_value's
-    u1 - s + (v - u0 + s)*a, the same float operations in the same order.
-    Works on floats and elementwise on arrays alike.
-    """
-    return b + (v - u0 + s) * a
+        q = np.subtract(u1, u0)
+        a = np.empty_like(q)
+        for cols, x in ((np.s_[:, :-1], dt / tau), (np.s_[:, -1], h_last / tau)):
+            a_x, g, psi = rc_step_terms(x)
+            q[cols] *= psi
+            q[cols] += np.multiply(u0[cols], g, out=a[cols])
+            a[cols] = a_x
+        return a, q
+    tau = np.subtract(switch.v_gate, u0)
+    np.abs(tau, out=tau)
+    tau -= switch.v_th
+    on = tau > 0.0
+    tau *= switch.k_gain
+    np.divide(1.0, tau, out=tau, where=on)
+    np.copyto(tau, math.inf, where=np.logical_not(on, out=on))
+    tau += r_series
+    tau *= c
+    x = np.full_like(tau, dt)
+    x[:, -1] = h_last
+    x /= tau
+    del tau, on  # freed before the terms are built
+    a, q, psi = rc_step_terms(x)
+    psi *= np.subtract(u1, u0, out=x)
+    q *= u0
+    q += psi
+    return a, q
 
 
 def _blocks(n_periods: int, n_sub: int) -> list[slice]:
@@ -379,7 +337,7 @@ def _blocks(n_periods: int, n_sub: int) -> list[slice]:
 def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float = 0.0, out=None):
     """DAC node after every acquisition sub-step (n_periods, n_sub), and the codes.
 
-    steps is the exact _rc_steps table of the periods and boundary_in the
+    steps is the _rc_steps table of the periods and boundary_in the
     input at each window's end. A period depends on the one before only
     through its start level, the DAC level of the previous code; the first
     period starts at v0. Waveform relaxation: guess every other start level
@@ -391,8 +349,8 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float = 0.0
     walk. The node values go into out, a sub-step-major (n_periods, n_sub)
     array, when given.
     """
-    u0, s, a, b, _ = steps
-    nper, nsub = u0.shape
+    a, q = steps
+    nper, nsub = a.shape
 
     def settle(start, rows, v=None):
         # Sub-step-major, as the table is: each column is contiguous.
@@ -400,7 +358,7 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float = 0.0
             v = np.empty((len(start), nsub), order="F")
         x = start
         for j in range(nsub):
-            x = v[:, j] = _rc_update(x, u0[rows, j], s[rows, j], a[rows, j], b[rows, j])
+            x = v[:, j] = x * a[rows, j] + q[rows, j]
         return v
 
     start = np.empty(nper)
@@ -428,8 +386,8 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float = 0.0
         if x == start[p]:
             continue
         start[p] = x
-        for j, (u0_j, s_j, a_j, b_j) in enumerate(zip(*(m[p].tolist() for m in (u0, s, a, b)))):
-            x = v[p, j] = _rc_update(x, u0_j, s_j, a_j, b_j)
+        for j, (a_j, q_j) in enumerate(zip(a[p].tolist(), q[p].tolist())):
+            x = v[p, j] = x * a_j + q_j
         codes[p] = sar_convert(x, adc)
     return v, codes
 
@@ -443,25 +401,16 @@ def _harvest(steps, v0: float = 0.0, out=None) -> np.ndarray:
     sub-steps. So the candidate at the held voltage is evaluated over blocks
     that double from n_sub up to _MAX_HOLD_BLOCK sub-steps; from the first
     sub-step where it rises, the ratchet steps one sub-step at a time while
-    it keeps rising. A NaN candidate (S2 cut off) fails the > test on both
-    paths, so the node holds. The voltages go into out, a C-contiguous
+    it keeps rising. Where S2 is cut off the candidate is v itself, which
+    does not rise, so the node holds. Both paths form the candidate v*a + q
+    with the same float operations. The voltages go into out, a C-contiguous
     (n_periods, n_sub) array, when given.
-
-    A screened table (x set) tests the blocks with a bound on the candidate:
-    the screen factor widened by _screen_bounds toward a rise, hi where
-    w = (v - u0) + s >= 0 and lo elsewhere. IEEE rounding is monotone, so
-    b + w*hi (or lo) is at least the candidate b + w*math.exp(x) with the
-    same float operations, and a sub-step the bound holds truly holds. The
-    single steps take math.exp(x) at the sub-steps they visit; a screened
-    sub-step that does not rise after all is held there. Where the bound is
-    NaN, the candidate is NaN or -inf, and the node holds either way.
     """
     nper, nsub = steps[0].shape
-    e0, s, a, b, x = (None if m is None else m.ravel() for m in steps)
+    a, q = (m.ravel() for m in steps)
     # The single steps read Python floats straight from the table.
-    e0_m, s_m, b_m = (memoryview(m) for m in (e0, s, b))
-    decay = memoryview(a if x is None else x)
-    n = len(e0)
+    a_m, q_m = memoryview(a), memoryview(q)
+    n = len(a)
     if out is None:
         out = np.empty((nper, nsub))
     flat = out.reshape(n)
@@ -470,14 +419,8 @@ def _harvest(steps, v0: float = 0.0, out=None) -> np.ndarray:
     block = nsub
     while i < n:
         j = min(i + block, n)
-        cand = v - e0[i:j]
-        cand += s[i:j]
-        if x is None:
-            cand *= a[i:j]
-        else:
-            lo, hi = _screen_bounds(a[i:j])
-            cand *= np.where(cand >= 0.0, hi, lo)
-        cand += b[i:j]
+        cand = np.multiply(v, a[i:j])
+        cand += q[i:j]
         rises = np.flatnonzero(cand > v)
         if rises.size == 0:
             flat[i:j] = v
@@ -490,11 +433,8 @@ def _harvest(steps, v0: float = 0.0, out=None) -> np.ndarray:
         while i < n:  # scalar steps, one window of nsub at a time
             j = min(i + nsub, n)
             risen = []
-            # zip stops at the first sub-step that holds, so a screened table
-            # takes math.exp only of the sub-steps visited.
-            a_w = decay[i:j] if x is None else map(math.exp, decay[i:j])
-            for e0_j, s_j, a_j, b_j in zip(e0_m[i:j], s_m[i:j], a_w, b_m[i:j]):
-                cand = b_j + (v - e0_j + s_j) * a_j  # _rc_update, inlined
+            for a_j, q_j in zip(a_m[i:j], q_m[i:j]):
+                cand = v * a_j + q_j
                 if not cand > v:
                     break
                 v = cand
@@ -533,12 +473,11 @@ def _solve_harvest(ehc: EhConfig, v_in: np.ndarray, grid: np.ndarray, dt: float)
     ceh_eh = np.empty((nper, nsub))
     rect = ehc.rectifier
     v = 0.0
-    with np.errstate(invalid="ignore"):  # a cut-off S2 makes NaN steps and candidates
-        for rows in _blocks(nper, nsub):
-            env = rectified_envelope(v_in[rows], rect)
-            steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid[rows], dt, screen=True)
-            v = float(_harvest(steps, v, out=ceh_eh[rows])[-1, -1])
-            del env, steps  # freed before the next block's are built
+    for rows in _blocks(nper, nsub):
+        env = rectified_envelope(v_in[rows], rect)
+        steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid[rows], dt)
+        v = float(_harvest(steps, v, out=ceh_eh[rows])[-1, -1])
+        del env, steps  # freed before the next block's are built
     return ceh_eh
 
 

@@ -14,9 +14,19 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Resistance assigned to an ideal (zero-resistance) switch. Keeping a small
 # positive floor lets every branch share the same RC update path.
 IDEAL_R_FLOOR = 1e-6
+
+# Below _PSI_SERIES_X the ramp term psi(x) = 1 - (1 - exp(-x))/x cancels, so
+# it is summed from its Taylor series x/2 - x**2/6 + x**3/24 - ..., whose
+# coefficients (-1)**(n+1)/(n+1)! for n = 10 down to 1 _PSI_SERIES holds. The
+# first term left out is below 2**-57 of psi there; above it, 1 - g/x is
+# within a few ulp of psi.
+_PSI_SERIES_X = 0.125
+_PSI_SERIES = tuple((-1.0) ** (n + 1) / math.factorial(n + 1) for n in range(10, 0, -1))
 
 
 class SwitchKind(enum.Enum):
@@ -89,6 +99,48 @@ def r_on(model: Switch, v_signal: float = 0.0) -> float:
     return 1.0 / (model.k_gain * overdrive)
 
 
+def rc_step_terms(x):
+    """The terms (a, g, psi) of one exact RC step at x = h/tau >= 0.
+
+    a = exp(-x), g = -expm1(-x) and psi = 1 - g/x (from _PSI_SERIES below
+    _PSI_SERIES_X). A step from v under a drive ramping from u0 to u1 ends at
+    v*a + (u0*g + (u1 - u0)*psi); x = 0, an open branch, holds v. x is a float
+    or an array; a float goes through np.exp and np.expm1 as a one-element
+    array and then through the same IEEE operations in Python floats, so it
+    gets the bits an array element gets.
+    """
+    if not isinstance(x, np.ndarray):
+        e = np.array([-x])
+        a = np.exp(e).item()
+        g = -np.expm1(e).item()
+        if x < _PSI_SERIES_X:
+            psi = _PSI_SERIES[0]
+            for coef in _PSI_SERIES[1:]:
+                psi = psi * x + coef
+            psi *= x
+        else:
+            psi = 1.0 - g / x
+        return a, g, psi
+    # Each form of psi runs on x clamped to its side of _PSI_SERIES_X, so
+    # neither overflows nor divides 0/0, and is kept on that side.
+    xs = np.minimum(x, _PSI_SERIES_X)
+    series = np.full_like(x, _PSI_SERIES[0])
+    for coef in _PSI_SERIES[1:]:
+        series *= xs
+        series += coef
+    series *= xs
+    g = np.negative(x, out=xs)
+    np.expm1(g, out=g)
+    np.negative(g, out=g)
+    psi = np.maximum(x, _PSI_SERIES_X)
+    np.divide(g, psi, out=psi)
+    np.subtract(1.0, psi, out=psi)
+    np.copyto(psi, series, where=x < _PSI_SERIES_X)
+    a = np.negative(x, out=series)
+    np.exp(a, out=a)
+    return a, g, psi
+
+
 def rc_step_value(
     v_start: float,
     u_start: float,
@@ -100,13 +152,15 @@ def rc_step_value(
     """Capacitor voltage after dt seconds of charging toward a linear drive.
 
     Solves C*dv/dt = (u(t) - v)/R exactly for u(t) ramping from u_start to
-    u_end over dt:
+    u_end over dt, in the exponential-integrator form
 
-        v(t0 + dt) = u_end - s*tau + (v_start - u_start + s*tau) * exp(-dt/tau)
+        v(t0 + dt) = v_start*a + (u_start*g + (u_end - u_start)*psi)
 
-    with tau = R*C and drive slope s = (u_end - u_start)/dt. The result is
-    exact (to round-off) for any piecewise-linear drive, so sub-step size
-    affects only how finely a curved drive is approximated, not the
+    with the terms (a, g, psi) of rc_step_terms at x = dt/tau, tau = R*C.
+    No two terms cancel, so the step stays within a few ulp of the exact
+    value at any tau/dt. An infinite r (an open switch) holds v_start. The
+    result is exact (to round-off) for any piecewise-linear drive, so sub-step
+    size affects only how finely a curved drive is approximated, not the
     integration itself.
 
     Raises:
@@ -114,10 +168,8 @@ def rc_step_value(
     """
     if not (r > 0.0 and c > 0.0 and dt > 0.0):
         raise ValueError(f"r, c, dt must all be positive, got r={r} c={c} dt={dt}")
-    tau = r * c
-    # s*tau computed as delta_u * (tau/dt) to avoid forming the slope alone.
-    stau = (u_end - u_start) * (tau / dt)
-    return u_end - stau + (v_start - u_start + stau) * math.exp(-dt / tau)
+    a, g, psi = rc_step_terms(dt / (r * c))
+    return v_start * a + (u_start * g + (u_end - u_start) * psi)
 
 
 def default_settling_factor(n_bits: int) -> float:

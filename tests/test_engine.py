@@ -189,11 +189,13 @@ def cut_off_walk_scenario():
     )
 
 
-def math_exp_walk_scenario():
-    """np.exp differs from math.exp in the last bit on a few percent of
-    arguments, and a pass switch has one decay argument per sub-step.
-    Both RC branches here are slow enough that such a difference would
-    reach the DAC and the storage-cap traces."""
+def slow_pass_walk_scenario():
+    """Both switches are pass transistors, so every sub-step has its own
+    step argument x = h/tau: S1 steps at x of 0.43 to 0.71, where psi is
+    1 - g/x, and S2 into a 10 uF storage cap at x near 0.0075, where psi is
+    its series. Both RC branches are slow enough that a last-bit difference
+    between the tables and the one-step walk would reach the DAC and the
+    storage-cap traces."""
     return small_scenario(
         source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 64, 5)),
         clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=64),
@@ -246,7 +248,7 @@ WALKS = {
     "constant": small_scenario,
     "pass": pass_walk_scenario,
     "cut-off-s2": cut_off_walk_scenario,
-    "math-exp": math_exp_walk_scenario,
+    "slow-pass": slow_pass_walk_scenario,
     "under-settled-s1": under_settled_walk_scenario,
     "sequential-finish": slowly_settling_walk_scenario,
     "rising-run": rising_run_walk_scenario,
@@ -271,8 +273,8 @@ class TestEngineAgainstReferenceWalk:
         assert 0 < cut < len(env)
         assert_walks_bit_identically(scenario)
 
-    def test_pass_switch_decay_factors_are_math_exp(self):
-        assert_walks_bit_identically(math_exp_walk_scenario())
+    def test_slow_pass_switches_walk_bit_identically(self):
+        assert_walks_bit_identically(slow_pass_walk_scenario())
 
     def test_under_settled_s1_relaxes_in_more_than_two_passes(self, conversions):
         assert_walks_bit_identically(under_settled_walk_scenario())
@@ -388,37 +390,27 @@ class TestBlocks:
 
 
 @pytest.fixture
-def harvest_exps(monkeypatch):
-    """The arguments of the math.exp calls made inside engine._harvest.
-
-    A pass-transistor S2 table is screened, so these are the decay
-    arguments of the sub-steps the ratchet's single steps visit.
-    """
-    args = []
+def harvest_x(monkeypatch):
+    """The step arguments x = h/tau of the tables engine._solve_harvest builds."""
+    seen = []
     inside = [False]
-    real_exp, real_harvest = math.exp, engine._harvest
+    real_terms, real_solve = engine.rc_step_terms, engine._solve_harvest
 
-    def counted_exp(x):
+    def terms(x):
         if inside[0]:
-            args.append(x)
-        return real_exp(x)
+            seen.extend(np.ravel(x).tolist())
+        return real_terms(x)
 
-    def harvest(steps, *args, **kwargs):
+    def solve(*args, **kwargs):
         inside[0] = True
         try:
-            return real_harvest(steps, *args, **kwargs)
+            return real_solve(*args, **kwargs)
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(math, "exp", counted_exp)
-    monkeypatch.setattr(engine, "_harvest", harvest)
-    return args
-
-
-def rises_and_runs(trace):
-    """Harvest sub-steps where the storage cap rose, and the maximal runs of them."""
-    rose = np.diff(np.concatenate(([0.0], trace.ceh_eh.ravel()))) > 0.0
-    return int(rose.sum()), int(rose[0]) + int((rose[1:] & ~rose[:-1]).sum())
+    monkeypatch.setattr(engine, "rc_step_terms", terms)
+    monkeypatch.setattr(engine, "_solve_harvest", solve)
+    return seen
 
 
 def eh_branch(c_eh, r_series, s2):
@@ -427,20 +419,20 @@ def eh_branch(c_eh, r_series, s2):
 
 # small_scenario's harvest sub-step is h = 0.9e-4/8 s. A strong pass switch
 # (r_on under 1 mOhm) leaves tau = (r_series + r_on)*c_eh close to
-# r_series*c_eh, so c_eh sets the decay argument -h/tau of every sub-step.
+# r_series*c_eh, so c_eh sets the step argument x = h/tau of every sub-step.
 _STRONG_S2 = Switch.pass_transistor(k_gain=1e3, v_th=0.05, v_gate=2.0)
 _H_EH = 0.9e-4 / 8
 SCREEN_EDGES = {
-    # exp(x) is subnormal for x in (-745, -708)
+    # exp(-x) is subnormal for x in (708, 745)
     "subnormal-decay": (
         eh_branch(_H_EH / 720.0, 1.0, _STRONG_S2),
-        lambda x: 0.0 < math.exp(x) < sys.float_info.min,
+        lambda x: 0.0 < math.exp(-x) < sys.float_info.min,
     ),
-    # and flushes to zero below about -745.13
-    "flushed-decay": (eh_branch(_H_EH / 800.0, 1.0, _STRONG_S2), lambda x: math.exp(x) == 0.0),
-    # tau/h >= 1e7, where the two s*tau terms of the step cancel
-    "tau-over-h-1e7": (eh_branch(_H_EH * 2e7 / 1e3, 1e3, _STRONG_S2), lambda x: -1e-7 <= x < 0.0),
-    # S2 cut off for an envelope in [0.05, 0.15] V: tau is infinite, x is -0.0
+    # and flushes to zero above about 745.13
+    "flushed-decay": (eh_branch(_H_EH / 800.0, 1.0, _STRONG_S2), lambda x: math.exp(-x) == 0.0),
+    # tau/h >= 1e7, where psi is far inside its series
+    "tau-over-h-1e7": (eh_branch(_H_EH * 2e7 / 1e3, 1e3, _STRONG_S2), lambda x: 0.0 < x <= 1e-7),
+    # S2 cut off for an envelope in [0.05, 0.15] V: tau is infinite, x is 0
     "cut-off": (
         eh_branch(1e-7, 73.8, Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1)),
         lambda x: x == 0.0,
@@ -449,94 +441,16 @@ SCREEN_EDGES = {
 
 
 class TestScreenedHarvest:
-    """A pass-transistor S2 screens its held blocks with np.exp and takes
-    math.exp only at the sub-steps the ratchet steps one at a time."""
+    """Harvest walks screened at the edges of the step's range: a decay
+    factor exp(-x) that is subnormal or flushed to zero, a tau/h of 1e7, and
+    an open S2 whose step holds the node."""
 
     @pytest.mark.parametrize("edge", list(SCREEN_EDGES))
-    def test_screen_at_its_edges_walks_bit_identically(self, edge, harvest_exps):
+    def test_screen_at_its_edges_walks_bit_identically(self, edge, harvest_x):
         eh, in_regime = SCREEN_EDGES[edge]
         assert_walks_bit_identically(small_scenario(eh=eh))
-        visited = [x for x in harvest_exps if in_regime(x)]
-        assert visited, f"no single step visited the {edge} regime"
-
-    @pytest.mark.parametrize("w", [1.0, -1.0])
-    def test_a_rise_that_np_exp_would_hide_is_taken(self, w):
-        """One sub-step from v = 0 whose candidate b + w*a rises with
-        a = math.exp(x) and would hold with a = np.exp(x). The screen is
-        widened toward a rise on either sign of w = (v - u0) + s."""
-        grid = np.linspace(-1.0, 0.0, 1001)
-        # w > 0 needs np.exp below math.exp to hide the rise, w < 0 above it.
-        gap = (np.array([math.exp(v) for v in grid.tolist()]) - np.exp(grid)) * w
-        if not (gap > 0.0).any():
-            pytest.skip("np.exp never errs on that side on this grid")
-        x = float(grid[np.argmax(gap > 0.0)])
-        u0, s = (0.0, 1.0) if w > 0.0 else (1.0, 0.0)
-        b = -w * float(np.exp(x))
-        assert not b + w * float(np.exp(x)) > 0.0
-        rise = b + (0.0 - u0 + s) * math.exp(x)
-        assert rise > 0.0
-        table = [np.array([[value]]) for value in (u0, s, np.exp(x), b, x)]
-        assert engine._harvest(table).tolist() == [[rise]]
-
-    def test_harvest_takes_math_exp_only_where_it_steps(self, monkeypatch):
-        """The S1 table of a pass switch takes one math.exp per sub-step; the
-        harvest takes one per sub-step its single steps visit: every rise,
-        and the hold that ends each rising run."""
-        calls = [0]
-        real_exp = math.exp
-
-        def counted_exp(x):
-            calls[0] += 1
-            return real_exp(x)
-
-        scenario = small_scenario(
-            source=SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 256, 5)),
-            clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=256),
-            adc=AdcConfig(
-                n_bits=8,
-                v_ref=0.4,
-                c_unit=12e-10,
-                s1=Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8),
-            ),
-            eh=eh_branch(1e-5, 73.8, Switch.pass_transistor(k_gain=2.0, v_th=0.4, v_gate=0.9)),
-            n_sub=16,
-        )
-        monkeypatch.setattr(math, "exp", counted_exp)
-        trace = run(scenario, spectral=False, eh=False).trace
-        monkeypatch.undo()
-        sub_steps = scenario.clock.n_periods * scenario.n_sub
-        harvest_share = calls[0] - sub_steps
-        rises, runs = rises_and_runs(trace)
-        assert 0 < rises
-        assert harvest_share <= rises + runs
-        assert harvest_share < sub_steps
-
-    def test_np_exp_stays_within_the_screen_slack(self, repo_root, monkeypatch):
-        """The screen is exact only while np.exp stays within _SCREEN_SLACK
-        (relative, plus the smallest normal float) of math.exp; today the
-        gap is at most 1 ulp. Checked over [-745, 0], densely where exp is
-        subnormal or flushes to zero, and over the S2 decay arguments of the
-        pass-transistor bench config."""
-        scenario, _ = build_scenario(load_config(repo_root / "bench/configs/lowfreq_pass.cfg"))
-        tables = []
-        real_harvest = engine._harvest
-
-        def harvest(steps, *args, **kwargs):
-            tables.append(steps)
-            return real_harvest(steps, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "_harvest", harvest)
-        run(scenario, spectral=False, eh=False)
-        assert all(steps[4] is not None for steps in tables)
-        x_s2 = np.concatenate([steps[4].ravel() for steps in tables])
-        assert x_s2.size == scenario.clock.n_periods * scenario.n_sub
-        x = np.concatenate(
-            (np.linspace(-745.0, 0.0, 200_001), np.linspace(-746.0, -708.0, 400_001), x_s2)
-        )
-        lo, hi = engine._screen_bounds(np.exp(x))
-        exact = np.array([math.exp(v) for v in x.tolist()])
-        stray = (exact < lo) | (exact > hi)
-        assert not stray.any(), f"np.exp strays past the screen at x = {x[stray][:5].tolist()}"
+        reached = [x for x in harvest_x if in_regime(x)]
+        assert reached, f"no harvest sub-step reached the {edge} regime"
 
 
 class TestTraceLayout:
@@ -589,13 +503,12 @@ class TestTraceLayout:
         assert a.sndr_db == b.sndr_db
 
 
-# RC step tables as (switch, r_series, c, screen). The cut-off pass S1 is
-# open while the drive is within 0.05 V of 0.1 V.
+# RC step tables as (switch, r_series, c). The cut-off pass S1 is open while
+# the drive is within 0.05 V of 0.1 V.
 _LAYOUT_TABLES = {
-    "constant": (Switch.constant(40.0), 0.0, 1e-9, False),
-    "pass-exact": (Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8), 0.0, 1e-9, False),
-    "pass-screened": (Switch.pass_transistor(k_gain=2.0, v_th=0.4, v_gate=0.9), 73.8, 1e-5, True),
-    "pass-cut-off": (Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1), 0.0, 1e-9, False),
+    "constant": (Switch.constant(40.0), 0.0, 1e-9),
+    "pass-exact": (Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8), 0.0, 1e-9),
+    "pass-cut-off": (Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1), 0.0, 1e-9),
 }
 
 
@@ -606,23 +519,21 @@ class TestTableLayout:
 
     @pytest.mark.parametrize("case", list(_LAYOUT_TABLES))
     def test_rc_steps_from_a_substep_major_drive_match_a_contiguous_copy(self, case):
-        switch, r_series, c, screen = _LAYOUT_TABLES[case]
+        switch, r_series, c = _LAYOUT_TABLES[case]
         plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=512)
         grid, _ = time_grid(plan, 16)
         drive = SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 512, 5)).sample_at(grid)
         assert drive.flags.f_contiguous
         dt = plan.t_aq / 16
-        f_tables = engine._rc_steps(switch, r_series, c, drive, grid, dt, screen=screen)
+        f_tables = engine._rc_steps(switch, r_series, c, drive, grid, dt)
         c_tables = engine._rc_steps(
-            switch, r_series, c, np.ascontiguousarray(drive), np.ascontiguousarray(grid), dt,
-            screen=screen,
+            switch, r_series, c, np.ascontiguousarray(drive), np.ascontiguousarray(grid), dt
         )
+        assert len(f_tables) == len(c_tables) == 2
         if case == "pass-cut-off":
-            assert np.isinf(f_tables[1]).any()  # s = (u1 - u0)*inf where S1 is open
+            a, q = f_tables
+            assert ((a == 1.0) & (q == 0.0)).any()  # x = 0 where S1 is open: the node holds
         for f, c_ in zip(f_tables, c_tables):
-            if f is None:
-                assert c_ is None
-                continue
             assert f.flags.f_contiguous
             assert np.array_equal(f.view(np.uint64), c_.view(np.uint64))
 
@@ -632,6 +543,32 @@ class TestTableLayout:
             assert getattr(trace, name).flags.f_contiguous, name
         for name in ("t_eh", "v_in_eh", "ceh_eh"):
             assert getattr(trace, name).flags.c_contiguous, name
+
+
+class TestScaleLaw:
+    """Scaling f_s and f_in by lam = 2**k and c_unit and c_eh by 1/lam scales
+    every time and every tau by exactly 1/lam, so every step argument
+    x = h/tau, and with it every code and node voltage, keeps its bits."""
+
+    @pytest.mark.parametrize("k", [-20, -3, 1, 10, 20])
+    @pytest.mark.parametrize("config", ["configs/lowfreq.cfg", "bench/configs/lowfreq_pass.cfg"])
+    def test_power_of_two_time_scaling_keeps_every_bit(self, config, k, repo_root):
+        base, _ = build_scenario(load_config(repo_root / config))
+        base = dataclasses.replace(base, clock=dataclasses.replace(base.clock, n_periods=64))
+        lam = 2.0**k
+        scaled = dataclasses.replace(
+            base,
+            source=dataclasses.replace(base.source, frequency=base.source.frequency * lam),
+            clock=dataclasses.replace(base.clock, f_s=base.clock.f_s * lam),
+            adc=dataclasses.replace(base.adc, c_unit=base.adc.c_unit / lam),
+            eh=dataclasses.replace(base.eh, c_eh=base.eh.c_eh / lam),
+        )
+        want = run(base, spectral=False, eh=False).trace
+        got = run(scaled, spectral=False, eh=False).trace
+        for name in ("codes", "dac_aq", "ceh_eh"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("t_aq", "t_eh"):
+            assert getattr(got, name).tobytes() == (getattr(want, name) / lam).tobytes(), name
 
 
 class TestDcOperatingPoint:

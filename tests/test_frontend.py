@@ -1,20 +1,26 @@
 """Tests for switch models and the exact RC step.
 
-The RC step is the numerical core of the whole simulator, so it gets three
+The RC step is the numerical core of the whole simulator, so it gets four
 independent checks: closed-form constant-drive results, a brute-force
-forward-Euler reference, and self-consistency under interval splitting.
+forward-Euler reference, self-consistency under interval splitting, and a
+60-digit decimal evaluation of the exact step.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from ehadc import engine
+from ehadc.config import build_scenario, load_config
 from ehadc.frontend import (
     IDEAL_R_FLOOR,
     Switch,
     default_settling_factor,
     r_on,
+    rc_step_terms,
     rc_step_value,
     required_r_on,
 )
@@ -152,6 +158,107 @@ class TestRcStepComposition:
             split = rc_step_value(v_mid, u_mid, u1, r=tau, c=1.0, dt=dt - t_mid)
             scale = max(abs(v0), abs(u0), abs(u1), abs(direct), 1e-30)
             assert abs(split - direct) <= 1e-12 * scale
+
+
+# (v_start, u_start, u_end): a slow ramp, a drive of the other sign than the
+# node on a rising and on a falling ramp, a constant drive, and a large node.
+_DECIMAL_POINTS = [
+    (0.1, 0.2, 0.2000001),
+    (-0.3, 0.25, 0.4),
+    (0.35, -0.2, -0.38),
+    (0.0, 0.3, 0.3),
+    (1.7, 0.9, 1.3),
+]
+
+
+class TestRcStepAgainstDecimal:
+    """rc_step_value against the exact step u1 - s*tau + (v0 - u0 + s*tau)*exp(-x),
+    s*tau = (u1 - u0)/x, evaluated with 60 decimal digits. r = c = 1 and
+    dt = 1/ratio, so x = dt holds the float's value exactly."""
+
+    @pytest.mark.parametrize("ratio", [1e-2, 1.0, 1e3, 1e5, 1e7, 1e9, 1e12])
+    def test_step_is_within_two_ulp_at_every_tau_over_h(self, ratio):
+        dt = 1.0 / ratio
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(dt)
+            decay = (-x).exp()
+            for v0, u0, u1 in _DECIMAL_POINTS:
+                stau = (Decimal(u1) - Decimal(u0)) / x
+                exact = Decimal(u1) - stau + (Decimal(v0) - Decimal(u0) + stau) * decay
+                got = rc_step_value(v0, u0, u1, r=1.0, c=1.0, dt=dt)
+                ulp = Decimal(math.ulp(max(abs(v0), abs(u0), abs(u1))))
+                assert abs(Decimal(got) - exact) <= 2 * ulp, (v0, u0, u1)
+
+    @pytest.mark.parametrize("ratio", [1e-2, 1.0, 1e3, 1e5, 1e7, 1e9, 1e12])
+    def test_psi_is_within_1e_14_relative(self, ratio):
+        dt = 1.0 / ratio
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(dt)
+            exact = 1 - (1 - (-x).exp()) / x
+            psi = rc_step_terms(dt)[2]
+            assert abs(Decimal(psi) - exact) <= Decimal("1e-14") * exact
+
+
+@pytest.fixture(scope="module")
+def pass_bench_arguments(repo_root):
+    """The step arguments x = h/tau of every S1 and S2 table that engine.run
+    builds for bench/configs/lowfreq_pass.cfg, one per sub-step."""
+    scenario, _ = build_scenario(load_config(repo_root / "bench/configs/lowfreq_pass.cfg"))
+    seen = []
+    real_terms = engine.rc_step_terms
+
+    def terms(x):
+        seen.append(np.array(x, dtype=float).ravel())
+        return real_terms(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "rc_step_terms", terms)
+        engine.run(scenario, spectral=False, eh=False)
+    x = np.concatenate(seen)
+    assert x.size == 2 * scenario.clock.n_periods * scenario.n_sub
+    return x
+
+
+class TestRcStepTerms:
+    def test_an_open_branch_holds(self):
+        assert rc_step_terms(0.0) == (1.0, 0.0, 0.0)
+        assert rc_step_value(-0.25, 0.3, 0.4, r=math.inf, c=1e-6, dt=1e-3) == -0.25
+
+    def test_array_bits_equal_the_float_bits_in_every_layout(self, pass_bench_arguments):
+        """The engine's tables take the terms of whole arrays, and the one-step
+        walk the terms of one float at a time; bit identity between the two
+        needs numpy's exp and expm1 to give the same bits in either. Checked
+        densely over x in [0, 746], where exp(-x) goes subnormal (above 708)
+        and flushes to zero (above 745.13), around the series threshold, at
+        x = 0, and at the S1 and S2 arguments of the pass-transistor bench
+        config, on C-order, Fortran-order and strided arrays."""
+        x = np.concatenate(
+            (
+                np.linspace(0.0, 746.0, 100_001),
+                np.linspace(0.0, 0.25, 4_001),
+                np.logspace(-20.0, 0.0, 2_001),
+                [0.0, 5e-324, 1e300, math.inf],
+                pass_bench_arguments,
+            )
+        )
+        x = np.concatenate((x, np.zeros(-x.size % 16)))
+        one_at_a_time = np.array([rc_step_terms(v) for v in x.tolist()])
+        want = one_at_a_time.view(np.uint64).T
+        c_order = x.reshape(-1, 16)
+        buffer = np.zeros(2 * x.size)
+        buffer[::2] = x
+        layouts = {
+            "C": c_order,
+            "F": np.asfortranarray(c_order),
+            "strided": buffer[::2],
+        }
+        assert layouts["F"].flags.f_contiguous and not layouts["strided"].flags.c_contiguous
+        for name, arr in layouts.items():
+            for k, term in enumerate(rc_step_terms(arr)):
+                got = np.ravel(term).view(np.uint64)
+                assert np.array_equal(got, want[k]), (name, "agq"[k], x[got != want[k]][:5])
 
 
 class TestSettlingHelpers:

@@ -78,7 +78,7 @@ class TestEhStep:
         cfg = eh_config(c_eh=1e-6, rect=rect, s2=Switch.ideal())
         r_tot = 50.0 + 1e-6
         dt = r_tot * 1e-6
-        assert eh_step(0.0, 0.3, 0.3, cfg, dt) == 0.3 + (-0.3) * math.exp(-1.0)
+        assert eh_step(0.0, 0.3, 0.3, cfg, dt) == 0.3 * -np.expm1(-1.0)
 
     def test_blocks_when_the_envelope_is_below_the_stored_voltage(self):
         cfg = eh_config()
