@@ -73,11 +73,11 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
     memory does not grow with the row count. A block is a (period, phase,
     sub-step, byte) array with the separators and phase labels fixed in
     place; each cell is a NUL-padded slot of floattext.text, and the NULs are
-    dropped as the block is written. The value a phase holds (v_ceh in
-    acquisition, v_dac in harvest) is formatted once per period. The block,
-    its values and their text are buffers allocated once per call, because
-    megabyte buffers allocated anew per block are faulted in anew when the
-    heap is small.
+    dropped as the block is written. A block's times and inputs come from
+    trace.inputs. The value a phase holds (v_ceh in acquisition, v_dac in
+    harvest) is formatted once per period. The block, its values and their
+    text are buffers allocated once per call, because megabyte buffers
+    allocated anew per block are faulted in anew when the heap is small.
     """
     # Loaded here, after the simulation's memory peak, which loading it
     # before would raise by its tables and code (about 0.2 MB).
@@ -90,21 +90,15 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
     w = floattext.WIDTH
     t, v_in, v_dac, v_ceh = (slice(at, at + w) for at in (0, w + 1, 2 * w + 6, 3 * w + 7))
     aq, eh = Phase
-    cells = (  # phase, field, and its values per sub-step, or per period as (n, 1)
-        (aq, t, trace.t_aq[:, 1:]),
-        (eh, t, trace.t_eh[:, 1:]),
-        (aq, v_in, trace.v_in_aq[:, 1:]),
-        (eh, v_in, trace.v_in_eh[:, 1:]),
-        (aq, v_dac, trace.dac_aq),
-        (eh, v_dac, trace.dac_level[:, None]),
-        (aq, v_ceh, trace.ceh_held[:, None]),
-        (eh, v_ceh, trace.ceh_eh),
-    )
+    # The phase and field of each block part: values per sub-step, or per
+    # period as (n, 1).
+    cells = ((aq, t), (eh, t), (aq, v_in), (eh, v_in), (aq, v_dac), (eh, v_dac), (aq, v_ceh), (eh, v_ceh))
+    dac_level, ceh_held = trace.dac_level[:, None], trace.ceh_held[:, None]
     rows = min(per_block, nper)
     # A bytearray, so a whole block is written without a tobytes copy.
     canvas = bytearray(rows * 2 * nsub * (4 * w + 8))
     block = np.frombuffer(canvas, dtype=np.uint8).reshape(rows, 2, nsub, 4 * w + 8)
-    n_max = sum(values[:rows].size for _, _, values in cells)
+    n_max = rows * (6 * nsub + 2)  # six parts per sub-step and two per period
     values_buf, text_buf = np.empty(n_max), np.empty((n_max, w), dtype=np.uint8)
     for phase in Phase:
         label = f",{PHASE_LABELS[phase]},".encode().ljust(5, b"\0")
@@ -113,13 +107,16 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
     with open(path, "wb") as fh:
         fh.write(b"t_s,v_in,phase,v_dac,v_ceh\n")
         for lo in range(0, nper, per_block):
-            parts = [values[lo : lo + per_block] for _, _, values in cells]
+            p = slice(lo, lo + per_block)
+            t_aq, t_eh, v_in_aq, v_in_eh = trace.inputs(p)
+            parts = (t_aq[:, 1:], t_eh[:, 1:], v_in_aq[:, 1:], v_in_eh[:, 1:],
+                     trace.dac_aq[p], dac_level[p], ceh_held[p], trace.ceh_eh[p])
             n = sum(part.size for part in parts)
             flat = np.concatenate([part.ravel() for part in parts], out=values_buf[:n])
             text = floattext.text(flat, out=text_buf[:n])
             b = block[: len(parts[0])]
             at = 0
-            for (phase, field, _), part in zip(cells, parts):
+            for (phase, field), part in zip(cells, parts):
                 b[:, phase, :, field] = text[at : at + part.size].reshape(*part.shape, w)
                 at += part.size
             fh.write((canvas if len(b) == rows else b.tobytes()).translate(None, b"\0"))

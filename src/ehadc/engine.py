@@ -10,10 +10,11 @@ piecewise-linear approximation of the sine drive.
 
 The result equals a sub-step-by-sub-step walk bit for bit, but the work is
 done on whole arrays. Each phase is solved in blocks of whole periods, in
-time order, of at most _BLOCK_SUBSTEPS sub-steps (_blocks): a block's RC step
-table (_rc_steps) is built from row slices of the drive and the grid, solved,
-and dropped, and its node voltages go into the trace arrays allocated once
-per run. So a run's peak memory is the trace it returns plus one block.
+time order, of at most _BLOCK_SUBSTEPS sub-steps (_blocks): a block's grid
+(time_grid), drive and RC step table (_rc_steps) are built, solved, and
+dropped, and its node voltages go into the trace arrays allocated once per
+run. The trace keeps no grid or input (TransientTrace.inputs rebuilds them),
+so a run's peak memory is the solver outputs plus one block.
 
 * Acquisition (_acquisition): a period depends on the one before only
   through the DAC level of the previous code. Waveform relaxation guesses
@@ -105,29 +106,36 @@ class Scenario:
 class TransientTrace:
     """Recorded waveforms and codes of one run, stored per phase.
 
-    t_aq, t_eh (the time_grid of each phase) and v_in_aq, v_in_eh (the input
-    at those times) are (n_periods, n_sub + 1), column 0 the phase start.
-    dac_aq (the DAC node after each acquisition sub-step) and ceh_eh (the
-    storage cap after each harvest sub-step) are (n_periods, n_sub). Per
-    period: codes, v_sampled (the settled voltage each code converts),
+    Stored: dac_aq (the DAC node after each acquisition sub-step) and ceh_eh
+    (the storage cap after each harvest sub-step), (n_periods, n_sub); per
+    period codes, v_sampled (the settled voltage each code converts),
     saturated, and dac_level (the level of each code, held through the
-    harvest phase). period_s is the sampling period.
+    harvest phase); and the run's clock and source.
 
-    The flat columns t, v_in, phase (Phase values), v_dac and v_ceh, one row
-    per sub-step end and 2*n_sub rows per period, are built on each access.
+    Derived on each access: inputs(rows), and from it t_aq, t_eh (the
+    time_grid of each phase) and v_in_aq, v_in_eh (the input at those times),
+    (n_periods, n_sub + 1) with column 0 the phase start; period_s, the
+    sampling period; and the flat columns t, v_in, phase (Phase values),
+    v_dac and v_ceh, one row per sub-step end and 2*n_sub rows per period.
     """
 
-    t_aq: np.ndarray
-    t_eh: np.ndarray
-    v_in_aq: np.ndarray
-    v_in_eh: np.ndarray
     dac_aq: np.ndarray
     ceh_eh: np.ndarray
     codes: np.ndarray
     v_sampled: np.ndarray
     saturated: np.ndarray
     dac_level: np.ndarray
-    period_s: float
+    clock: ClockPlan
+    source: SineSource
+
+    def inputs(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """(t_aq, t_eh, v_in_aq, v_in_eh) of the periods in rows, as the run's
+        solvers built them: the time_grid of both phases and sample_at."""
+        t_aq, t_eh = time_grid(self.clock, self.dac_aq.shape[1], rows)
+        return t_aq, t_eh, self.source.sample_at(t_aq), self.source.sample_at(t_eh)
+
+    t_aq, t_eh, v_in_aq, v_in_eh = (property(lambda self, i=i: self.inputs()[i]) for i in range(4))
+    period_s = property(lambda self: self.clock.t_s)
 
     @property
     def ceh_held(self) -> np.ndarray:
@@ -136,11 +144,11 @@ class TransientTrace:
 
     @property
     def t(self) -> np.ndarray:
-        return _rows(self.t_aq[:, 1:], self.t_eh[:, 1:])
+        return _rows(*(a[:, 1:] for a in self.inputs()[:2]))
 
     @property
     def v_in(self) -> np.ndarray:
-        return _rows(self.v_in_aq[:, 1:], self.v_in_eh[:, 1:])
+        return _rows(*(a[:, 1:] for a in self.inputs()[2:]))
 
     @property
     def phase(self) -> np.ndarray:
@@ -449,35 +457,39 @@ def _harvest(steps, v0: float = 0.0, out=None) -> np.ndarray:
     return out
 
 
-def _solve_acquisition(s1: Switch, adc: AdcConfig, drive: np.ndarray, grid: np.ndarray, dt: float):
+def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: SineSource, nsub: int):
     """DAC node after every acquisition sub-step, sub-step-major (n_periods,
-    n_sub), and the codes: _acquisition block by block, each block starting
-    at the DAC level of the previous block's last code."""
-    nper, nsub = drive.shape[0], drive.shape[1] - 1
+    n_sub), and the codes: _acquisition block by block on the block's grid
+    and input, each block starting at the DAC level of the previous block's
+    last code."""
+    nper = plan.n_periods
     dac_aq = np.empty((nper, nsub), order="F")
     codes = np.empty(nper, dtype=np.int64)
     level = 0.0
     for rows in _blocks(nper, nsub):
-        steps = _rc_steps(s1, 0.0, c_dac(adc), drive[rows], grid[rows], dt)
-        codes[rows] = _acquisition(steps, drive[rows, -1], adc, level, out=dac_aq[rows])[1]
+        grid = time_grid(plan, nsub, rows)[0]
+        drive = source.sample_at(grid)
+        steps = _rc_steps(s1, 0.0, c_dac(adc), drive, grid, plan.t_aq / nsub)
+        codes[rows] = _acquisition(steps, drive[:, -1], adc, level, out=dac_aq[rows])[1]
         level = dac_output(int(codes[rows.stop - 1]), adc)
-        del steps  # freed before the next block's is built
+        del grid, drive, steps  # freed before the next block's are built
     return dac_aq, codes
 
 
-def _solve_harvest(ehc: EhConfig, v_in: np.ndarray, grid: np.ndarray, dt: float) -> np.ndarray:
+def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int) -> np.ndarray:
     """Storage-cap voltage after every harvest sub-step (n_periods, n_sub):
-    the rectified envelope of v_in and _harvest block by block, the storage
-    voltage carried from each block to the next."""
-    nper, nsub = v_in.shape[0], v_in.shape[1] - 1
+    the rectified envelope of the block's input on its grid and _harvest
+    block by block, the storage voltage carried from each block to the next."""
+    nper = plan.n_periods
     ceh_eh = np.empty((nper, nsub))
     rect = ehc.rectifier
     v = 0.0
     for rows in _blocks(nper, nsub):
-        env = rectified_envelope(v_in[rows], rect)
-        steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid[rows], dt)
+        grid = time_grid(plan, nsub, rows)[1]
+        env = rectified_envelope(source.sample_at(grid), rect)
+        steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub)
         v = float(_harvest(steps, v, out=ceh_eh[rows])[-1, -1])
-        del env, steps  # freed before the next block's are built
+        del grid, env, steps  # freed before the next block's are built
     return ceh_eh
 
 
@@ -514,25 +526,19 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
     plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
     nsub = scenario.n_sub
 
-    t_aq_grid, t_eh_grid = time_grid(plan, nsub)
-    v_aq = scenario.source.sample_at(t_aq_grid)
-    v_eh_in = scenario.source.sample_at(t_eh_grid)
-    dac_aq, codes_arr = _solve_acquisition(s1, adc, v_aq, t_aq_grid, plan.t_aq / nsub)
-    ceh_eh = _solve_harvest(ehc, v_eh_in, t_eh_grid, plan.t_eh / nsub)
+    dac_aq, codes_arr = _solve_acquisition(s1, adc, plan, scenario.source, nsub)
+    ceh_eh = _solve_harvest(ehc, plan, scenario.source, nsub)
 
     v_sampled = dac_aq[:, -1].copy()
     trace = TransientTrace(
-        t_aq=t_aq_grid,
-        t_eh=t_eh_grid,
-        v_in_aq=v_aq,
-        v_in_eh=v_eh_in,
         dac_aq=dac_aq,
         ceh_eh=ceh_eh,
         codes=codes_arr,
         v_sampled=v_sampled,
         saturated=(v_sampled < -adc.v_ref) | (v_sampled >= adc.v_ref),
         dac_level=dac_output(codes_arr, adc),
-        period_s=plan.t_s,
+        clock=plan,
+        source=scenario.source,
     )
 
     sndr_db = enob_bits = spec = None

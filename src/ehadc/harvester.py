@@ -93,13 +93,15 @@ def steady_state_metrics(
     before it (0.0 in period 0, else the previous harvest's end) and the
     other columns the values of ceh_eh. The acquisition ends at t_eh[:, 0],
     so this is the flat trace without the acquisition rows, which repeat the
-    held value.
+    held value. Only the grid rows used are read: the first, the last ones
+    from before the 10-period window on, and the one of the crossing.
 
     Args:
-        trace: a TransientTrace, or any object exposing its t_aq and t_eh
-            (seconds, (n_periods, n_sub + 1)), ceh_eh (volts,
-            (n_periods, n_sub)) and period_s (sampling period). The trace
-            starts at t_aq[0, 1], the end of the first sub-step.
+        trace: a TransientTrace, or any object exposing its ceh_eh (volts,
+            (n_periods, n_sub)), period_s (sampling period) and
+            inputs(rows), whose first two items are t_aq and t_eh of those
+            periods (seconds, (periods, n_sub + 1)). The trace starts at
+            t_aq[0, 1], the end of the first sub-step.
         p_in: input power in watts, the energy-efficiency denominator.
         cfg: harvesting branch configuration (for c_eh).
         v_m: peak input magnitude, the reference for voltage efficiency.
@@ -119,9 +121,8 @@ def steady_state_metrics(
         raise ValueError(f"v_m must be positive, got {v_m}")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    t = np.asarray(trace.t_eh, dtype=float)
     v = np.asarray(trace.ceh_eh, dtype=float)
-    nsub = v.shape[1]
+    nper, nsub = v.shape
 
     def stored(p, j):
         # The storage voltage at t[p, j]; ceh_eh[p, j - 1], or held at j = 0.
@@ -132,11 +133,21 @@ def steady_state_metrics(
     if not (v_eh > 0.0):
         raise NotConverged(f"storage capacitor ended at {v_eh:.6g} V, which is not above 0 V")
 
-    t_first, t_last = float(trace.t_aq[0, 1]), float(t[-1, -1])
-    window_start = t_last - 10.0 * trace.period_s
+    # t_eh from row lo on, lo stepped back until every earlier time precedes
+    # the window, so the window's first point is found in these rows.
+    span = 16
+    while True:
+        lo = max(0, nper - span)
+        t = np.asarray(trace.inputs(slice(lo, nper))[1], dtype=float)
+        t_last = float(t[-1, -1])
+        window_start = t_last - 10.0 * trace.period_s
+        if lo == 0 or t[0, 0] < window_start:
+            break
+        span *= 2
+    t_first = float(trace.inputs(slice(0, 1))[0][0, 1])
     if t_first > window_start:
         raise NotConverged(f"trace spans {(t_last - t_first) / trace.period_s:.4g} periods, under 10")
-    first = int(np.searchsorted(t.ravel(), window_start, side="left"))
+    first = lo * (nsub + 1) + int(np.searchsorted(t.ravel(), window_start, side="left"))
     drift = abs(v_eh - stored(*divmod(first, nsub + 1)))
     if drift > tol * v_eh:
         raise NotConverged(
@@ -150,7 +161,8 @@ def steady_state_metrics(
     threshold = (1.0 - tol) * v_eh
     p = int(np.argmax(np.fmax.reduce(v, axis=1) >= threshold))
     j = int(np.argmax(v[p] >= threshold))
-    t0, t1 = float(t[p, j]), float(t[p, j + 1])
+    t_p = trace.inputs(slice(p, p + 1))[1][0]
+    t0, t1 = float(t_p[j]), float(t_p[j + 1])
     v0, v1 = stored(p, j), float(v[p, j])
     t_ceh = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0)
 

@@ -1,10 +1,11 @@
 """Independent reference implementations that only the tests use."""
 
+import dataclasses
 import math
 
 import numpy as np
 
-from ehadc.clocking import Phase, time_grid
+from ehadc.clocking import PHASE_LABELS, Phase, time_grid
 from ehadc.engine import TransientTrace, resolve_s1
 from ehadc.frontend import r_on, rc_step_value
 from ehadc.harvester import rectified_envelope
@@ -121,22 +122,39 @@ def check_phase_isolation(trace):
     assert np.array_equal(trace.v_ceh[1:][cross], trace.v_ceh[:-1][cross])
 
 
+@dataclasses.dataclass(frozen=True)
+class StoredTrace(TransientTrace):
+    """A TransientTrace whose grids and inputs are given arrays instead of a
+    clock and a source: inputs(rows) returns their rows, and period_s is
+    given too."""
+
+    given_inputs: tuple = ()
+    given_period_s: float = 1.0
+
+    def inputs(self, rows=slice(None)):
+        return tuple(a[rows] for a in self.given_inputs)
+
+    @property
+    def period_s(self):
+        return self.given_period_s
+
+
 def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level, period_s=1.0):
     """A per-phase trace: grids and inputs (n_periods, n_sub + 1), the phase
-    nodes (n_periods, n_sub) and the held DAC level per period."""
+    nodes (n_periods, n_sub) and the held DAC level per period; the grids
+    and inputs are what its inputs(rows) returns."""
     dac_aq = np.asarray(dac_aq, dtype=np.float64)
-    return TransientTrace(
-        t_aq=np.asarray(t_aq, dtype=np.float64),
-        t_eh=np.asarray(t_eh, dtype=np.float64),
-        v_in_aq=np.asarray(v_in_aq, dtype=np.float64),
-        v_in_eh=np.asarray(v_in_eh, dtype=np.float64),
+    return StoredTrace(
         dac_aq=dac_aq,
         ceh_eh=np.asarray(ceh_eh, dtype=np.float64),
         codes=np.zeros(len(dac_aq), dtype=np.int64),
         v_sampled=dac_aq[:, -1].copy(),
         saturated=np.zeros(len(dac_aq), dtype=bool),
         dac_level=np.asarray(dac_level, dtype=np.float64),
-        period_s=period_s,
+        clock=None,
+        source=None,
+        given_inputs=tuple(np.asarray(a, dtype=np.float64) for a in (t_aq, t_eh, v_in_aq, v_in_eh)),
+        given_period_s=period_s,
     )
 
 
@@ -171,3 +189,23 @@ def ramp_then_flat_trace(v_eh, t_ceh, period_s, tol=0.01, extra_periods=20):
     t = np.arange(0.0, ramp_end + extra_periods * period_s, period_s / 10.0)
     v = np.minimum(t / ramp_end, 1.0) * v_eh
     return storage_trace(t, v, period_s)
+
+
+def reference_trace_csv(trace, path):
+    """The plain per-row writer that write_trace_csv must match byte for byte.
+
+    Built one period at a time from the per-phase arrays and inputs(): the
+    acquisition rows hold the storage voltage of the harvest before them
+    (0.0 in period 0), and the harvest rows hold the DAC level.
+    """
+    t_aq, t_eh, v_in_aq, v_in_eh = (a[:, 1:].tolist() for a in trace.inputs())
+    dac_aq, ceh_eh = trace.dac_aq.tolist(), trace.ceh_eh.tolist()
+    held = [0.0] + [row[-1] for row in ceh_eh[:-1]]
+    aq, eh = (PHASE_LABELS[phase] for phase in Phase)
+    with open(path, "w", newline="") as fh:
+        fh.write("t_s,v_in,phase,v_dac,v_ceh\n")
+        for p, level in enumerate(trace.dac_level.tolist()):
+            for t, vi, vd in zip(t_aq[p], v_in_aq[p], dac_aq[p]):
+                fh.write(f"{t!r},{vi!r},{aq},{vd!r},{held[p]!r}\n")
+            for t, vi, vc in zip(t_eh[p], v_in_eh[p], ceh_eh[p]):
+                fh.write(f"{t!r},{vi!r},{eh},{level!r},{vc!r}\n")

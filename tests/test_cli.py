@@ -12,15 +12,14 @@ import pytest
 
 from ehadc import cli
 from ehadc.cli import SWEEP_COLUMNS, _parse_values, main, summarize, write_trace_csv
-from ehadc.clocking import PHASE_LABELS, Phase
 from ehadc.config import build_scenario, parse_config
 from ehadc.engine import apply_parameter, run
 from ehadc.errors import ValidationError
 from ehadc.frontend import IDEAL_R_FLOOR, Switch
 from ehadc.sar_adc import AdcConfig
 
-from oracles import make_trace
-from test_engine import small_scenario
+from oracles import make_trace, reference_trace_csv
+from test_engine import small_scenario, trace_bytes
 
 FAST_CFG = """\
 signal.amplitude_v = 0.4
@@ -68,30 +67,14 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     return str(path)
 
 
-def reference_trace_csv(trace, path):
-    """The plain per-row writer that write_trace_csv must match byte for byte."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t_s,v_in,phase,v_dac,v_ceh\n")
-        labels = [PHASE_LABELS[Phase(int(p))] for p in (0, 1)]
-        fh.writelines(
-            f"{t!r},{vi!r},{labels[ph]},{vd!r},{vc!r}\n"
-            for t, vi, ph, vd, vc in zip(
-                trace.t.tolist(),
-                trace.v_in.tolist(),
-                trace.phase.tolist(),
-                trace.v_dac.tolist(),
-                trace.v_ceh.tolist(),
-            )
-        )
-
-
 def edge_trace():
     """5 periods of 2 sub-steps per phase, with the float values whose text is
-    easiest to get wrong."""
+    easiest to get wrong, in the t and v_in columns too: a run's grid and
+    input never hold them, so the trace's inputs(rows) returns given arrays."""
     inf, nan = float("inf"), float("nan")
     return make_trace(
-        t_aq=[[4 * p + j for j in (0, 1, 2)] for p in range(5)],
-        t_eh=[[4 * p + j for j in (2, 3, 4)] for p in range(5)],
+        t_aq=[[4 * p + j for j in (0, 1, 2)] for p in range(4)] + [[nan, 0.0, -0.0]],
+        t_eh=[[4 * p + j for j in (2, 3, 4)] for p in range(4)] + [[nan, 1e16, 9999999999999998.0]],
         v_in_aq=[[nan, 0.0, -0.0], [nan, 0.1, 0.1], [nan, 1 / 3, 2 / 3],
                  [nan, -0.0, 0.0], [nan, inf, -inf]],
         v_in_eh=[[nan, 0.1, -0.1], [nan, 0.2, 0.2], [nan, nan, nan],
@@ -104,8 +87,9 @@ def edge_trace():
 
 
 def with_layout(trace, order):
-    """A copy of trace with every per-phase array in the given memory order."""
-    fields = ("t_aq", "t_eh", "v_in_aq", "v_in_eh", "dac_aq", "ceh_eh")
+    """A copy of trace with its stored per-phase arrays in the given memory
+    order."""
+    fields = ("dac_aq", "ceh_eh")
     return dataclasses.replace(trace, **{f: np.array(getattr(trace, f), order=order) for f in fields})
 
 
@@ -174,6 +158,34 @@ class TestTraceWriter:
         peak(1)  # first-call set-up is not per-block memory
         small, large = peak(4), peak(64)
         assert large <= 1.5 * small, (small, large)
+
+
+class TestPeakMemory:
+    """Memory of a run and its trace writer, measured with tracemalloc only,
+    so it reads the same under any allocator."""
+
+    def test_trace_stores_the_solver_outputs_and_per_period_arrays(self, lowfreq_run):
+        trace = lowfreq_run[0].trace
+        nper, nsub = trace.dac_aq.shape
+        assert trace_bytes(trace) <= (2 * nsub + 4) * 8 * nper, trace_bytes(trace)
+
+    def test_run_and_trace_writer_peak_under_10_mib(self, lowfreq_scenario, tmp_path):
+        """Neither phase holds a whole-run grid or input: the engine peaks at
+        its outputs plus one block, under 8 MiB, and the writer at the
+        trace plus one block, under 10 MiB."""
+        from ehadc import floattext  # noqa: F401  (module set-up is not per-run memory)
+
+        run(lowfreq_scenario)  # first-call set-up is not per-run memory
+        tracemalloc.start()
+        try:
+            trace = run(lowfreq_scenario).trace
+            engine_peak = tracemalloc.get_traced_memory()[1]
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine_peak < 8 * 2**20, engine_peak
+        assert peak < 10 * 2**20, peak
 
 
 class TestRunCommand:

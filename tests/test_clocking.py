@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ehadc import engine
 from ehadc.clocking import PHASE_LABELS, ClockPlan, Phase, time_grid
 
 REFERENCE_PLANS = (
@@ -135,6 +136,30 @@ class TestTimeGrid:
         closed = k[:, None] * plan.t_s + np.arange(n_sub + 1, dtype=float) * (plan.t_aq / n_sub)
         closed[:, -1] = k * plan.t_s + plan.alpha * plan.t_s
         assert np.array_equal(aq.view(np.uint64), closed.view(np.uint64))
+
+    @pytest.mark.parametrize("periods", [None, 1, 3])
+    @pytest.mark.parametrize("plan", [ClockPlan(f_s=10e3, alpha=0.1, n_periods=2050),
+                                      ClockPlan(f_s=40e6, alpha=0.37, n_periods=2050)])
+    def test_rows_have_the_bits_of_the_whole_grid(self, plan, periods, monkeypatch):
+        """time_grid over each block of whole periods that the engine's
+        _blocks makes (the default of 1,024 periods, 1 period, and 3
+        periods; the default and 3 end in a short block) has the bits of
+        those rows of the whole grid, the acquisition rows sub-step-major
+        and the harvest rows period-major."""
+        n_sub = 64
+        if periods is not None:
+            monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", periods * n_sub)
+        blocks = engine._blocks(plan.n_periods, n_sub)
+        sizes = [rows.stop - rows.start for rows in blocks]
+        if periods != 1:
+            assert sizes[-1] < sizes[0]
+        whole = time_grid(plan, n_sub)
+        for rows in blocks:
+            aq, eh = time_grid(plan, n_sub, rows)
+            assert aq.flags.f_contiguous and eh.flags.c_contiguous
+            assert aq.shape == eh.shape == (rows.stop - rows.start, n_sub + 1)
+            for part, full in zip((aq, eh), whole):
+                assert np.array_equal(part.view(np.uint64), full[rows].view(np.uint64))
 
     def test_duty_identity(self):
         for plan in REFERENCE_PLANS:

@@ -479,6 +479,26 @@ class TestTraceLayout:
             assert first.shape == (n_rows,)
             assert np.array_equal(first, second, equal_nan=first.dtype.kind == "f")
 
+    def test_inputs_are_the_scenario_grid_and_stimulus(self, lowfreq_scenario, lowfreq_run):
+        """The derived grids and inputs are time_grid and sample_at of the
+        scenario, bit for bit and in their layouts; inputs(rows) gives their
+        rows, and the flat t and v_in columns interleave them per period."""
+        scenario, trace = lowfreq_scenario, lowfreq_run[0].trace
+        nper, nsub = scenario.clock.n_periods, scenario.n_sub
+        t_aq, t_eh = time_grid(scenario.clock, nsub)
+        want = (t_aq, t_eh, scenario.source.sample_at(t_aq), scenario.source.sample_at(t_eh))
+        got = (trace.t_aq, trace.t_eh, trace.v_in_aq, trace.v_in_eh)
+        for g, w in zip(got, want):
+            assert g.flags.f_contiguous == w.flags.f_contiguous
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        assert trace.period_s == scenario.clock.t_s
+        for rows in engine._blocks(nper, nsub) + [slice(0, 1), slice(5, 8), slice(nper - 3, nper)]:
+            for g, w in zip(trace.inputs(rows), want):
+                assert np.array_equal(g.view(np.uint64), w[rows].view(np.uint64)), rows
+        for flat, (aq, eh) in ((trace.t, want[:2]), (trace.v_in, want[2:])):
+            rows = np.stack((aq[:, 1:], eh[:, 1:]), axis=1).ravel()
+            assert np.array_equal(flat.view(np.uint64), rows.view(np.uint64))
+
     def test_phase_pattern_per_period(self):
         scenario = small_scenario()
         trace = run(scenario, spectral=False, eh=False).trace
