@@ -62,27 +62,34 @@ class ClockPlan:
         return self.t_s - self.t_aq
 
 
-def time_grid(plan: ClockPlan, n_sub: int, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-step endpoints of both phases of the periods in rows (all by default).
+def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice = slice(None)) -> np.ndarray:
+    """Sub-step endpoints of one phase of the periods in rows (all by default).
 
-    Returns (acquisition, harvest) arrays of shape (periods, n_sub + 1).
-    Row k of the acquisition grid steps by T_aq/n_sub from k*T_s to the phase
-    boundary k*T_s + alpha*T_s; row k of the harvest grid steps by T_EH/n_sub
-    from that boundary to (k+1)*T_s. The last endpoint of each row is snapped
-    to the closed-form boundary, so both phases share identical boundary times.
-    A row depends only on its period index k, so a slice of whole periods has
-    the bits of those rows of the whole grid. The acquisition grid is
-    sub-step-major (Fortran order), as the engine's acquisition solver reads
-    it; the harvest grid is period-major.
+    Returns an array of shape (periods, n_sub + 1). Row k of the acquisition
+    grid steps by T_aq/n_sub from k*T_s to the phase boundary k*T_s + alpha*T_s;
+    row k of the harvest grid steps by T_EH/n_sub from that boundary to
+    (k+1)*T_s. The last endpoint of each row is snapped to the closed-form
+    boundary, so both phases share identical boundary times. A row depends
+    only on its period index k, so a slice of whole periods has the bits of
+    those rows of the whole grid, and a phase built alone has the bits of that
+    phase of time_grid. The acquisition grid is sub-step-major (Fortran
+    order), as the engine's acquisition solver reads it; the harvest grid is
+    period-major. Each phase solver builds only its own phase, block by block.
     """
     start, stop, _ = rows.indices(plan.n_periods)
     k = np.arange(start, stop, dtype=float)
-    starts = k * plan.t_s
     boundaries = k * plan.t_s + plan.alpha * plan.t_s
     j = np.arange(n_sub + 1, dtype=float)
-    aq = np.empty((len(k), n_sub + 1), order="F")
-    np.add(starts[:, None], j[None, :] * (plan.t_aq / n_sub), out=aq)
-    aq[:, -1] = boundaries
-    eh = boundaries[:, None] + j[None, :] * (plan.t_eh / n_sub)
-    eh[:, -1] = (k + 1.0) * plan.t_s
-    return aq, eh
+    if phase == Phase.ACQUISITION:
+        grid = np.empty((len(k), n_sub + 1), order="F")
+        np.add((k * plan.t_s)[:, None], j[None, :] * (plan.t_aq / n_sub), out=grid)
+        grid[:, -1] = boundaries
+    else:
+        grid = boundaries[:, None] + j[None, :] * (plan.t_eh / n_sub)
+        grid[:, -1] = (k + 1.0) * plan.t_s
+    return grid
+
+
+def time_grid(plan: ClockPlan, n_sub: int, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(acquisition, harvest) phase_grid of the periods in rows (all by default)."""
+    return tuple(phase_grid(plan, n_sub, phase, rows) for phase in Phase)

@@ -11,9 +11,9 @@ piecewise-linear approximation of the sine drive.
 The result equals a sub-step-by-sub-step walk bit for bit, but the work is
 done on whole arrays. Each phase is solved in blocks of whole periods, in
 time order, of at most _BLOCK_SUBSTEPS sub-steps (_blocks): a block's grid
-(time_grid), drive and RC step table (_rc_steps) are built, solved, and
-dropped, and its node voltages go into the trace arrays allocated once per
-run. The trace keeps no grid or input (TransientTrace.inputs rebuilds them),
+of that phase alone (phase_grid), drive and RC step table (_rc_steps) are
+built, solved, and dropped, and its node voltages go into the trace arrays
+allocated once per run. The trace keeps no grid or input (TransientTrace.inputs rebuilds them),
 so a run's peak memory is the solver outputs plus one block.
 
 * Acquisition (_acquisition): a period depends on the one before only
@@ -24,7 +24,7 @@ so a run's peak memory is the solver outputs plus one block.
   sequential answer. After 2 period updates per period of the block the rest
   of the block is finished in order. A block's first period starts at the
   DAC level of the previous block's last code, which is final. Its tables
-  are sub-step-major, as time_grid lays out the acquisition grid, so each
+  are sub-step-major, as phase_grid lays out the acquisition grid, so each
   settle step reads one contiguous column of the block's periods.
 * Harvest (_harvest): the diode ratchet holds the storage voltage on most
   sub-steps, so the RC candidate at the held voltage is tested over growing
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocking import ClockPlan, Phase, time_grid
+from .clocking import ClockPlan, Phase, phase_grid, time_grid
 from .errors import NotConverged, ValidationError
 from .frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
 from .harvester import EhConfig, EhMetrics, rectified_envelope, steady_state_metrics
@@ -112,11 +112,13 @@ class TransientTrace:
     saturated, and dac_level (the level of each code, held through the
     harvest phase); and the run's clock and source.
 
-    Derived on each access: inputs(rows), and from it t_aq, t_eh (the
-    time_grid of each phase) and v_in_aq, v_in_eh (the input at those times),
-    (n_periods, n_sub + 1) with column 0 the phase start; period_s, the
-    sampling period; and the flat columns t, v_in, phase (Phase values),
-    v_dac and v_ceh, one row per sub-step end and 2*n_sub rows per period.
+    Derived on each access: t_aq, t_eh (the phase_grid of each phase), and
+    inputs(rows), which holds those grids for the periods in rows and
+    v_in_aq, v_in_eh (the input at those times), all (n_periods, n_sub + 1)
+    with column 0 the phase start; period_s, the sampling period; and the
+    flat columns t (from t_aq and t_eh), v_in (from inputs()), phase (Phase
+    values), v_dac and v_ceh, one row per sub-step end and 2*n_sub rows per
+    period.
     """
 
     dac_aq: np.ndarray
@@ -134,7 +136,8 @@ class TransientTrace:
         t_aq, t_eh = time_grid(self.clock, self.dac_aq.shape[1], rows)
         return t_aq, t_eh, self.source.sample_at(t_aq), self.source.sample_at(t_eh)
 
-    t_aq, t_eh, v_in_aq, v_in_eh = (property(lambda self, i=i: self.inputs()[i]) for i in range(4))
+    t_aq, t_eh = (property(lambda self, p=p: phase_grid(self.clock, self.dac_aq.shape[1], p)) for p in Phase)
+    v_in_aq, v_in_eh = (property(lambda self, i=i: self.inputs()[i]) for i in (2, 3))
     period_s = property(lambda self: self.clock.t_s)
 
     @property
@@ -144,7 +147,7 @@ class TransientTrace:
 
     @property
     def t(self) -> np.ndarray:
-        return _rows(*(a[:, 1:] for a in self.inputs()[:2]))
+        return _rows(self.t_aq[:, 1:], self.t_eh[:, 1:])
 
     @property
     def v_in(self) -> np.ndarray:
@@ -300,8 +303,9 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     With (a, g, psi) from rc_step_terms at x = h/tau and u0, u1 the drive at
     the step's ends, q = u0*g + (u1 - u0)*psi, so a step from v ends at
     v*a + q. A cut-off switch has tau = inf and x = 0, so a = 1 and q = 0:
-    the node holds. A constant switch takes the terms once for dt and once
-    per period for its last width.
+    the node holds. A constant switch takes the terms once for dt and
+    once per period for its last width. A block whose x all lie on one side
+    of _PSI_SERIES_X runs one form of psi (see rc_step_terms).
     """
     u0, u1 = drive[:, :-1], drive[:, 1:]
     h_last = grid[:, -1] - grid[:, -2]
@@ -318,16 +322,17 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     tau = np.subtract(switch.v_gate, u0)
     np.abs(tau, out=tau)
     tau -= switch.v_th
-    on = tau > 0.0
+    # A cut-off sub-step has overdrive 0 here, and 1/(+0) = inf.
+    np.maximum(tau, 0.0, out=tau)
     tau *= switch.k_gain
-    np.divide(1.0, tau, out=tau, where=on)
-    np.copyto(tau, math.inf, where=np.logical_not(on, out=on))
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, tau, out=tau)
     tau += r_series
     tau *= c
-    x = np.full_like(tau, dt)
-    x[:, -1] = h_last
-    x /= tau
-    del tau, on  # freed before the terms are built
+    # x = h/tau, formed in tau's buffer.
+    tau_last = tau[:, -1].copy()
+    x = np.divide(dt, tau, out=tau)
+    np.divide(h_last, tau_last, out=x[:, -1])
     a, q, psi = rc_step_terms(x)
     psi *= np.subtract(u1, u0, out=x)
     q *= u0
@@ -467,7 +472,7 @@ def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: Sine
     codes = np.empty(nper, dtype=np.int64)
     level = 0.0
     for rows in _blocks(nper, nsub):
-        grid = time_grid(plan, nsub, rows)[0]
+        grid = phase_grid(plan, nsub, Phase.ACQUISITION, rows)
         drive = source.sample_at(grid)
         steps = _rc_steps(s1, 0.0, c_dac(adc), drive, grid, plan.t_aq / nsub)
         codes[rows] = _acquisition(steps, drive[:, -1], adc, level, out=dac_aq[rows])[1]
@@ -485,7 +490,7 @@ def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int
     rect = ehc.rectifier
     v = 0.0
     for rows in _blocks(nper, nsub):
-        grid = time_grid(plan, nsub, rows)[1]
+        grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
         env = rectified_envelope(source.sample_at(grid), rect)
         steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub)
         v = float(_harvest(steps, v, out=ceh_eh[rows])[-1, -1])

@@ -107,7 +107,10 @@ def rc_step_terms(x):
     v*a + (u0*g + (u1 - u0)*psi); x = 0, an open branch, holds v. x is a float
     or an array; a float goes through np.exp and np.expm1 as a one-element
     array and then through the same IEEE operations in Python floats, so it
-    gets the bits an array element gets.
+    gets the bits an array element gets. An array runs the series only if
+    some element lies below _PSI_SERIES_X and the quotient only if some
+    element lies at or above it (or is NaN); a mixed array runs both, each
+    on x clamped to its side, and takes each element from its own side.
     """
     if not isinstance(x, np.ndarray):
         e = np.array([-x])
@@ -121,24 +124,33 @@ def rc_step_terms(x):
         else:
             psi = 1.0 - g / x
         return a, g, psi
-    # Each form of psi runs on x clamped to its side of _PSI_SERIES_X, so
-    # neither overflows nor divides 0/0, and is kept on that side.
-    xs = np.minimum(x, _PSI_SERIES_X)
-    series = np.full_like(x, _PSI_SERIES[0])
-    for coef in _PSI_SERIES[1:]:
-        series *= xs
-        series += coef
-    series *= xs
-    g = np.negative(x, out=xs)
+    below = x < _PSI_SERIES_X
+    n_below = np.count_nonzero(below)
+    g = np.negative(x)
     np.expm1(g, out=g)
     np.negative(g, out=g)
-    psi = np.maximum(x, _PSI_SERIES_X)
-    np.divide(g, psi, out=psi)
-    np.subtract(1.0, psi, out=psi)
-    np.copyto(psi, series, where=x < _PSI_SERIES_X)
-    a = np.negative(x, out=series)
+    if n_below == x.size:
+        psi = _psi_series(x)
+    else:
+        # In a mixed array each form runs on x clamped to its side of
+        # _PSI_SERIES_X, so neither overflows nor divides 0/0.
+        psi = np.divide(g, np.maximum(x, _PSI_SERIES_X) if n_below else x)
+        np.subtract(1.0, psi, out=psi)
+        if n_below:
+            np.copyto(psi, _psi_series(np.minimum(x, _PSI_SERIES_X)), where=below)
+    a = np.negative(x)
     np.exp(a, out=a)
     return a, g, psi
+
+
+def _psi_series(x: np.ndarray) -> np.ndarray:
+    """psi from _PSI_SERIES at every element of x, in x's layout."""
+    psi = np.full_like(x, _PSI_SERIES[0])
+    for coef in _PSI_SERIES[1:]:
+        psi *= x
+        psi += coef
+    psi *= x
+    return psi
 
 
 def rc_step_value(

@@ -125,14 +125,16 @@ def check_phase_isolation(trace):
 @dataclasses.dataclass(frozen=True)
 class StoredTrace(TransientTrace):
     """A TransientTrace whose grids and inputs are given arrays instead of a
-    clock and a source: inputs(rows) returns their rows, and period_s is
-    given too."""
+    clock and a source: inputs(rows) returns their rows, t_aq and t_eh are
+    the given grids, and period_s is given too."""
 
     given_inputs: tuple = ()
     given_period_s: float = 1.0
 
     def inputs(self, rows=slice(None)):
         return tuple(a[rows] for a in self.given_inputs)
+
+    t_aq, t_eh = (property(lambda self, i=i: self.given_inputs[i]) for i in range(2))
 
     @property
     def period_s(self):

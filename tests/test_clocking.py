@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ehadc import engine
-from ehadc.clocking import PHASE_LABELS, ClockPlan, Phase, time_grid
+from ehadc.clocking import PHASE_LABELS, ClockPlan, Phase, phase_grid, time_grid
 
 REFERENCE_PLANS = (
     ClockPlan(f_s=10e3, alpha=0.1, n_periods=4),
@@ -159,6 +159,25 @@ class TestTimeGrid:
             assert aq.flags.f_contiguous and eh.flags.c_contiguous
             assert aq.shape == eh.shape == (rows.stop - rows.start, n_sub + 1)
             for part, full in zip((aq, eh), whole):
+                assert np.array_equal(part.view(np.uint64), full[rows].view(np.uint64))
+
+    @pytest.mark.parametrize("periods", [None, 1, 3])
+    @pytest.mark.parametrize("plan", [ClockPlan(f_s=10e3, alpha=0.1, n_periods=2050),
+                                      ClockPlan(f_s=40e6, alpha=0.37, n_periods=2050)])
+    def test_one_phase_has_the_bits_of_that_phase_of_the_grid(self, plan, periods, monkeypatch):
+        """phase_grid of one phase, as each phase solver builds it, over
+        every block of whole periods that _blocks makes, has the bits and
+        the layout of that phase of time_grid: acquisition sub-step-major,
+        harvest period-major."""
+        n_sub = 64
+        if periods is not None:
+            monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", periods * n_sub)
+        whole = time_grid(plan, n_sub)
+        for rows in engine._blocks(plan.n_periods, n_sub):
+            for phase, full in zip(Phase, whole):
+                part = phase_grid(plan, n_sub, phase, rows)
+                assert part.flags["F_CONTIGUOUS" if phase is Phase.ACQUISITION else "C_CONTIGUOUS"]
+                assert part.shape == (rows.stop - rows.start, n_sub + 1)
                 assert np.array_equal(part.view(np.uint64), full[rows].view(np.uint64))
 
     def test_duty_identity(self):

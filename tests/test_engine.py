@@ -17,9 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ehadc.clocking import ClockPlan, Phase, time_grid
+from ehadc.clocking import ClockPlan, Phase, phase_grid, time_grid
 from ehadc.errors import NotConverged, ValidationError
-from ehadc.frontend import Switch, default_settling_factor, r_on, required_r_on
+from ehadc.frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
 from ehadc.harvester import EhConfig, RectifierModel, rectified_envelope
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output
 from ehadc.stimulus import SineSource, coherent_frequency
@@ -557,12 +557,66 @@ class TestTableLayout:
             assert f.flags.f_contiguous
             assert np.array_equal(f.view(np.uint64), c_.view(np.uint64))
 
+    @pytest.mark.parametrize("phase", list(Phase))
+    @pytest.mark.parametrize("cut_off", [False, True])
+    def test_pass_tables_equal_the_float_steps(self, cut_off, phase):
+        """A pass-transistor table of one block, with no sub-step cut off
+        and with some cut off (overdrive clamped to 0, 1/(k*0) = inf),
+        equals the table built one sub-step at a time
+        from r_on and the float rc_step_terms, bit for bit, on the
+        acquisition (Fortran-order) and harvest (C-order) grid. One drive
+        value sits at v_gate - v_th: an overdrive of exactly 0 (cut off) for
+        the cut-off switch, and of 1.1e-16 V (on, r_on near 1e17 ohm) for
+        the other."""
+        v_gate, v_th = (0.1, 0.05) if cut_off else (1.8, 0.4)
+        switch = Switch.pass_transistor(k_gain=0.1, v_th=v_th, v_gate=v_gate)
+        r_series, c = (0.0, 1e-9) if phase is Phase.ACQUISITION else (73.8, 1e-7)
+        plan = ClockPlan(f_s=10e3, alpha=0.1, n_periods=24)
+        n_sub = 16
+        grid = phase_grid(plan, n_sub, phase)
+        drive = SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 32, 5)).sample_at(grid)
+        drive[3, 5] = v_gate - v_th
+        dt = (plan.t_aq if phase is Phase.ACQUISITION else plan.t_eh) / n_sub
+        a, q = engine._rc_steps(switch, r_series, c, drive, grid, dt)
+        assert a.flags.f_contiguous == (phase is Phase.ACQUISITION)
+        want_a, want_q = np.empty_like(a), np.empty_like(q)
+        for p in range(plan.n_periods):
+            for j in range(n_sub):
+                u0, u1 = float(drive[p, j]), float(drive[p, j + 1])
+                h = dt if j < n_sub - 1 else float(grid[p, -1] - grid[p, -2])
+                a_x, g, psi = rc_step_terms(h / ((r_series + r_on(switch, u0)) * c))
+                want_a[p, j], want_q[p, j] = a_x, u0 * g + (u1 - u0) * psi
+        held = (a == 1.0) & (q == 0.0)
+        assert held.any() == cut_off and held[3, 5] == cut_off
+        assert np.array_equal(a.view(np.uint64), want_a.view(np.uint64))
+        assert np.array_equal(q.view(np.uint64), want_q.view(np.uint64))
+
     def test_acquisition_arrays_are_substep_major(self):
         trace = run(small_scenario(), spectral=False, eh=False).trace
         for name in ("t_aq", "v_in_aq", "dac_aq"):
             assert getattr(trace, name).flags.f_contiguous, name
         for name in ("t_eh", "v_in_eh", "ceh_eh"):
             assert getattr(trace, name).flags.c_contiguous, name
+
+
+def time_scaled(scenario, lam):
+    """scenario with f_s and f_in times lam and c_unit and c_eh over lam."""
+    return dataclasses.replace(
+        scenario,
+        source=dataclasses.replace(scenario.source, frequency=scenario.source.frequency * lam),
+        clock=dataclasses.replace(scenario.clock, f_s=scenario.clock.f_s * lam),
+        adc=dataclasses.replace(scenario.adc, c_unit=scenario.adc.c_unit / lam),
+        eh=dataclasses.replace(scenario.eh, c_eh=scenario.eh.c_eh / lam),
+    )
+
+
+def assert_scales_bit_for_bit(base, scaled, lam):
+    want = run(base, spectral=False, eh=False).trace
+    got = run(scaled, spectral=False, eh=False).trace
+    for name in ("codes", "dac_aq", "ceh_eh"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("t_aq", "t_eh"):
+        assert getattr(got, name).tobytes() == (getattr(want, name) / lam).tobytes(), name
 
 
 class TestScaleLaw:
@@ -576,19 +630,46 @@ class TestScaleLaw:
         base, _ = build_scenario(load_config(repo_root / config))
         base = dataclasses.replace(base, clock=dataclasses.replace(base.clock, n_periods=64))
         lam = 2.0**k
-        scaled = dataclasses.replace(
-            base,
-            source=dataclasses.replace(base.source, frequency=base.source.frequency * lam),
-            clock=dataclasses.replace(base.clock, f_s=base.clock.f_s * lam),
-            adc=dataclasses.replace(base.adc, c_unit=base.adc.c_unit / lam),
-            eh=dataclasses.replace(base.eh, c_eh=base.eh.c_eh / lam),
-        )
-        want = run(base, spectral=False, eh=False).trace
-        got = run(scaled, spectral=False, eh=False).trace
-        for name in ("codes", "dac_aq", "ceh_eh"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        for name in ("t_aq", "t_eh"):
-            assert getattr(got, name).tobytes() == (getattr(want, name) / lam).tobytes(), name
+        assert_scales_bit_for_bit(base, time_scaled(base, lam), lam)
+
+    def test_random_scenarios_scale_bit_for_bit(self, monkeypatch):
+        """Seeded random scenarios (random_walk_scenario: constant, auto and
+        pass-transistor switches, 1-64 periods), each scaled by 2**k for k
+        in -20..20. reference_walk shares time_grid and sample_at with the
+        engine; this oracle is the engine at another time scale, so a units
+        slip there (an absolute-seconds constant) breaks it. The
+        pass-transistor step tables must keep their bits too, and between
+        them they take the series alone, the quotient alone and both, with
+        and without a cut-off sub-step."""
+        tables, reached = [], set()
+        real_steps, real_terms = engine._rc_steps, engine.rc_step_terms
+
+        def steps(switch, *args):
+            table = real_steps(switch, *args)
+            if switch.kind is SwitchKind.PASS_TRANSISTOR:
+                tables.append(table)
+            return table
+
+        def terms(x):
+            if np.ndim(x) == 2:  # a pass-transistor table's arguments
+                n_below = np.count_nonzero(x < 0.125)
+                reached.add("series" if n_below == x.size else "quotient" if n_below == 0 else "both")
+                reached.add("cut-off" if (x == 0.0).any() else "on")
+            return real_terms(x)
+
+        monkeypatch.setattr(engine, "_rc_steps", steps)
+        monkeypatch.setattr(engine, "rc_step_terms", terms)
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            base = random_walk_scenario(rng)
+            lam = 2.0 ** int(rng.integers(-20, 21))
+            tables.clear()
+            assert_scales_bit_for_bit(base, time_scaled(base, lam), lam)
+            half = len(tables) // 2
+            assert len(tables) == 2 * half
+            for (a, q), (a_lam, q_lam) in zip(tables[:half], tables[half:]):
+                assert a_lam.tobytes() == a.tobytes() and q_lam.tobytes() == q.tobytes()
+        assert reached == {"series", "quotient", "both", "cut-off", "on"}
 
 
 class TestDcOperatingPoint:
@@ -652,6 +733,7 @@ class TestValidation:
             raise AssertionError("an array was built")
 
         monkeypatch.setattr(engine, "time_grid", no_grid)
+        monkeypatch.setattr(engine, "phase_grid", no_grid)
         n = MAX_PERIODS + 1
         scenario = small_scenario(clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=n))
         message = f"n_periods {n} exceeds the cap of {MAX_PERIODS} periods"

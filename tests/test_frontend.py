@@ -13,7 +13,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from ehadc import engine
+from ehadc import engine, frontend
 from ehadc.config import build_scenario, load_config
 from ehadc.frontend import (
     IDEAL_R_FLOOR,
@@ -201,6 +201,30 @@ class TestRcStepAgainstDecimal:
             assert abs(Decimal(psi) - exact) <= Decimal("1e-14") * exact
 
 
+# Arrays of step arguments on one side of the psi series threshold (0.125)
+# or on both, 64 elements each: x = 0, the smallest subnormal and the
+# largest float below 0.125; 0.125 itself, the float above it, 746 (where
+# exp(-x) flushes to zero) and inf; and a mix of the two in no order.
+_BELOW = np.concatenate(([0.0, 5e-324, np.nextafter(0.125, 0.0)], np.logspace(-20.0, math.log10(0.124), 61)))
+_AT_OR_ABOVE = np.concatenate(([0.125, np.nextafter(0.125, 1.0), 746.0, math.inf], np.linspace(0.125, 746.0, 60)))
+_SIDED_ARGUMENTS = {
+    "all-below": _BELOW,
+    "all-at-or-above": _AT_OR_ABOVE,
+    "mixed": np.random.default_rng(7).permutation(np.concatenate((_BELOW[::2], _AT_OR_ABOVE[::2]))),
+}
+
+
+def layouts_of(x):
+    """x (a multiple of 16 elements) as a C-order and a Fortran-order
+    (-1, 16) array and as a strided 1-D view."""
+    c_order = x.reshape(-1, 16)
+    buffer = np.zeros(2 * x.size)
+    buffer[::2] = x
+    layouts = {"C": c_order, "F": np.asfortranarray(c_order), "strided": buffer[::2]}
+    assert layouts["F"].flags.f_contiguous and not layouts["strided"].flags.c_contiguous
+    return layouts
+
+
 @pytest.fixture(scope="module")
 def pass_bench_arguments(repo_root):
     """The step arguments x = h/tau of every S1 and S2 table that engine.run
@@ -246,19 +270,35 @@ class TestRcStepTerms:
         x = np.concatenate((x, np.zeros(-x.size % 16)))
         one_at_a_time = np.array([rc_step_terms(v) for v in x.tolist()])
         want = one_at_a_time.view(np.uint64).T
-        c_order = x.reshape(-1, 16)
-        buffer = np.zeros(2 * x.size)
-        buffer[::2] = x
-        layouts = {
-            "C": c_order,
-            "F": np.asfortranarray(c_order),
-            "strided": buffer[::2],
-        }
-        assert layouts["F"].flags.f_contiguous and not layouts["strided"].flags.c_contiguous
-        for name, arr in layouts.items():
+        for name, arr in layouts_of(x).items():
             for k, term in enumerate(rc_step_terms(arr)):
                 got = np.ravel(term).view(np.uint64)
                 assert np.array_equal(got, want[k]), (name, "agq"[k], x[got != want[k]][:5])
+
+    @pytest.mark.parametrize("side", list(_SIDED_ARGUMENTS))
+    def test_one_sided_and_mixed_arrays_take_the_float_bits(self, side):
+        """An array all below the series threshold runs only the series, one
+        all at or above it only 1 - g/x, and a mixed array both; each keeps
+        the bits of the float path in every layout, and no form divides 0/0
+        or overflows."""
+        x = _SIDED_ARGUMENTS[side]
+        n_below = np.count_nonzero(x < 0.125)
+        assert {"all-below": n_below == x.size, "all-at-or-above": n_below == 0, "mixed": 0 < n_below < x.size}[side]
+        want = np.array([rc_step_terms(v) for v in x.tolist()]).view(np.uint64).T
+        for name, arr in layouts_of(x).items():
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                terms = rc_step_terms(arr)
+            for k, term in enumerate(terms):
+                got = np.ravel(term).view(np.uint64)
+                assert np.array_equal(got, want[k]), (side, name, "agq"[k], x[got != want[k]][:5])
+
+    @pytest.mark.parametrize("side, series_runs", [("all-below", 1), ("all-at-or-above", 0), ("mixed", 1)])
+    def test_the_series_runs_only_where_some_element_needs_it(self, side, series_runs, monkeypatch):
+        calls = []
+        real = frontend._psi_series
+        monkeypatch.setattr(frontend, "_psi_series", lambda x: calls.append(x.size) or real(x))
+        rc_step_terms(_SIDED_ARGUMENTS[side])
+        assert len(calls) == series_runs
 
 
 class TestSettlingHelpers:
