@@ -135,9 +135,13 @@ def _switch_from(cfg: ParsedConfig, prefix: str, allow_auto: bool):
     kind = cfg.get(f"{prefix}.type")
     if kind not in _SWITCH_TYPES:
         raise cfg.error(f"{prefix}.type", f"switch type must be one of {_SWITCH_TYPES}, got {kind!r}")
+    if kind == "auto" and not allow_auto:
+        raise cfg.error(f"{prefix}.type", "only the sampling switch supports type 'auto'")
+    read = {"constant": ("r_on",), "pass": ("k_gain", "v_th", "v_gate")}.get(kind, ())
+    for key in (f"{prefix}.{f}" for f in ("r_on", "k_gain", "v_th", "v_gate") if f not in read):
+        if key in cfg.values:
+            raise cfg.error(key, f"{key} is not used by switch type {kind!r}")
     if kind == "auto":
-        if not allow_auto:
-            raise cfg.error(f"{prefix}.type", "only the sampling switch supports type 'auto'")
         return "auto"
     if kind == "ideal":
         return Switch.ideal()

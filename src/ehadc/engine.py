@@ -9,28 +9,29 @@ integrated with the exact RC update, so the only discretization left is the
 piecewise-linear approximation of the sine drive.
 
 The result equals a sub-step-by-sub-step walk bit for bit, but the work is
-done on whole arrays. Each phase is solved in blocks of whole periods, in
-time order, of at most _BLOCK_SUBSTEPS sub-steps (_blocks): a block's grid
-of that phase alone (phase_grid), drive and RC step table (_rc_steps) are
-built, solved, and dropped, and its node voltages go into the trace arrays
-allocated once per run. The trace keeps no grid or input (TransientTrace.inputs rebuilds them),
-so a run's peak memory is the solver outputs plus one block.
+done on whole arrays, with one loop over sub-steps per phase. Each phase is
+solved in blocks of whole periods, in time order, of at most _BLOCK_SUBSTEPS
+sub-steps (_blocks): a block's grid of that phase alone (phase_grid), drive
+and RC step table (_rc_steps) are built, solved, and dropped, and its node
+voltages go into the trace arrays allocated once per run. The trace keeps no
+grid or input (TransientTrace.inputs rebuilds them), so a run's peak memory
+is the solver outputs plus one block.
 
 * Acquisition (_acquisition): a period depends on the one before only
   through the DAC level of the previous code. Waveform relaxation guesses
   every start level of a block, settles its periods at once, converts them
   all with one sar_convert call, and redoes the periods whose start level
-  changed. The discrete codes make the fixed point exact, and it is the
-  sequential answer. After 2 period updates per period of the block the rest
-  of the block is finished in order. A block's first period starts at the
-  DAC level of the previous block's last code, which is final. Its tables
-  are sub-step-major, as phase_grid lays out the acquisition grid, so each
-  settle step reads one contiguous column of the block's periods.
+  changed until none does. The discrete codes make the fixed point exact,
+  and it is the sequential answer: a block's first period starts at the DAC
+  level of the previous block's last code, which is final, and each pass
+  makes at least one more period final. Its tables are sub-step-major, as
+  phase_grid lays out the acquisition grid, so each settle step reads one
+  contiguous column of the block's periods.
 * Harvest (_harvest): the diode ratchet holds the storage voltage on most
   sub-steps, so the RC candidate at the held voltage is tested over growing
-  blocks, and single steps are taken only while the voltage rises. Its
-  tables are period-major, so the flat walk runs in time order, and the
-  storage voltage carries from one block of periods to the next.
+  blocks, and one scalar walk steps the ratchet only while the voltage
+  rises. Its tables are period-major, so the flat walk runs in time order,
+  and the storage voltage carries from one block of periods to the next.
 
 Both apply a table of RC steps (_rc_steps) as v*a + q per sub-step, the float
 operations of the one-step update rc_step_value. The terms come from
@@ -347,91 +348,67 @@ def _blocks(n_periods: int, n_sub: int) -> list[slice]:
     return [slice(p, min(p + step, n_periods)) for p in range(0, n_periods, step)]
 
 
-def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float = 0.0, out=None):
-    """DAC node after every acquisition sub-step (n_periods, n_sub), and the codes.
+def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float, out) -> np.ndarray:
+    """Codes of the periods; the DAC node after every acquisition sub-step
+    goes into out, a sub-step-major (n_periods, n_sub) array.
 
-    steps is the _rc_steps table of the periods and boundary_in the
-    input at each window's end. A period depends on the one before only
-    through its start level, the DAC level of the previous code; the first
-    period starts at v0. Waveform relaxation: guess every other start level
-    from the code of the previous boundary input, settle all periods at once,
-    convert, and redo the periods whose start level changed until none does.
-    That fixed point is the sequential answer. Once the passes have done
-    2*n_periods period updates the rest is finished in order, from the first
-    unsettled period, so a slowly settling S1 costs no more than a scalar
-    walk. The node values go into out, a sub-step-major (n_periods, n_sub)
-    array, when given.
+    steps is the _rc_steps table of the periods and boundary_in the input at
+    each window's end. A period depends on the one before only through its
+    start level, the DAC level of the previous code; the first period starts
+    at v0. Waveform relaxation: guess every other start level from the code
+    of the previous boundary input, settle all periods at once, convert, and
+    redo the periods whose start level changed until none does. The first
+    period redone in a pass follows a final prefix, so each pass makes at
+    least one more period final: n periods take at most n + 1 sar_convert
+    calls, and the fixed point is the sequential walk's codes.
     """
     a, q = steps
-    nper, nsub = a.shape
+    nsub = a.shape[1]
 
-    def settle(start, rows, v=None):
+    def settle(rows):
         # Sub-step-major, as the table is: each column is contiguous.
-        if v is None:
-            v = np.empty((len(start), nsub), order="F")
-        x = start
+        x = start[rows]
         for j in range(nsub):
-            x = v[:, j] = x * a[rows, j] + q[rows, j]
-        return v
+            x = out[rows, j] = x * a[rows, j] + q[rows, j]
+        return sar_convert(x, adc)
 
-    start = np.empty(nper)
+    start = np.empty(len(a))
     start[0] = v0
     start[1:] = dac_output(sar_convert(boundary_in[:-1], adc), adc)
-    v = settle(start, slice(None), out)
-    codes = sar_convert(v[:, -1], adc)
-    updates = nper
+    codes = settle(slice(None))
     while True:
         level = dac_output(codes[:-1], adc)
         redo = np.flatnonzero(level != start[1:]) + 1
         if redo.size == 0:
-            return v, codes
-        if updates >= 2 * nper:
-            break
+            return codes
         start[redo] = level[redo - 1]
-        v[redo] = settle(start[redo], redo)
-        codes[redo] = sar_convert(v[redo, -1], adc)
-        updates += redo.size
-
-    # Sequential finish: a period is redone only if its start level differs
-    # from the one its values were computed with.
-    for p in range(int(redo[0]), nper):
-        x = dac_output(int(codes[p - 1]), adc)
-        if x == start[p]:
-            continue
-        start[p] = x
-        for j, (a_j, q_j) in enumerate(zip(a[p].tolist(), q[p].tolist())):
-            x = v[p, j] = x * a_j + q_j
-        codes[p] = sar_convert(x, adc)
-    return v, codes
+        codes[redo] = settle(redo)
 
 
-def _harvest(steps, v0: float = 0.0, out=None) -> np.ndarray:
-    """Storage-cap voltage after every harvest sub-step, shape (n_periods, n_sub).
+def _harvest(steps, v: float, out) -> float:
+    """The storage-cap voltage after the last harvest sub-step; the voltage
+    after every sub-step goes into out, a C-contiguous (n_periods, n_sub)
+    array.
 
-    steps is the _rc_steps table of the periods. The node starts at v0 and
+    steps is the _rc_steps table of the periods. The node starts at v and
     carries over from period to period. The diode ratchet takes the RC
-    candidate only where it exceeds the held voltage, which happens on few
-    sub-steps. So the candidate at the held voltage is evaluated over blocks
-    that double from n_sub up to _MAX_HOLD_BLOCK sub-steps; from the first
-    sub-step where it rises, the ratchet steps one sub-step at a time while
-    it keeps rising. Where S2 is cut off the candidate is v itself, which
-    does not rise, so the node holds. Both paths form the candidate v*a + q
-    with the same float operations. The voltages go into out, a C-contiguous
-    (n_periods, n_sub) array, when given.
+    candidate v*a + q only where it exceeds the held voltage, which happens
+    on few sub-steps. So the candidate at the held voltage is tested over
+    blocks that double from n_sub up to _MAX_HOLD_BLOCK sub-steps, and from
+    the first sub-step where it rises one scalar walk steps the ratchet
+    while it keeps rising. Where S2 is cut off the candidate is v itself,
+    which does not rise, so the node holds. Both paths form the candidate
+    with the same float operations.
     """
-    nper, nsub = steps[0].shape
+    nsub = steps[0].shape[1]
     a, q = (m.ravel() for m in steps)
-    # The single steps read Python floats straight from the table.
+    # The scalar walk reads Python floats straight from the table.
     a_m, q_m = memoryview(a), memoryview(q)
-    n = len(a)
-    if out is None:
-        out = np.empty((nper, nsub))
-    flat = out.reshape(n)
-    v = v0
+    flat = out.reshape(len(a))
     i = 0
     block = nsub
-    while i < n:
-        j = min(i + block, n)
+    while i < len(a):
+        j = i + block
         cand = np.multiply(v, a[i:j])
         cand += q[i:j]
         rises = np.flatnonzero(cand > v)
@@ -442,24 +419,17 @@ def _harvest(steps, v0: float = 0.0, out=None) -> np.ndarray:
             continue
         k = i + int(rises[0])
         flat[i:k] = v
-        i = k
-        while i < n:  # scalar steps, one window of nsub at a time
-            j = min(i + nsub, n)
-            risen = []
-            for a_j, q_j in zip(a_m[i:j], q_m[i:j]):
-                cand = v * a_j + q_j
-                if not cand > v:
-                    break
-                v = cand
-                risen.append(v)
-            flat[i : i + len(risen)] = risen
-            i += len(risen)
-            if i < j:  # the candidate at sub-step i did not rise: it holds
-                flat[i] = v
-                i += 1
+        risen = []
+        for a_k, q_k in zip(a_m[k:], q_m[k:]):
+            cand = v * a_k + q_k
+            if not cand > v:
                 break
+            v = cand
+            risen.append(v)
+        i = k + len(risen)
+        flat[k:i] = risen
         block = nsub
-    return out
+    return v
 
 
 def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: SineSource, nsub: int):
@@ -475,7 +445,7 @@ def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: Sine
         grid = phase_grid(plan, nsub, Phase.ACQUISITION, rows)
         drive = source.sample_at(grid)
         steps = _rc_steps(s1, 0.0, c_dac(adc), drive, grid, plan.t_aq / nsub)
-        codes[rows] = _acquisition(steps, drive[:, -1], adc, level, out=dac_aq[rows])[1]
+        codes[rows] = _acquisition(steps, drive[:, -1], adc, level, dac_aq[rows])
         level = dac_output(int(codes[rows.stop - 1]), adc)
         del grid, drive, steps  # freed before the next block's are built
     return dac_aq, codes
@@ -493,7 +463,7 @@ def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int
         grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
         env = rectified_envelope(source.sample_at(grid), rect)
         steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub)
-        v = float(_harvest(steps, v, out=ceh_eh[rows])[-1, -1])
+        v = _harvest(steps, v, ceh_eh[rows])
         del grid, env, steps  # freed before the next block's are built
     return ceh_eh
 

@@ -289,8 +289,9 @@ class TestRunCommand:
                 "n_fft must be a power of two, got 20",
             ),
             ({"": "signal.p_in_w = -1\n"}, ":12: signal.p_in_w must be positive, got -1.0"),
+            ({"": "switch.s1.r_on = 0.5\n"}, ":12: switch.s1.r_on is not used by switch type 'auto'"),
         ],
-        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1"],
+        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1", "auto-r_on"],
     )
     def test_bad_scenario_values_exit_2_before_the_transient(
         self, tmp_path, capsys, edits, message

@@ -184,6 +184,23 @@ class TestBuildScenario:
             scenario_from(text)
         assert "r_on" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("switch.s1.r_on = 0.5\n", "switch.s1.r_on"),
+            ("switch.s1.type = ideal\nswitch.s1.r_on = 0.5\n", "switch.s1.r_on"),
+            ("switch.s2.type = pass\nswitch.s2.r_on = 7\n", "switch.s2.r_on"),
+            ("switch.s1.v_th = 0.4\n", "switch.s1.v_th"),
+            ("switch.s1.type = ideal\nswitch.s1.k_gain = 2\n", "switch.s1.k_gain"),
+            ("switch.s2.r_on = 2\nswitch.s2.v_gate = 0.9\n", "switch.s2.v_gate"),
+        ],
+    )
+    def test_key_the_switch_type_does_not_use_is_rejected_at_its_line(self, lines, key):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from(MINIMAL + lines)
+        assert exc.value.line == 10 + lines.count("\n") - 1
+        assert exc.value.message.startswith(f"{key} is not used by switch type")
+
     def test_metrics_selection(self):
         scenario, options = scenario_from(MINIMAL + "run.metrics = eh\n")
         assert options.eh and not options.spectral

@@ -66,21 +66,19 @@ def assert_same_metrics(a, b):
 
 @pytest.fixture
 def conversions(monkeypatch):
-    """Counts of the converter calls made inside engine.run.
-
-    "array" counts sar_convert calls on an array: one for the initial guess
-    and one per relaxation pass. "scalar" counts its calls on one voltage:
-    one per period redone by the sequential finish.
-    """
-    counts = {"array": 0, "scalar": 0}
+    """The sar_convert calls made inside engine.run, as the number of
+    voltages each converts. Each block of acquisition periods makes one
+    for the initial guess, one for its first settle and one per
+    relaxation pass."""
+    calls = []
     real = engine.sar_convert
 
     def counted(v, adc):
-        counts["array" if np.ndim(v) else "scalar"] += 1
+        calls.append(np.size(v))
         return real(v, adc)
 
     monkeypatch.setattr(engine, "sar_convert", counted)
-    return counts
+    return calls
 
 
 def assert_walks_bit_identically(scenario):
@@ -98,10 +96,10 @@ def random_walk_scenario(rng):
     """A feasible scenario drawn over the ranges the engine's fast paths branch on.
 
     1-64 periods, n_sub 1-8, 1-12 bits, alpha 0.05-0.5 and settling factor
-    0.05-4, so S1 often under-settles and relaxation needs several passes
-    or the sequential finish. S1 is auto, constant or a pass transistor
-    sized to meet the settling budget at its weakest input; S2 is constant
-    or a pass transistor that may be cut off over part of the envelope.
+    0.05-4, so S1 often under-settles and relaxation needs several passes.
+    S1 is auto, constant or a pass transistor sized to meet the settling
+    budget at its weakest input; S2 is constant or a pass transistor that
+    may be cut off over part of the envelope.
     """
     f_s = 10.0 ** float(rng.uniform(3.0, 8.0))
     clock = ClockPlan(
@@ -227,14 +225,13 @@ def under_settled_walk_scenario():
 
 def slowly_settling_walk_scenario():
     """At k = 0.05 nearly every period's code depends on the one before,
-    so relaxation spends its update budget and the sequential finish
-    redoes the rest."""
+    so each relaxation pass makes only one more period final."""
     return small_scenario(settling_factor_k=0.05)
 
 
 def rising_run_walk_scenario():
     """A large storage cap charges on many consecutive sub-steps near
-    each input peak, more than the n_sub scalar steps taken at a time."""
+    each input peak, so one scalar walk crosses several periods."""
     return small_scenario(
         eh=EhConfig(
             c_eh=1e-4,
@@ -250,7 +247,7 @@ WALKS = {
     "cut-off-s2": cut_off_walk_scenario,
     "slow-pass": slow_pass_walk_scenario,
     "under-settled-s1": under_settled_walk_scenario,
-    "sequential-finish": slowly_settling_walk_scenario,
+    "slowly-settling": slowly_settling_walk_scenario,
     "rising-run": rising_run_walk_scenario,
 }
 
@@ -278,14 +275,17 @@ class TestEngineAgainstReferenceWalk:
 
     def test_under_settled_s1_relaxes_in_more_than_two_passes(self, conversions):
         assert_walks_bit_identically(under_settled_walk_scenario())
-        assert conversions["array"] - 1 > 2
-        assert conversions["scalar"] == 0
+        assert len(conversions) - 1 > 2
 
-    def test_slowly_settling_s1_finishes_in_order(self, conversions):
-        assert_walks_bit_identically(slowly_settling_walk_scenario())
-        assert conversions["scalar"] > 0
+    def test_slowly_settling_s1_relaxes_one_period_per_pass(self, conversions):
+        """16 periods in one block: the guess, the first settle and one
+        pass per later period, the bound of n + 1 conversions."""
+        scenario = slowly_settling_walk_scenario()
+        assert len(engine._blocks(scenario.clock.n_periods, scenario.n_sub)) == 1
+        assert_walks_bit_identically(scenario)
+        assert len(conversions) == scenario.clock.n_periods + 1
 
-    def test_rising_run_longer_than_a_scalar_window(self):
+    def test_rising_run_spans_several_periods(self):
         scenario = rising_run_walk_scenario()
         trace = assert_walks_bit_identically(scenario)
         stored = np.concatenate(([0.0], trace.v_ceh[trace.phase == Phase.ENERGY_HARVEST]))
@@ -298,12 +298,18 @@ class TestEngineAgainstReferenceWalk:
 
     def test_random_scenarios_walk_bit_identically(self, conversions):
         """150 seeded scenarios; together they reach every path of both
-        phase solvers: relaxation, the sequential finish, held blocks and
-        scalar rises, and cut-off S2 sub-steps."""
+        phase solvers: relaxation over several passes, held blocks and
+        scalar rises, and cut-off S2 sub-steps. Relaxation never takes
+        more than n + 1 conversions for n periods."""
         rng = np.random.default_rng(20261018)
+        passes = []
         for _ in range(150):
-            assert_walks_bit_identically(random_walk_scenario(rng))
-        assert conversions["scalar"] > 0
+            scenario = random_walk_scenario(rng)
+            conversions.clear()
+            assert_walks_bit_identically(scenario)
+            assert len(conversions) <= scenario.clock.n_periods + 1
+            passes.append(len(conversions) - 2)
+        assert max(passes) > 2
 
 
 def trace_bytes(trace):
@@ -318,7 +324,7 @@ class TestBlocks:
     """Each phase is solved in blocks of whole periods (engine._blocks); a
     block starts where the one before it ended."""
 
-    @pytest.mark.parametrize("periods", [1, 3])
+    @pytest.mark.parametrize("periods", [1, 3, 5])
     @pytest.mark.parametrize("walk", list(WALKS))
     def test_walks_bit_identically_across_block_edges(self, walk, periods, monkeypatch):
         scenario = WALKS[walk]()
@@ -326,15 +332,15 @@ class TestBlocks:
         assert len(engine._blocks(scenario.clock.n_periods, scenario.n_sub)) > 1
         assert_walks_bit_identically(scenario)
 
-    def test_sequential_finish_runs_inside_blocks(self, conversions, monkeypatch):
-        """A block of 1 or 3 periods settles within its 2 updates per
-        period; in blocks of 5 the slowly settling S1 spends that budget,
-        and each block's finish starts from the level its first period
-        was given."""
+    def test_slowly_settling_s1_relaxes_within_blocks(self, conversions, monkeypatch):
+        """In blocks of 5 periods each block relaxes from the final level
+        of the block before it, in at most len(block) + 1 conversions."""
         scenario = slowly_settling_walk_scenario()
         monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", 5 * scenario.n_sub)
+        blocks = engine._blocks(scenario.clock.n_periods, scenario.n_sub)
+        assert [b.stop - b.start for b in blocks] == [5, 5, 5, 1]
         assert_walks_bit_identically(scenario)
-        assert conversions["scalar"] > 0
+        assert len(conversions) <= sum(b.stop - b.start + 1 for b in blocks)
 
     @pytest.mark.parametrize("periods", [1, 3])
     def test_random_scenarios_walk_bit_identically_across_block_edges(self, periods, monkeypatch):
