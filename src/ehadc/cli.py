@@ -56,14 +56,17 @@ _TRACE_BLOCK_ROWS = 8192
 
 
 def _out_dir(args, options: RunOptions | None) -> str:
-    env = os.environ.get("ESAMPLE_OUT_DIR")
-    if env:
-        return env
-    if getattr(args, "out", None):
-        return args.out
-    if options is not None:
-        return options.out_dir
-    return "out"
+    """The command's output directory. It is a usage error, found before any
+    work, when the nearest part of the path that exists is not a directory:
+    the path itself, or a file it would lie under. Only stats the path."""
+    out = os.environ.get("ESAMPLE_OUT_DIR") or getattr(args, "out", None)
+    out = out or (options.out_dir if options else "out")
+    part = os.path.abspath(out)
+    while not os.path.exists(part):
+        part = os.path.dirname(part)
+    if not os.path.isdir(part):
+        raise ConfigError(f"output directory {out!r} is unusable: {part} is not a directory")
+    return out
 
 
 def write_trace_csv(trace: TransientTrace, path) -> None:
@@ -135,7 +138,7 @@ def write_codes_csv(trace: TransientTrace, path) -> None:
 
 def write_summary_json(summary: dict, path) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+        fh.write(json.dumps(summary, indent=2, allow_nan=False) + "\n")
 
 
 def write_sweep_csv(base: Scenario, rows, path) -> None:
@@ -201,7 +204,9 @@ def summarize(scenario: Scenario, result: SimulationResult) -> dict:
         "eta_v": m.eta_v if m else None,
         "eta_e": m.eta_e if m else None,
         "e_h_j": m.e_h if m else None,
-        "sndr_db": result.sndr_db,
+        # enob is None exactly when sndr_db is None or not finite, which
+        # strict JSON cannot hold.
+        "sndr_db": None if result.enob is None else result.sndr_db,
         "enob": result.enob,
     }
 
@@ -209,11 +214,11 @@ def summarize(scenario: Scenario, result: SimulationResult) -> dict:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     scenario, options = build_scenario(cfg)
+    out = _out_dir(args, options)
     result = run(scenario, spectral=options.spectral, eh=options.eh)
     summary = summarize(scenario, result)
 
     # All computation is done; only now touch the filesystem.
-    out = _out_dir(args, options)
     writers = {
         "trace.csv": functools.partial(write_trace_csv, result.trace),
         "codes.csv": functools.partial(write_codes_csv, result.trace),
@@ -253,6 +258,7 @@ def _parse_values(spec: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     scenario, options = build_scenario(cfg)
+    out = _out_dir(args, options)
     try:
         values = _parse_values(args.values)
         rows = sweep(
@@ -266,7 +272,6 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out = _out_dir(args, options)
     _write_outputs(out, {"sweep.csv": functools.partial(write_sweep_csv, scenario, rows)})
     print(f"wrote {os.path.join(out, 'sweep.csv')}")
     return 0
@@ -298,6 +303,7 @@ def _read_codes_csv(path) -> np.ndarray:
 def _cmd_analyze(args) -> int:
     if args.n_fft < 1:
         raise ConfigError(f"n_fft must be positive, got {args.n_fft}")
+    out = _out_dir(args, None)
     codes = _read_codes_csv(args.codes_csv)
     if len(codes) < args.n_fft:
         raise ConfigError(
@@ -326,7 +332,7 @@ def _cmd_analyze(args) -> int:
     enob_bits = spectral.enob(sndr_db) if math.isfinite(sndr_db) else None
 
     write = functools.partial(spectral.write_spectrum_csv, spec)
-    _write_outputs(_out_dir(args, None), {"spectrum.csv": write})
+    _write_outputs(out, {"spectrum.csv": write})
     print(f"signal_bin = {bin_idx}")
     print(f"sndr_db = {sndr_db!r}")
     print(f"enob = {enob_bits!r}")

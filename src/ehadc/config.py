@@ -239,8 +239,11 @@ def build_scenario(cfg: ParsedConfig) -> tuple[Scenario, RunOptions]:
     unknown = set(metrics) - {"spectral", "eh"}
     if unknown:
         raise cfg.error("run.metrics", f"unknown metrics {sorted(unknown)}")
+    out_dir = cfg.get("run.out_dir")
+    if not out_dir:
+        raise cfg.error("run.out_dir", "run.out_dir must not be empty")
     options = RunOptions(
-        out_dir=str(cfg.get("run.out_dir")),
+        out_dir=out_dir,
         spectral="spectral" in metrics,
         eh="eh" in metrics,
     )

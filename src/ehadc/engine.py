@@ -107,39 +107,46 @@ class Scenario:
 class TransientTrace:
     """Recorded waveforms and codes of one run, stored per phase.
 
-    Stored: dac_aq (the DAC node after each acquisition sub-step) and ceh_eh
-    (the storage cap after each harvest sub-step), (n_periods, n_sub); per
-    period codes, v_sampled (the settled voltage each code converts),
-    saturated, and dac_level (the level of each code, held through the
-    harvest phase); and the run's clock and source.
+    Stored: what the solvers compute, dac_aq (the DAC node after each
+    acquisition sub-step) and ceh_eh (the storage cap after each harvest
+    sub-step), (n_periods, n_sub), and the per-period codes; and the run's
+    scenario.
 
-    Derived on each access: t_aq, t_eh (the phase_grid of each phase), and
-    inputs(rows), which holds those grids for the periods in rows and
-    v_in_aq, v_in_eh (the input at those times), all (n_periods, n_sub + 1)
-    with column 0 the phase start; period_s, the sampling period; and the
-    flat columns t (from t_aq and t_eh), v_in (from inputs()), phase (Phase
-    values), v_dac and v_ceh, one row per sub-step end and 2*n_sub rows per
-    period.
+    Derived on each access: v_sampled (the settled voltage each code
+    converts), saturated and dac_level (the level of each code, held through
+    the harvest phase), per period; inputs(rows), the time_grid of both
+    phases for the periods in rows and the input at those times, each
+    (periods, n_sub + 1) with column 0 the phase start; period_s, the
+    sampling period; and the flat columns t, v_in, phase (Phase values),
+    v_dac and v_ceh, one row per sub-step end and 2*n_sub rows per period.
     """
 
     dac_aq: np.ndarray
     ceh_eh: np.ndarray
     codes: np.ndarray
-    v_sampled: np.ndarray
-    saturated: np.ndarray
-    dac_level: np.ndarray
-    clock: ClockPlan
-    source: SineSource
+    scenario: Scenario
 
     def inputs(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
         """(t_aq, t_eh, v_in_aq, v_in_eh) of the periods in rows, as the run's
         solvers built them: the time_grid of both phases and sample_at."""
-        t_aq, t_eh = time_grid(self.clock, self.dac_aq.shape[1], rows)
-        return t_aq, t_eh, self.source.sample_at(t_aq), self.source.sample_at(t_eh)
+        source = self.scenario.source
+        t_aq, t_eh = time_grid(self.scenario.clock, self.dac_aq.shape[1], rows)
+        return t_aq, t_eh, source.sample_at(t_aq), source.sample_at(t_eh)
 
-    t_aq, t_eh = (property(lambda self, p=p: phase_grid(self.clock, self.dac_aq.shape[1], p)) for p in Phase)
-    v_in_aq, v_in_eh = (property(lambda self, i=i: self.inputs()[i]) for i in (2, 3))
-    period_s = property(lambda self: self.clock.t_s)
+    period_s = property(lambda self: self.scenario.clock.t_s)
+
+    @property
+    def v_sampled(self) -> np.ndarray:
+        return self.dac_aq[:, -1].copy()
+
+    @property
+    def saturated(self) -> np.ndarray:
+        v, v_ref = self.v_sampled, self.scenario.adc.v_ref
+        return (v < -v_ref) | (v >= v_ref)
+
+    @property
+    def dac_level(self) -> np.ndarray:
+        return dac_output(self.codes, self.scenario.adc)
 
     @property
     def ceh_held(self) -> np.ndarray:
@@ -148,7 +155,8 @@ class TransientTrace:
 
     @property
     def t(self) -> np.ndarray:
-        return _rows(self.t_aq[:, 1:], self.t_eh[:, 1:])
+        t_aq, t_eh = time_grid(self.scenario.clock, self.dac_aq.shape[1])
+        return _rows(t_aq[:, 1:], t_eh[:, 1:])
 
     @property
     def v_in(self) -> np.ndarray:
@@ -172,17 +180,25 @@ class TransientTrace:
 class SimulationResult:
     """Trace plus the metrics computed from it.
 
-    Spectral and harvesting metrics are None when not requested. When both
-    are present, enob == (sndr_db - 1.76)/6.02 by construction. trace holds
-    the waveforms per phase (TransientTrace); it is None only in a sweep
-    row, which carries the metrics without the waveforms.
+    Spectral and harvesting metrics are None when not requested. sndr_db and
+    enob are read from the spectrum on each access; enob is None also for a
+    non-finite SNDR, and otherwise (sndr_db - 1.76)/6.02 by construction.
+    trace holds the waveforms per phase (TransientTrace); it is None only in
+    a sweep row, which carries the metrics without the waveforms.
     """
 
     trace: TransientTrace | None
-    sndr_db: float | None
-    enob: float | None
     spectrum: Spectrum | None
     eh: EhMetrics | None
+
+    @property
+    def sndr_db(self) -> float | None:
+        return None if self.spectrum is None else sndr(self.spectrum)
+
+    @property
+    def enob(self) -> float | None:
+        sndr_db = self.sndr_db
+        return enob(sndr_db) if sndr_db is not None and math.isfinite(sndr_db) else None
 
 
 @dataclass(frozen=True)
@@ -498,42 +514,16 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
     sig_bin = _signal_bin(scenario) if spectral else 0
     p_in = input_power(scenario) if eh else None
 
-    plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
-    nsub = scenario.n_sub
+    plan, adc, source, nsub = scenario.clock, scenario.adc, scenario.source, scenario.n_sub
+    dac_aq, codes = _solve_acquisition(s1, adc, plan, source, nsub)
+    trace = TransientTrace(dac_aq, _solve_harvest(scenario.eh, plan, source, nsub), codes, scenario)
 
-    dac_aq, codes_arr = _solve_acquisition(s1, adc, plan, scenario.source, nsub)
-    ceh_eh = _solve_harvest(ehc, plan, scenario.source, nsub)
-
-    v_sampled = dac_aq[:, -1].copy()
-    trace = TransientTrace(
-        dac_aq=dac_aq,
-        ceh_eh=ceh_eh,
-        codes=codes_arr,
-        v_sampled=v_sampled,
-        saturated=(v_sampled < -adc.v_ref) | (v_sampled >= adc.v_ref),
-        dac_level=dac_output(codes_arr, adc),
-        clock=plan,
-        source=scenario.source,
-    )
-
-    sndr_db = enob_bits = spec = None
-    if spectral:
-        spec = spectrum(trace.codes[-scenario.n_fft:], adc, plan.f_s, sig_bin)
-        sndr_db = sndr(spec)
-        enob_bits = enob(sndr_db) if math.isfinite(sndr_db) else None
-
+    spec = spectrum(codes[-scenario.n_fft:], adc, plan.f_s, sig_bin) if spectral else None
     metrics = None
     if eh:
-        v_m = max(abs(x) for x in _source_extremes(scenario.source))
-        metrics = steady_state_metrics(trace, p_in, ehc, v_m, tol=scenario.steady_tol)
-
-    return SimulationResult(
-        trace=trace,
-        sndr_db=sndr_db,
-        enob=enob_bits,
-        spectrum=spec,
-        eh=metrics,
-    )
+        v_m = max(abs(x) for x in _source_extremes(source))
+        metrics = steady_state_metrics(trace, p_in, scenario.eh, v_m, tol=scenario.steady_tol)
+    return SimulationResult(trace, spec, metrics)
 
 
 def apply_parameter(base: Scenario, parameter: str, value: float) -> Scenario:

@@ -124,21 +124,20 @@ def check_phase_isolation(trace):
 
 @dataclasses.dataclass(frozen=True)
 class StoredTrace(TransientTrace):
-    """A TransientTrace whose grids and inputs are given arrays instead of a
-    clock and a source: inputs(rows) returns their rows, t_aq and t_eh are
-    the given grids, and period_s is given too."""
+    """A TransientTrace whose grids, inputs and DAC levels are given arrays
+    instead of a scenario's: inputs(rows) returns their rows, and dac_level
+    and period_s are given too. The levels are given because the writer's
+    edge cases need levels, such as -0.0, that no code converts to."""
 
     given_inputs: tuple = ()
+    given_dac_level: np.ndarray = None
     given_period_s: float = 1.0
 
     def inputs(self, rows=slice(None)):
         return tuple(a[rows] for a in self.given_inputs)
 
-    t_aq, t_eh = (property(lambda self, i=i: self.given_inputs[i]) for i in range(2))
-
-    @property
-    def period_s(self):
-        return self.given_period_s
+    dac_level = property(lambda self: self.given_dac_level)
+    period_s = property(lambda self: self.given_period_s)
 
 
 def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level, period_s=1.0):
@@ -150,12 +149,9 @@ def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level, period_s
         dac_aq=dac_aq,
         ceh_eh=np.asarray(ceh_eh, dtype=np.float64),
         codes=np.zeros(len(dac_aq), dtype=np.int64),
-        v_sampled=dac_aq[:, -1].copy(),
-        saturated=np.zeros(len(dac_aq), dtype=bool),
-        dac_level=np.asarray(dac_level, dtype=np.float64),
-        clock=None,
-        source=None,
+        scenario=None,
         given_inputs=tuple(np.asarray(a, dtype=np.float64) for a in (t_aq, t_eh, v_in_aq, v_in_eh)),
+        given_dac_level=np.asarray(dac_level, dtype=np.float64),
         given_period_s=period_s,
     )
 

@@ -167,7 +167,7 @@ class TestPeakMemory:
     def test_trace_stores_the_solver_outputs_and_per_period_arrays(self, lowfreq_run):
         trace = lowfreq_run[0].trace
         nper, nsub = trace.dac_aq.shape
-        assert trace_bytes(trace) <= (2 * nsub + 4) * 8 * nper, trace_bytes(trace)
+        assert trace_bytes(trace) == (2 * nsub + 1) * 8 * nper, trace_bytes(trace)
 
     def test_run_and_trace_writer_peak_under_10_mib(self, lowfreq_scenario, tmp_path):
         """Neither phase holds a whole-run grid or input: the engine peaks at
@@ -272,6 +272,23 @@ class TestRunCommand:
         assert not (out / "trace.csv").exists()
         assert list(out.iterdir()) == []
 
+    def test_infinite_sndr_is_null_in_strict_json(self, tmp_path):
+        """With no power in the signal bin SNDR is -inf; summary.json holds
+        null for it, as for enob, and stays strict JSON."""
+        text = FAST_CFG.replace("amplitude_v = 0.4", "amplitude_v = 1e-9") + "run.metrics = spectral\n"
+        out = tmp_path / "results"
+        assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["sndr_db"] is None and summary["enob"] is None
+
+    def test_summary_json_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_summary_json({"x": float("nan")}, tmp_path / "summary.json")
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert "absent.cfg" in capsys.readouterr().err
@@ -303,6 +320,45 @@ class TestRunCommand:
         assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnusableOutputDirectory:
+    """An output directory that cannot be one is a usage error (exit 2),
+    found before the transient, and nothing is written."""
+
+    @pytest.fixture
+    def no_transient(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the transient ran")
+
+        monkeypatch.setattr(cli, "run", fail)
+        monkeypatch.setattr(cli, "sweep", fail)
+        monkeypatch.setattr(cli, "_read_codes_csv", fail)
+
+    def test_empty_out_dir_key_exits_2(self, tmp_path, capsys, no_transient):
+        cfg = write_cfg(tmp_path, FAST_CFG + "run.out_dir =\n")
+        assert main(["run", cfg]) == 2
+        assert ":12: run.out_dir must not be empty" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "CFG"],
+            ["sweep", "CFG", "--param", "alpha", "--values", "0.1,0.2"],
+            ["analyze", "CFG", "--n-bits", "8", "--v-ref", "0.4", "--f-s", "10e3"],
+        ],
+        ids=["run", "sweep", "analyze"],
+    )
+    @pytest.mark.parametrize("below", ["", "sub/dir"])
+    def test_out_path_at_or_under_a_file_exits_2(self, tmp_path, capsys, no_transient, argv, below):
+        cfg = write_cfg(tmp_path, FAST_CFG)
+        out = str(tmp_path / "scenario.cfg" / below)
+        argv = [cfg if a == "CFG" else a for a in argv]
+        assert main([*argv, "--out", out]) == 2
+        assert f"output directory {out!r} is unusable: {cfg} is not a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
+        assert (tmp_path / "scenario.cfg").read_text() == FAST_CFG
 
 
 class TestSweepCommand:

@@ -212,6 +212,12 @@ class TestBuildScenario:
             scenario_from(MINIMAL + "run.metrics = spectral,thd\n")
         assert "thd" in str(exc.value)
 
+    def test_empty_out_dir_is_rejected_at_its_line(self):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from(MINIMAL + "run.out_dir =\n")
+        assert exc.value.line == 10
+        assert exc.value.message == "run.out_dir must not be empty"
+
     def test_engine_keys_reach_the_scenario(self):
         text = (
             MINIMAL

@@ -22,6 +22,7 @@ from ehadc.errors import NotConverged, ValidationError
 from ehadc.frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
 from ehadc.harvester import EhConfig, RectifierModel, rectified_envelope
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output
+from ehadc.spectral import enob, sndr
 from ehadc.stimulus import SineSource, coherent_frequency
 from ehadc import engine
 from ehadc.cli import summarize
@@ -472,6 +473,39 @@ class TestTraceLayout:
         assert trace.codes.shape == (scenario.clock.n_periods,)
         assert trace.period_s == scenario.clock.t_s
 
+    @pytest.mark.parametrize("config", ["configs/lowfreq.cfg", "bench/configs/lowfreq_pass.cfg"])
+    def test_results_store_only_what_the_run_computed(self, config, repo_root):
+        """The trace stores the solver outputs and the scenario, the result
+        the trace and the metrics. Every other figure is derived on access,
+        with the bits of its definition."""
+        scenario, _ = build_scenario(load_config(repo_root / config))
+        result = run(scenario)
+        trace, adc = result.trace, scenario.adc
+        assert [f.name for f in dataclasses.fields(trace)] == ["dac_aq", "ceh_eh", "codes", "scenario"]
+        assert [f.name for f in dataclasses.fields(result)] == ["trace", "spectrum", "eh"]
+        assert trace.scenario is scenario
+        v_sampled = trace.dac_aq[:, -1].copy()
+        want = {
+            "v_sampled": v_sampled,
+            "saturated": (v_sampled < -adc.v_ref) | (v_sampled >= adc.v_ref),
+            "dac_level": dac_output(trace.codes, adc),
+        }
+        for name, w in want.items():
+            got = getattr(trace, name)
+            assert got.dtype == w.dtype and got.shape == w.shape and got.tobytes() == w.tobytes(), name
+        sndr_db = sndr(result.spectrum)
+        assert math.isfinite(sndr_db)
+        assert repr((result.sndr_db, result.enob)) == repr((sndr_db, enob(sndr_db)))
+
+    def test_sndr_without_signal_power_has_no_enob(self):
+        """A record with no power in the signal bin has SNDR -inf and ENOB
+        None; a run without spectral metrics has neither."""
+        scenario = small_scenario(source=dataclasses.replace(small_scenario().source, amplitude=1e-9))
+        result = run(scenario, spectral=True, eh=False)
+        assert result.sndr_db == -math.inf and result.enob is None
+        bare = run(scenario, spectral=False, eh=False)
+        assert bare.spectrum is None and bare.sndr_db is None and bare.enob is None
+
     def test_trace_is_stored_per_phase(self):
         """No stored array has one element per row; the flat columns are
         built on access, the same on every access."""
@@ -493,8 +527,7 @@ class TestTraceLayout:
         nper, nsub = scenario.clock.n_periods, scenario.n_sub
         t_aq, t_eh = time_grid(scenario.clock, nsub)
         want = (t_aq, t_eh, scenario.source.sample_at(t_aq), scenario.source.sample_at(t_eh))
-        got = (trace.t_aq, trace.t_eh, trace.v_in_aq, trace.v_in_eh)
-        for g, w in zip(got, want):
+        for g, w in zip(trace.inputs(), want):
             assert g.flags.f_contiguous == w.flags.f_contiguous
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
         assert trace.period_s == scenario.clock.t_s
@@ -536,6 +569,47 @@ _LAYOUT_TABLES = {
     "pass-exact": (Switch.pass_transistor(k_gain=0.1, v_th=0.4, v_gate=1.8), 0.0, 1e-9),
     "pass-cut-off": (Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1), 0.0, 1e-9),
 }
+
+
+class TestClosedFormAcquisition:
+    """The acquisition against the circuit's own equation, sharing no code
+    with the engine. An S1 of constant resistance charges c_dac with
+    tau = r*c_dac, and the "auto" S1 has r = T_aq/(k*c_dac), so tau = T_aq/k
+    with k = (n_bits + 1)*ln 2. Driven by dc + A*sin(w*t + phi), the node
+    follows v(t) = v_ss(t) + (v0 - v_ss(t0))*exp(-(t - t0)/tau), with
+    v_ss(t) = dc + A*cos(theta)*sin(w*t + phi - theta) and
+    theta = atan(w*tau). Each period starts at the level of the previous
+    code (0 V for the first), so the settled voltage of a period is
+    v_ss(t1) + (v0 - v_ss(t0))*exp(-T_aq/tau) over its window [t0, t1].
+    The engine's piecewise-linear drive is second order in the sub-step:
+    the error falls 4x per halving."""
+
+    @staticmethod
+    def max_error(scenario, trace):
+        src, plan, adc = scenario.source, scenario.clock, scenario.adc
+        w = 2.0 * math.pi * src.frequency
+        t_aq = plan.alpha / plan.f_s
+        tau = t_aq / ((adc.n_bits + 1) * math.log(2.0))
+        theta = math.atan(w * tau)
+
+        def v_ss(t):
+            return src.dc_offset + src.amplitude * math.cos(theta) * np.sin(w * t + src.phase - theta)
+
+        t0 = np.arange(plan.n_periods) / plan.f_s
+        level = -adc.v_ref + (trace.codes + 0.5) * (2.0 * adc.v_ref / 2**adc.n_bits)
+        v0 = np.concatenate(([0.0], level[:-1]))
+        want = v_ss(t0 + t_aq) + (v0 - v_ss(t0)) * math.exp(-t_aq / tau)
+        return float(np.max(np.abs(trace.v_sampled - want)))
+
+    def test_settled_voltage_converges_at_second_order(self, lowfreq_scenario):
+        assert lowfreq_scenario.adc.s1 == "auto" and lowfreq_scenario.settling_factor_k is None
+        errors = []
+        for n_sub in (8, 16, 32, 64):
+            scenario = dataclasses.replace(lowfreq_scenario, n_sub=n_sub)
+            errors.append(self.max_error(scenario, run(scenario, spectral=False, eh=False).trace))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5, errors
+        assert errors[-1] < 1e-9, errors
 
 
 class TestTableLayout:
@@ -599,10 +673,11 @@ class TestTableLayout:
 
     def test_acquisition_arrays_are_substep_major(self):
         trace = run(small_scenario(), spectral=False, eh=False).trace
-        for name in ("t_aq", "v_in_aq", "dac_aq"):
-            assert getattr(trace, name).flags.f_contiguous, name
-        for name in ("t_eh", "v_in_eh", "ceh_eh"):
-            assert getattr(trace, name).flags.c_contiguous, name
+        t_aq, t_eh, v_in_aq, v_in_eh = trace.inputs()
+        for array in (t_aq, v_in_aq, trace.dac_aq):
+            assert array.flags.f_contiguous
+        for array in (t_eh, v_in_eh, trace.ceh_eh):
+            assert array.flags.c_contiguous
 
 
 def time_scaled(scenario, lam):
@@ -621,8 +696,8 @@ def assert_scales_bit_for_bit(base, scaled, lam):
     got = run(scaled, spectral=False, eh=False).trace
     for name in ("codes", "dac_aq", "ceh_eh"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    for name in ("t_aq", "t_eh"):
-        assert getattr(got, name).tobytes() == (getattr(want, name) / lam).tobytes(), name
+    for g, w in zip(got.inputs()[:2], want.inputs()[:2]):
+        assert g.tobytes() == (w / lam).tobytes()
 
 
 class TestScaleLaw:
