@@ -116,9 +116,10 @@ class TransientTrace:
     converts), saturated and dac_level (the level of each code, held through
     the harvest phase), per period; inputs(rows), the time_grid of both
     phases for the periods in rows and the input at those times, each
-    (periods, n_sub + 1) with column 0 the phase start; period_s, the
-    sampling period; and the flat columns t, v_in, phase (Phase values),
-    v_dac and v_ceh, one row per sub-step end and 2*n_sub rows per period.
+    (periods, n_sub + 1) with column 0 the phase start; ceh_held, the
+    storage cap held through each acquisition, per period; and the flat
+    columns t, v_in, phase (Phase values), v_dac and v_ceh, one row per
+    sub-step end and 2*n_sub rows per period.
     """
 
     dac_aq: np.ndarray
@@ -132,8 +133,6 @@ class TransientTrace:
         source = self.scenario.source
         t_aq, t_eh = time_grid(self.scenario.clock, self.dac_aq.shape[1], rows)
         return t_aq, t_eh, source.sample_at(t_aq), source.sample_at(t_eh)
-
-    period_s = property(lambda self: self.scenario.clock.t_s)
 
     @property
     def v_sampled(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clocking import Phase, phase_grid
 from .errors import NotConverged
 from .frontend import Switch
 
@@ -88,32 +89,28 @@ def steady_state_metrics(
 ) -> EhMetrics:
     """Harvesting metrics from a finished transient trace.
 
-    The storage voltage is read per harvest phase: at the grid times t_eh of
-    each period, column 0 holds the value kept through the acquisition
-    before it (0.0 in period 0, else the previous harvest's end) and the
-    other columns the values of ceh_eh. The acquisition ends at t_eh[:, 0],
-    so this is the flat trace without the acquisition rows, which repeat the
-    held value. Only the grid rows used are read: the first, the last ones
-    from before the 10-period window on, and the one of the crossing.
+    The storage voltage is read per harvest phase of the run's grid: at the
+    times phase_grid(clock, n_sub, ENERGY_HARVEST) of period p, column 0
+    holds the value kept through the acquisition before it (ceh_held[p])
+    and the other columns the values of ceh_eh[p]. This is the flat trace
+    without the acquisition rows, which repeat the held value. Of the grid,
+    only the harvest row of the crossing is built.
 
     Args:
-        trace: a TransientTrace, or any object exposing its ceh_eh (volts,
-            (n_periods, n_sub)), period_s (sampling period) and
-            inputs(rows), whose first two items are t_aq and t_eh of those
-            periods (seconds, (periods, n_sub + 1)). The trace starts at
-            t_aq[0, 1], the end of the first sub-step.
+        trace: a TransientTrace; its ceh_eh (volts, (n_periods, n_sub)),
+            ceh_held and scenario.clock are read.
         p_in: input power in watts, the energy-efficiency denominator.
         cfg: harvesting branch configuration (for c_eh).
         v_m: peak input magnitude, the reference for voltage efficiency.
         tol: steady-state fraction; v_eh is converged when the voltage moved
-            less than tol*v_eh over the last 10 periods, and t_ceh is the
-            first crossing of (1 - tol)*v_eh (linearly interpolated).
+            at most tol*v_eh since the end of period n - 11 of n, and t_ceh is
+            the first crossing of (1 - tol)*v_eh (linearly interpolated).
 
     Raises:
         ValueError: nonpositive p_in or v_m, or tol outside (0, 1).
-        NotConverged: trace shorter than 10 periods, still-moving final
-            voltage, no charge accumulated, an unresolvable charging time, or
-            an efficiency above 1; each message gives the value and its limit.
+        NotConverged: no charge accumulated, a run of 10 periods or fewer, a
+            still-moving final voltage, or an efficiency above 1; each
+            message gives the value and its limit.
     """
     if not (p_in > 0.0):
         raise ValueError(f"p_in must be positive, got {p_in}")
@@ -121,34 +118,15 @@ def steady_state_metrics(
         raise ValueError(f"v_m must be positive, got {v_m}")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    v = np.asarray(trace.ceh_eh, dtype=float)
+    v = trace.ceh_eh
     nper, nsub = v.shape
-
-    def stored(p, j):
-        # The storage voltage at t[p, j]; ceh_eh[p, j - 1], or held at j = 0.
-        k = p * nsub + j - 1
-        return float(v.flat[k]) if k >= 0 else 0.0
 
     v_eh = float(v[-1, -1])
     if not (v_eh > 0.0):
         raise NotConverged(f"storage capacitor ended at {v_eh:.6g} V, which is not above 0 V")
-
-    # t_eh from row lo on, lo stepped back until every earlier time precedes
-    # the window, so the window's first point is found in these rows.
-    span = 16
-    while True:
-        lo = max(0, nper - span)
-        t = np.asarray(trace.inputs(slice(lo, nper))[1], dtype=float)
-        t_last = float(t[-1, -1])
-        window_start = t_last - 10.0 * trace.period_s
-        if lo == 0 or t[0, 0] < window_start:
-            break
-        span *= 2
-    t_first = float(trace.inputs(slice(0, 1))[0][0, 1])
-    if t_first > window_start:
-        raise NotConverged(f"trace spans {(t_last - t_first) / trace.period_s:.4g} periods, under 10")
-    first = lo * (nsub + 1) + int(np.searchsorted(t.ravel(), window_start, side="left"))
-    drift = abs(v_eh - stored(*divmod(first, nsub + 1)))
+    if nper <= 10:
+        raise NotConverged(f"run has {nper} periods, but the steady-state test needs at least 11")
+    drift = abs(v_eh - float(v[-11, -1]))
     if drift > tol * v_eh:
         raise NotConverged(
             f"storage voltage still moving: changed {drift:.3e} V over the last "
@@ -161,16 +139,10 @@ def steady_state_metrics(
     threshold = (1.0 - tol) * v_eh
     p = int(np.argmax(np.fmax.reduce(v, axis=1) >= threshold))
     j = int(np.argmax(v[p] >= threshold))
-    t_p = trace.inputs(slice(p, p + 1))[1][0]
-    t0, t1 = float(t_p[j]), float(t_p[j + 1])
-    v0, v1 = stored(p, j), float(v[p, j])
+    t = phase_grid(trace.scenario.clock, nsub, Phase.ENERGY_HARVEST, slice(p, p + 1))[0]
+    t0, t1 = float(t[j]), float(t[j + 1])
+    v0, v1 = float(v[p, j - 1] if j else trace.ceh_held[p]), float(v[p, j])
     t_ceh = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0)
-
-    if t_ceh <= 0.0:
-        raise NotConverged(
-            "storage voltage was at its final value from the first sample, so the "
-            f"charging time t_ceh = {t_ceh:.6g} s is not above its limit of 0 s"
-        )
 
     e_h = harvested_energy(v_eh, cfg.c_eh)
     eta_e = e_h / (p_in * t_ceh)

@@ -8,6 +8,7 @@ through its total capacitance (the sampling load).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .frontend import Switch
@@ -33,10 +34,10 @@ class AdcConfig:
     def __post_init__(self):
         if not (1 <= self.n_bits <= 16):
             raise ValueError(f"n_bits must lie in 1..16, got {self.n_bits}")
-        if not (self.v_ref > 0.0):
-            raise ValueError(f"v_ref must be positive, got {self.v_ref}")
-        if not (self.c_unit > 0.0):
-            raise ValueError(f"c_unit must be positive, got {self.c_unit}")
+        for name in ("v_ref", "c_unit"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if isinstance(self.s1, str) and self.s1 != "auto":
             raise ValueError(f"s1 must be a Switch or 'auto', got {self.s1!r}")
 

@@ -34,14 +34,14 @@ class SineSource:
     source_resistance: float = 50.0
 
     def __post_init__(self):
-        if not (self.amplitude > 0.0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        if not (self.frequency > 0.0):
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
-        if not (self.source_resistance > 0.0):
-            raise ValueError(
-                f"source_resistance must be positive, got {self.source_resistance}"
-            )
+        for name in ("amplitude", "frequency", "source_resistance"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("phase", "dc_offset"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def sample_at(self, t):
         """Evaluate the source voltage at time t (scalar or ndarray, seconds)."""

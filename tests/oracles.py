@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 
-from ehadc.clocking import PHASE_LABELS, Phase, time_grid
+from ehadc.clocking import PHASE_LABELS, ClockPlan, Phase, phase_grid, time_grid
 from ehadc.engine import TransientTrace, resolve_s1
 from ehadc.frontend import r_on, rc_step_value
 from ehadc.harvester import rectified_envelope
@@ -126,21 +127,19 @@ def check_phase_isolation(trace):
 class StoredTrace(TransientTrace):
     """A TransientTrace whose grids, inputs and DAC levels are given arrays
     instead of a scenario's: inputs(rows) returns their rows, and dac_level
-    and period_s are given too. The levels are given because the writer's
-    edge cases need levels, such as -0.0, that no code converts to."""
+    is given too. The levels are given because the writer's edge cases need
+    levels, such as -0.0, that no code converts to."""
 
     given_inputs: tuple = ()
     given_dac_level: np.ndarray = None
-    given_period_s: float = 1.0
 
     def inputs(self, rows=slice(None)):
         return tuple(a[rows] for a in self.given_inputs)
 
     dac_level = property(lambda self: self.given_dac_level)
-    period_s = property(lambda self: self.given_period_s)
 
 
-def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level, period_s=1.0):
+def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level):
     """A per-phase trace: grids and inputs (n_periods, n_sub + 1), the phase
     nodes (n_periods, n_sub) and the held DAC level per period; the grids
     and inputs are what its inputs(rows) returns."""
@@ -152,41 +151,57 @@ def make_trace(t_aq, t_eh, v_in_aq, v_in_eh, dac_aq, ceh_eh, dac_level, period_s
         scenario=None,
         given_inputs=tuple(np.asarray(a, dtype=np.float64) for a in (t_aq, t_eh, v_in_aq, v_in_eh)),
         given_dac_level=np.asarray(dac_level, dtype=np.float64),
-        given_period_s=period_s,
     )
 
 
-def storage_trace(t, v_ceh, period_s):
-    """A trace whose storage-cap voltage is v_ceh at the times t, as
-    steady_state_metrics reads it.
+def storage_trace(plan, n_sub, curve):
+    """A trace on the grid of the ClockPlan plan whose storage cap after each
+    harvest sub-step is curve(t) at the sub-step's end time t.
 
-    Sample k is the one harvest sub-step of period k, and that harvest
-    starts at t[k - 1] (at t[0] for k = 0). The value held through each
-    acquisition repeats the sample before it at the same time, so it adds no
-    point to the curve; only period 0 holds 0.0, at t[0].
+    This is what steady_state_metrics reads: ceh_eh and the clock of the
+    scenario, which holds nothing else. Through each acquisition the cap
+    holds the value of the harvest before it (0.0 in period 0), so the
+    curve is sampled only at harvest times; the DAC node and codes are 0.
     """
-    t = np.asarray(t, dtype=np.float64)
-    start = np.concatenate((t[:1], t[:-1]))
-    zeros = np.zeros((len(t), 2))
-    return make_trace(
-        t_aq=np.column_stack((start, start)),
-        t_eh=np.column_stack((start, t)),
-        v_in_aq=zeros,
-        v_in_eh=zeros,
-        dac_aq=zeros[:, :1],
-        ceh_eh=np.asarray(v_ceh, dtype=np.float64)[:, None],
-        dac_level=zeros[:, 0],
-        period_s=period_s,
+    t_eh = phase_grid(plan, n_sub, Phase.ENERGY_HARVEST)
+    zeros = np.zeros((plan.n_periods, n_sub))
+    return TransientTrace(
+        dac_aq=zeros,
+        ceh_eh=np.asarray(curve(t_eh[:, 1:]), dtype=np.float64),
+        codes=np.zeros(plan.n_periods, dtype=np.int64),
+        scenario=types.SimpleNamespace(clock=plan),
     )
 
 
-def ramp_then_flat_trace(v_eh, t_ceh, period_s, tol=0.01, extra_periods=20):
-    """Synthetic storage-cap trace whose interpolated (1 - tol) crossing is
-    exactly t_ceh."""
+def ramp_then_flat_trace(v_eh, t_ceh, f_s, tol=0.01, extra_periods=20):
+    """Storage-cap trace rising linearly in time to v_eh, then flat, whose
+    interpolated (1 - tol) crossing is t_ceh, at a sampling rate f_s, alpha
+    0.05 and 100 sub-steps.
+
+    The crossing is exact only when it lies past the first sub-step of a
+    harvest, where both ends of the interpolated sub-step lie on the ramp;
+    the first harvest sub-step starts from the value held since the period
+    before.
+    """
     ramp_end = t_ceh / (1.0 - tol)
-    t = np.arange(0.0, ramp_end + extra_periods * period_s, period_s / 10.0)
-    v = np.minimum(t / ramp_end, 1.0) * v_eh
-    return storage_trace(t, v, period_s)
+    plan = ClockPlan(f_s=f_s, alpha=0.05, n_periods=math.ceil(ramp_end * f_s) + extra_periods)
+    return storage_trace(plan, 100, lambda t: np.minimum(t / ramp_end, 1.0) * v_eh)
+
+
+def flat_column_metrics(trace, tol):
+    """(t_ceh, drift) of a run read by time off its flat t and v_ceh columns.
+
+    t_ceh is the linear crossing of (1 - tol)*v_eh between the first row at
+    or above it and the row before; drift is v_eh minus v_ceh at the first
+    time 10 sampling periods before the last one, or later.
+    """
+    t, v = trace.t, trace.v_ceh
+    v_eh = v[-1]
+    threshold = (1.0 - tol) * v_eh
+    i = int(np.argmax(v >= threshold))
+    t_ceh = t[i - 1] + (threshold - v[i - 1]) * (t[i] - t[i - 1]) / (v[i] - v[i - 1])
+    drift = v_eh - v[int(np.argmax(t >= t[-1] - 10.0 * trace.scenario.clock.t_s))]
+    return float(t_ceh), float(drift)
 
 
 def reference_trace_csv(trace, path):

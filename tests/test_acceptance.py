@@ -37,7 +37,7 @@ def eh_config(c_eh):
 
 def test_c01_efficiency_definitions_low_frequency_operating_point():
     """Reported low-frequency figures: eta_e 75.7% +/- 0.1 pp, eta_v 76.79% +/- 0.01 pp."""
-    trace = ramp_then_flat_trace(v_eh=0.30716, t_ceh=0.22491, period_s=1e-4)
+    trace = ramp_then_flat_trace(v_eh=0.30716, t_ceh=0.22491, f_s=10e3)
     m = steady_state_metrics(trace, 27.7e-6, eh_config(100e-6), v_m=0.4)
     assert abs(m.eta_e * 100.0 - 75.7) <= 0.1
     assert abs(m.eta_v * 100.0 - 76.79) <= 0.01
@@ -45,7 +45,7 @@ def test_c01_efficiency_definitions_low_frequency_operating_point():
 
 def test_c02_efficiency_definition_high_frequency_operating_point():
     """Reported high-frequency figure: eta_e within +/- 0.2 pp of 72.64%."""
-    trace = ramp_then_flat_trace(v_eh=0.304, t_ceh=58.32e-6, period_s=2.5e-8)
+    trace = ramp_then_flat_trace(v_eh=0.304, t_ceh=58.32e-6, f_s=40e6)
     m = steady_state_metrics(trace, 27.255e-6, eh_config(25e-9), v_m=0.4)
     assert abs(m.eta_e * 100.0 - 72.64) <= 0.2
 

@@ -613,6 +613,8 @@ class TestAnalyzeCommand:
             (["--n-bits", "8", "--f-s", "0"], "f_s must be positive and finite, got 0.0"),
             (["--n-bits", "8", "--f-s=-1e4"], "f_s must be positive and finite, got -10000.0"),
             (["--n-bits", "8", "--f-s", "nan"], "f_s must be positive and finite, got nan"),
+            (["--n-bits", "8", "--v-ref", "inf"], "v_ref must be positive and finite, got inf"),
+            (["--n-bits", "8", "--v-ref", "nan"], "v_ref must be positive and finite, got nan"),
         ],
     )
     def test_invalid_analysis_arguments_exit_2(self, tmp_path, capsys, flags, message):

@@ -20,7 +20,7 @@ import pytest
 from ehadc.clocking import ClockPlan, Phase, phase_grid, time_grid
 from ehadc.errors import NotConverged, ValidationError
 from ehadc.frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
-from ehadc.harvester import EhConfig, RectifierModel, rectified_envelope
+from ehadc.harvester import EhConfig, RectifierModel, rectified_envelope, steady_state_metrics
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output
 from ehadc.spectral import enob, sndr
 from ehadc.stimulus import SineSource, coherent_frequency
@@ -38,7 +38,7 @@ from ehadc.engine import (
     validate,
 )
 
-from oracles import check_phase_isolation, reference_walk
+from oracles import check_phase_isolation, flat_column_metrics, reference_walk
 
 
 def small_scenario(**overrides):
@@ -471,7 +471,6 @@ class TestTraceLayout:
         assert trace.v_ceh.shape == (n_rows,)
         assert np.all(np.diff(trace.t) > 0.0)
         assert trace.codes.shape == (scenario.clock.n_periods,)
-        assert trace.period_s == scenario.clock.t_s
 
     @pytest.mark.parametrize("config", ["configs/lowfreq.cfg", "bench/configs/lowfreq_pass.cfg"])
     def test_results_store_only_what_the_run_computed(self, config, repo_root):
@@ -530,7 +529,6 @@ class TestTraceLayout:
         for g, w in zip(trace.inputs(), want):
             assert g.flags.f_contiguous == w.flags.f_contiguous
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
-        assert trace.period_s == scenario.clock.t_s
         for rows in engine._blocks(nper, nsub) + [slice(0, 1), slice(5, 8), slice(nper - 3, nper)]:
             for g, w in zip(trace.inputs(rows), want):
                 assert np.array_equal(g.view(np.uint64), w[rows].view(np.uint64)), rows
@@ -1019,6 +1017,68 @@ class TestEfficiencyLimits:
             assert m.eta_e <= 1.0 and m.eta_v <= 1.0, (exponent, m)
             converged.append(exponent)
         assert -4 in converged  # the shipped 100 uF design
+
+
+def still_moving(trace, tol):
+    """Whether steady_state_metrics at tol finds the storage voltage moving."""
+    scenario = trace.scenario
+    v_m = max(abs(x) for x in engine._source_extremes(scenario.source))
+    try:
+        steady_state_metrics(trace, engine.input_power(scenario), scenario.eh, v_m, tol=tol)
+    except NotConverged as exc:
+        return "still moving" in str(exc)
+    return False
+
+
+def assert_metrics_match_flat_columns(result):
+    """t_ceh is bit for bit the crossing read off the flat columns, and the
+    drift test passes exactly when that drift is within tol*v_eh: the probes
+    are the tol that puts the limit on the drift and the floats next to it.
+    Returns (drift, whether the crossing is in the first harvest sub-step)."""
+    trace = result.trace
+    t_ceh, drift = flat_column_metrics(trace, trace.scenario.steady_tol)
+    assert result.eh.t_ceh == t_ceh
+    v_eh = result.eh.v_eh
+    for probe in (np.nextafter(drift / v_eh, 0.0), drift / v_eh, np.nextafter(drift / v_eh, 1.0)):
+        if 0.0 < probe < 1.0:
+            assert still_moving(trace, float(probe)) == (drift > probe * v_eh), probe
+    nsub = trace.scenario.n_sub
+    first_row = int(np.argmax(trace.v_ceh >= (1.0 - trace.scenario.steady_tol) * v_eh))
+    return drift, first_row % (2 * nsub) == nsub
+
+
+class TestHarvestMetricsOracle:
+    """steady_state_metrics reads the run's grid by period index; the oracle
+    reads the flat trace columns by time and shares none of that arithmetic."""
+
+    @pytest.mark.parametrize("config", ["configs/lowfreq.cfg", "configs/highfreq.cfg",
+                                        "bench/configs/lowfreq_pass.cfg"])
+    def test_shipped_configs(self, config, repo_root):
+        scenario, _ = build_scenario(load_config(repo_root / config))
+        assert_metrics_match_flat_columns(run(scenario, spectral=False))
+
+    def test_random_converging_scenarios(self):
+        rng = np.random.default_rng(20261019)
+        found = []
+        for _ in range(1000):
+            if len(found) == 200:
+                break
+            scenario = random_walk_scenario(rng)
+            scenario = dataclasses.replace(
+                scenario,
+                clock=dataclasses.replace(scenario.clock, n_periods=int(rng.integers(11, 200))),
+                eh=dataclasses.replace(scenario.eh, c_eh=10.0 ** float(rng.uniform(-13.0, -8.0))),
+            )
+            try:
+                result = run(scenario, spectral=False)
+            except NotConverged:
+                continue
+            found.append(assert_metrics_match_flat_columns(result))
+        assert len(found) == 200
+        drifts, first_substep = zip(*found)
+        # Only a drift above 0 tells the row it was read at from its neighbours.
+        assert sum(d > 0.0 for d in drifts) >= 30
+        assert any(first_substep) and not all(first_substep)
 
 
 class TestRefinement:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ehadc.clocking import ClockPlan
 from ehadc.errors import NotConverged
 from ehadc.frontend import Switch
 from ehadc.harvester import (
@@ -111,9 +112,17 @@ class TestEhStep:
         assert v == pytest.approx(0.30716, rel=1e-9)
 
 
+def flat_trace(n_periods, v=0.3):
+    """A storage cap at v from the end of the first harvest sub-step on: 10
+    kHz, alpha 0.1 and 9 sub-steps, so the acquisition and every harvest
+    sub-step last 10 us."""
+    plan = ClockPlan(f_s=1e4, alpha=0.1, n_periods=n_periods)
+    return storage_trace(plan, 9, lambda t: np.full_like(t, v))
+
+
 class TestSteadyStateMetrics:
     def test_interpolated_crossing_and_efficiencies(self):
-        trace = ramp_then_flat_trace(v_eh=0.30716, t_ceh=0.22491, period_s=1e-4)
+        trace = ramp_then_flat_trace(v_eh=0.30716, t_ceh=0.22491, f_s=1e4)
         m = steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
         assert m.v_eh == pytest.approx(0.30716, rel=1e-12)
         assert m.t_ceh == pytest.approx(0.22491, rel=1e-9)
@@ -122,51 +131,47 @@ class TestSteadyStateMetrics:
         assert m.eta_e == pytest.approx(m.e_h / (27.7e-6 * m.t_ceh), rel=1e-12)
 
     def test_short_trace_is_not_converged(self):
-        trace = storage_trace(np.array([0.0, 1e-4]), np.array([0.1, 0.1]), period_s=1e-4)
         with pytest.raises(NotConverged):
-            steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
+            steady_state_metrics(flat_trace(2, v=0.1), P_IN, eh_config(), v_m=0.4)
+
+    def test_eleven_periods_is_the_shortest_run_that_converges(self):
+        """The steady-state test compares the end of the run with the end of
+        period n - 11, so a flat curve converges at 11 periods, not at 10."""
+        with pytest.raises(NotConverged, match="run has 10 periods, but .* needs at least 11"):
+            steady_state_metrics(flat_trace(10), 1.0, eh_config(), v_m=0.4)
+        m = steady_state_metrics(flat_trace(11), 1.0, eh_config(), v_m=0.4)
+        assert m.v_eh == 0.3
 
     def test_still_moving_trace_is_not_converged(self):
-        t = np.arange(0.0, 100e-4, 1e-5)
-        v = 0.3 * t / t[-1]  # still ramping at the end
-        trace = storage_trace(t, v, period_s=1e-4)
+        plan = ClockPlan(f_s=1e4, alpha=0.1, n_periods=100)
+        trace = storage_trace(plan, 9, lambda t: 0.3 * t / 100e-4)  # still ramping at the end
         with pytest.raises(NotConverged):
             steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
 
     def test_unity_charge_is_not_converged(self):
-        t = np.arange(0.0, 100e-4, 1e-5)
-        trace = storage_trace(t, np.zeros_like(t), period_s=1e-4)
         with pytest.raises(NotConverged):
-            steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
+            steady_state_metrics(flat_trace(100, v=0.0), P_IN, eh_config(), v_m=0.4)
 
-    def test_instant_charge_reports_the_first_timestamp(self):
-        # Engine traces start after the first substep, so t[0] > 0; a cap
-        # already at its final voltage pins t_ceh to that first sample.
-        # Storing 4.5 uJ in 10 us takes at least 0.45 W: at 1 W eta_e = 0.45.
-        t = np.arange(1e-5, 200e-4, 1e-5)
-        trace = storage_trace(t, np.full_like(t, 0.3), period_s=1e-4)
-        m = steady_state_metrics(trace, 1.0, eh_config(), v_m=0.4)
-        assert m.t_ceh == 1e-5
+    def test_instant_charge_is_timed_in_the_first_harvest_substep(self):
+        # A cap at its final voltage from the first harvest sub-step on
+        # crosses 0.99 of it in that sub-step, which rises from the 0 V held
+        # at 10 us to 0.3 V at 20 us. Storing 4.5 uJ in 19.9 us takes at
+        # least 0.226 W: at 1 W eta_e = 0.226.
+        m = steady_state_metrics(flat_trace(200), 1.0, eh_config(), v_m=0.4)
+        assert m.t_ceh == 1.9900000000000003e-05
         assert math.isfinite(m.eta_e)
 
     def test_efficiency_above_one_is_not_converged(self):
-        # The instant charge above at 27.7 uW would give eta_e = 16245.
-        t = np.arange(1e-5, 200e-4, 1e-5)
-        trace = storage_trace(t, np.full_like(t, 0.3), period_s=1e-4)
-        with pytest.raises(NotConverged, match="eta_e = 16245.* above its limit of 1"):
+        # The instant charge above at 27.7 uW would give eta_e = 8163.6.
+        trace = flat_trace(200)
+        with pytest.raises(NotConverged, match="eta_e = 8163.* above its limit of 1"):
             steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
         # A final voltage above the peak input magnitude: eta_v = 1.5.
         with pytest.raises(NotConverged, match="eta_v = 1.5 is above its limit of 1"):
             steady_state_metrics(trace, 1.0, eh_config(), v_m=0.2)
 
-    def test_charge_before_the_record_starts_is_rejected(self):
-        t = np.arange(0.0, 200e-4, 1e-5)
-        trace = storage_trace(t, np.full_like(t, 0.3), period_s=1e-4)
-        with pytest.raises(NotConverged):
-            steady_state_metrics(trace, P_IN, eh_config(), v_m=0.4)
-
     def test_validates_inputs(self):
-        trace = ramp_then_flat_trace(0.3, 0.2, 1e-4)
+        trace = ramp_then_flat_trace(0.3, 0.2, 1e4)
         with pytest.raises(ValueError, match="p_in must be positive"):
             steady_state_metrics(trace, 0.0, eh_config(), v_m=0.4)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the SAR converter against a brute-force quantizer oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,16 @@ class TestAdcConfig:
             AdcConfig(n_bits=8, v_ref=0.0, c_unit=1e-12)
         with pytest.raises(ValueError):
             AdcConfig(n_bits=8, v_ref=0.4, c_unit=1e-12, s1="bootstrapped")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("v_ref", math.inf), ("v_ref", math.nan), ("v_ref", -0.4),
+         ("c_unit", math.inf), ("c_unit", math.nan), ("c_unit", 0.0)],
+    )
+    def test_rejects_non_finite_fields_by_name(self, field, value):
+        fields = {"n_bits": 8, "v_ref": 0.4, "c_unit": 1e-12, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+            AdcConfig(**fields)
 
 
 class TestSarConvert:

@@ -1,6 +1,7 @@
 """Tests for the stimulus sources and input-power bookkeeping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,28 @@ class TestSineSource:
             SineSource(amplitude=1.0, frequency=-5.0)
         with pytest.raises(ValueError):
             SineSource(amplitude=1.0, frequency=100.0, source_resistance=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("amplitude", math.nan, "amplitude must be positive and finite, got nan"),
+            ("amplitude", math.inf, "amplitude must be positive and finite, got inf"),
+            ("frequency", math.inf, "frequency must be positive and finite, got inf"),
+            ("frequency", math.nan, "frequency must be positive and finite, got nan"),
+            ("source_resistance", math.inf, "source_resistance must be positive and finite, got inf"),
+            ("source_resistance", -1.0, "source_resistance must be positive and finite, got -1.0"),
+            ("phase", math.nan, "phase must be finite, got nan"),
+            ("phase", -math.inf, "phase must be finite, got -inf"),
+            ("dc_offset", math.nan, "dc_offset must be finite, got nan"),
+            ("dc_offset", math.inf, "dc_offset must be finite, got inf"),
+        ],
+    )
+    def test_rejects_non_finite_fields_by_name(self, field, value, message):
+        """Each field is checked where the source is built, so a bad one
+        never reaches a transient."""
+        fields = {"amplitude": 0.4, "frequency": 100.0, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SineSource(**fields)
 
 
 class TestCoherentFrequency:
