@@ -245,10 +245,13 @@ def _parse_values(spec: str) -> list[float]:
             start, stop, step = (decimal.Decimal(p) for p in parts)
             if not all(x.is_finite() for x in (start, stop, step)) or step <= 0 or stop < start:
                 raise decimal.InvalidOperation
-            n = int((stop - start) // step)
+            n = int((stop - start) // step) + 1
         except decimal.InvalidOperation:
             raise ValueError(f"bad range {spec!r}") from None
-        return [float(start + i * step) for i in range(n + 1)]
+        # A sweep row keeps about 16.9 kB of results, so 2^16 rows are about 1.1 GB.
+        if n > 2**16:
+            raise ValueError(f"range {spec!r} has {n} values, more than the cap of {2**16}")
+        return [float(start + i * step) for i in range(n)]
     values = [float(p) for p in spec.split(",") if p.strip()]
     if not values:
         raise ValueError(f"no sweep values in {spec!r}")

@@ -240,11 +240,11 @@ def validate(scenario: Scenario) -> Switch:
     """Check cross-parameter constraints; returns the resolved S1 switch.
 
     Raises:
-        ValidationError: Nyquist violation, run length over MAX_PERIODS,
-            nonpositive n_sub, settling factor or input power, a steady-state
-            tolerance outside (0, 1), or an S1 that cannot settle the DAC
-            capacitance within the acquisition window anywhere in the input
-            range.
+        ValidationError: Nyquist violation, run length over MAX_PERIODS
+            periods or MAX_PERIODS*64 sub-steps per phase, nonpositive
+            n_sub, settling factor or input power, a steady-state tolerance
+            outside (0, 1), or an S1 that cannot settle the DAC capacitance
+            within the acquisition window anywhere in the input range.
     """
     if scenario.n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {scenario.n_sub}")
@@ -258,6 +258,15 @@ def validate(scenario: Scenario) -> Switch:
     if scenario.clock.n_periods > MAX_PERIODS:
         raise ValidationError(
             f"n_periods {scenario.clock.n_periods} exceeds the cap of {MAX_PERIODS} periods"
+        )
+    # The sub-step cap is what MAX_PERIODS allows at the default n_sub: a
+    # trace of about 1.1 GB.
+    substeps, cap = scenario.clock.n_periods * scenario.n_sub, MAX_PERIODS * 64
+    if substeps > cap:
+        raise ValidationError(
+            f"n_periods {scenario.clock.n_periods} x n_sub {scenario.n_sub} = {substeps} "
+            f"sub-steps per phase exceeds the cap of {cap} by {substeps - cap} "
+            f"({substeps / cap:.4g} times the cap)"
         )
     if not (scenario.source.frequency < scenario.clock.f_s / 2.0):
         raise ValidationError(
@@ -380,24 +389,28 @@ def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float, out)
     a, q = steps
     nsub = a.shape[1]
 
-    def settle(rows):
-        # Sub-step-major, as the table is: each column is contiguous.
-        x = start[rows]
+    def settle(a, q, x, out):
+        # In place, one sub-step-major column at a time: each is contiguous.
         for j in range(nsub):
-            x = out[rows, j] = x * a[rows, j] + q[rows, j]
+            x = np.multiply(x, a[:, j], out=out[:, j])
+            x += q[:, j]
         return sar_convert(x, adc)
 
     start = np.empty(len(a))
     start[0] = v0
     start[1:] = dac_output(sar_convert(boundary_in[:-1], adc), adc)
-    codes = settle(slice(None))
+    codes = settle(a, q, start, out)
     while True:
         level = dac_output(codes[:-1], adc)
         redo = np.flatnonzero(level != start[1:]) + 1
         if redo.size == 0:
             return codes
         start[redo] = level[redo - 1]
-        codes[redo] = settle(redo)
+        # The redone rows, gathered once into dense sub-step-major copies,
+        # settled in a's copy and scattered once.
+        a_r, q_r = (m.T.take(redo, axis=1).T for m in (a, q))
+        codes[redo] = settle(a_r, q_r, start[redo], a_r)
+        out[redo] = a_r
 
 
 def _harvest(steps, v: float, out) -> float:
@@ -409,18 +422,20 @@ def _harvest(steps, v: float, out) -> float:
     carries over from period to period. The diode ratchet takes the RC
     candidate v*a + q only where it exceeds the held voltage, which happens
     on few sub-steps. So the candidate at the held voltage is tested over
-    blocks that double from n_sub up to _MAX_HOLD_BLOCK sub-steps, and from
-    the first sub-step where it rises one scalar walk steps the ratchet
-    while it keeps rising. Where S2 is cut off the candidate is v itself,
-    which does not rise, so the node holds. Both paths form the candidate
-    with the same float operations.
+    blocks that double up to _MAX_HOLD_BLOCK sub-steps, and from the first
+    sub-step where it rises one scalar walk steps the ratchet while it keeps
+    rising. Rises follow the input's crests, so the first block of a hold is
+    as long as the hold before the last rise, and at least n_sub sub-steps.
+    Where S2 is cut off the candidate is v itself, which does not rise, so
+    the node holds. Both paths form the candidate with the same float
+    operations.
     """
     nsub = steps[0].shape[1]
     a, q = (m.ravel() for m in steps)
     # The scalar walk reads Python floats straight from the table.
     a_m, q_m = memoryview(a), memoryview(q)
     flat = out.reshape(len(a))
-    i = 0
+    i = held_from = 0
     block = nsub
     while i < len(a):
         j = i + block
@@ -441,9 +456,9 @@ def _harvest(steps, v: float, out) -> float:
                 break
             v = cand
             risen.append(v)
-        i = k + len(risen)
+        block = min(max(k - held_from, nsub), _MAX_HOLD_BLOCK)
+        i = held_from = k + len(risen)
         flat[k:i] = risen
-        block = nsub
     return v
 
 

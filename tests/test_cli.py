@@ -307,8 +307,13 @@ class TestRunCommand:
             ),
             ({"": "signal.p_in_w = -1\n"}, ":12: signal.p_in_w must be positive, got -1.0"),
             ({"": "switch.s1.r_on = 0.5\n"}, ":12: switch.s1.r_on is not used by switch type 'auto'"),
+            # Too large to allocate: 6.4e9 sub-steps per phase.
+            (
+                {"n_sub = 8": "n_sub = 100000000"},
+                "n_periods 64 x n_sub 100000000 = 6400000000 sub-steps per phase exceeds the cap of 67108864",
+            ),
         ],
-        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1", "auto-r_on"],
+        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1", "auto-r_on", "n_sub=1e8"],
     )
     def test_bad_scenario_values_exit_2_before_the_transient(
         self, tmp_path, capsys, edits, message
@@ -393,6 +398,14 @@ class TestSweepCommand:
         assert _parse_values("0.05:0.3:0.05") == [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
         assert _parse_values("0.1:0.7:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
 
+    def test_range_is_counted_before_it_is_built(self):
+        assert len(_parse_values("1:65536:1")) == 2**16
+        with pytest.raises(ValueError, match="range '0:65536:1' has 65537 values, more than the cap of 65536"):
+            _parse_values("0:65536:1")
+        # 10^18 + 1 values: refused at once, not after building them.
+        with pytest.raises(ValueError, match="has 1000000000000000001 values"):
+            _parse_values("0:1:1e-18")
+
     def test_metric_cells_equal_the_run_summary(self, tmp_path):
         """Each metric cell of a sweep row is the repr of the same key in the
         summary.json of a standalone run at that value."""
@@ -471,10 +484,11 @@ class TestSweepCommand:
         [
             ("1:2", "range syntax is start:stop:step"),
             ("0:inf:0.1", "bad range '0:inf:0.1'"),
+            ("0:1:1e-12", "range '0:1:1e-12' has 1000000000001 values, more than the cap of 65536"),
             ("", "no sweep values"),
             (",", "no sweep values"),
         ],
-        ids=["two-part-range", "infinite-range", "empty", "comma"],
+        ids=["two-part-range", "infinite-range", "huge-range", "empty", "comma"],
     )
     def test_bad_value_list_exits_2(self, tmp_path, capsys, values, message):
         out = tmp_path / "sweep_out"

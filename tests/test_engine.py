@@ -11,6 +11,7 @@ import concurrent.futures
 import dataclasses
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 
@@ -460,6 +461,63 @@ class TestScreenedHarvest:
         assert reached, f"no harvest sub-step reached the {edge} regime"
 
 
+def ratchet_tables(gaps, nsub, rng):
+    """Harvest step tables (a, q), (periods, n_sub), and the flat indices of
+    their rising sub-steps. A held sub-step has a = 1, q = 0, or now and then
+    a candidate below the held voltage. The r-th gap of held sub-steps is
+    followed by a rise run of r % 3 + 1 sub-steps, and the last gap is
+    lengthened to whole periods, so the table's last sub-step rises."""
+    runs = [r % 3 + 1 for r in range(len(gaps))]
+    gaps = [*gaps[:-1], gaps[-1] + (-(sum(gaps) + sum(runs))) % nsub]
+    a, q, rising = [], [], []
+    for r, (gap, run_) in enumerate(zip(gaps, runs)):
+        held = np.ones(gap)
+        held[rng.integers(0, gap, size=gap // 1000)] = 0.5
+        a += held.tolist()
+        q += (0.1 * (held != 1.0)).tolist()
+        # The run climbs towards 4*(r + 1), above every voltage reached before it.
+        for _ in range(run_):
+            rising.append(len(a))
+            a_k = float(rng.uniform(0.2, 0.8))
+            a.append(a_k)
+            q.append((1.0 - a_k) * 4.0 * (r + 1))
+    return np.reshape(a, (-1, nsub)), np.reshape(q, (-1, nsub)), rising
+
+
+class TestHarvestRatchet:
+    """engine._harvest against a plain ratchet, one sub-step at a time, on
+    synthetic tables whose rises follow holds of every length the hold test
+    treats differently: none, one sub-step, about n_sub, many hold windows,
+    and more than _MAX_HOLD_BLOCK."""
+
+    @pytest.mark.parametrize("nsub", [8, 64])
+    @pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+    def test_equals_a_plain_ratchet(self, nsub, order):
+        rng = np.random.default_rng(20261019)
+        gaps = [1, nsub - 1, nsub, nsub + 1, 50 * nsub, engine._MAX_HOLD_BLOCK + 7, 2, 3 * nsub]
+        if order == "falling":
+            gaps.sort(reverse=True)
+        elif order == "shuffled":
+            rng.shuffle(gaps)
+        # The first sub-step rises, after a gap of 0.
+        a, q, rising = ratchet_tables([0, *gaps, nsub], nsub, rng)
+        assert rising[0] == 0 and rising[-1] == a.size - 1
+
+        v = v0 = 0.5
+        want = []
+        for a_k, q_k in zip(a.ravel().tolist(), q.ravel().tolist()):
+            cand = v * a_k + q_k
+            if cand > v:
+                v = cand
+            want.append(v)
+        assert np.flatnonzero(np.diff([v0, *want]) > 0.0).tolist() == rising
+
+        out = np.empty_like(a)
+        got = engine._harvest((a, q), v0, out)
+        assert out.tobytes() == np.array(want).reshape(a.shape).tobytes()
+        assert np.float64(got).tobytes() == np.float64(v).tobytes()
+
+
 class TestTraceLayout:
     def test_row_counts_and_ordering(self):
         scenario = small_scenario()
@@ -820,6 +878,34 @@ class TestValidation:
             validate(scenario)
         with pytest.raises(ValidationError, match=message):
             run(scenario, spectral=False, eh=False)
+
+    def test_substep_guard(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr(engine, "time_grid", no_grid)
+        monkeypatch.setattr(engine, "phase_grid", no_grid)
+        cap = MAX_PERIODS * 64
+
+        def scenario(n_periods, n_sub):
+            return small_scenario(clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=n_periods), n_sub=n_sub)
+
+        validate(scenario(4096, cap // 4096))
+        validate(scenario(MAX_PERIODS, 64))
+        message = (
+            f"n_periods 4096 x n_sub 100000000 = 409600000000 sub-steps per phase exceeds "
+            f"the cap of {cap} by {409600000000 - cap} (6104 times the cap)"
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate(scenario(4096, 100_000_000))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run(scenario(4096, 100_000_000), spectral=False, eh=False)
+        validate(scenario(1, cap))
+        with pytest.raises(ValidationError, match=f"= {cap + 1} sub-steps per phase exceeds .* by 1 "):
+            validate(scenario(1, cap + 1))
+        # The period cap is checked first.
+        with pytest.raises(ValidationError, match=f"n_periods {MAX_PERIODS + 1} exceeds the cap"):
+            validate(scenario(MAX_PERIODS + 1, 1000))
 
     def test_nonpositive_substeps(self):
         scenario = small_scenario(n_sub=0)
