@@ -32,6 +32,10 @@ is the solver outputs plus one block.
   blocks, and one scalar walk steps the ratchet only while the voltage
   rises. Its tables are period-major, so the flat walk runs in time order,
   and the storage voltage carries from one block of periods to the next.
+  A block that starts above 0 V tables only its live periods
+  (harvester.live_periods). Under a drive in [0, U] an exact step from v
+  ends at or below v - (v - U)*g; where that margin exceeds the rounding of
+  v*a + q, the period holds the voltage carried into it, bit for bit.
 
 Both apply a table of RC steps (_rc_steps) as v*a + q per sub-step, the float
 operations of the one-step update rc_step_value. The terms come from
@@ -50,7 +54,7 @@ import numpy as np
 from .clocking import ClockPlan, Phase, phase_grid, time_grid
 from .errors import NotConverged, ValidationError
 from .frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
-from .harvester import EhConfig, EhMetrics, rectified_envelope, steady_state_metrics
+from .harvester import EhConfig, EhMetrics, live_periods, rectified_envelope, steady_state_metrics
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
 from .stimulus import SineSource, rms_power
@@ -483,18 +487,31 @@ def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: Sine
 
 def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int) -> np.ndarray:
     """Storage-cap voltage after every harvest sub-step (n_periods, n_sub):
-    the rectified envelope of the block's input on its grid and _harvest
-    block by block, the storage voltage carried from each block to the next."""
+    the rectified envelope of the input on the grid and _harvest block by
+    block, the storage voltage carried from each block to the next. A block
+    that starts above 0 V walks only its live periods (live_periods); a dead
+    one holds the largest end before it, since the ratchet never falls."""
     nper = plan.n_periods
     ceh_eh = np.empty((nper, nsub))
     rect = ehc.rectifier
-    v = 0.0
-    for rows in _blocks(nper, nsub):
+
+    def walk(rows, v, out):
         grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
         env = rectified_envelope(source.sample_at(grid), rect)
         steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub)
-        v = _harvest(steps, v, ceh_eh[rows])
-        del grid, env, steps  # freed before the next block's are built
+        del grid, env  # freed before the walk
+        return _harvest(steps, v, out)
+
+    v = 0.0
+    for rows in _blocks(nper, nsub):
+        block = ceh_eh[rows]
+        if v == 0.0 or (live := live_periods(ehc, plan, source, nsub, rows, v)).all():
+            v = walk(rows, v, block)
+            continue
+        out, ends = np.empty((np.count_nonzero(live), nsub)), np.full(len(block), v)
+        v = walk(np.flatnonzero(live) + rows.start, v, out)
+        block[live], ends[live] = out, out[:, -1]
+        block[~live] = np.maximum.accumulate(ends)[~live, None]
     return ceh_eh
 
 

@@ -25,7 +25,7 @@ from ehadc.harvester import EhConfig, RectifierModel, rectified_envelope, steady
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output
 from ehadc.spectral import enob, sndr
 from ehadc.stimulus import SineSource, coherent_frequency
-from ehadc import engine
+from ehadc import engine, harvester
 from ehadc.cli import summarize
 from ehadc.config import build_scenario, load_config
 from ehadc.engine import (
@@ -516,6 +516,173 @@ class TestHarvestRatchet:
         got = engine._harvest((a, q), v0, out)
         assert out.tobytes() == np.array(want).reshape(a.shape).tobytes()
         assert np.float64(got).tobytes() == np.float64(v).tobytes()
+
+
+@pytest.fixture
+def tabled_periods(monkeypatch):
+    """The periods whose RC step tables engine._rc_steps builds, by phase."""
+    counts = dict.fromkeys(Phase, 0)
+    phase = [Phase.ACQUISITION]
+    real_steps, real_solve = engine._rc_steps, engine._solve_harvest
+
+    def steps(switch, r_series, c, drive, grid, dt):
+        counts[phase[0]] += len(drive)
+        return real_steps(switch, r_series, c, drive, grid, dt)
+
+    def solve(*args):
+        phase[0] = Phase.ENERGY_HARVEST
+        try:
+            return real_solve(*args)
+        finally:
+            phase[0] = Phase.ACQUISITION
+
+    monkeypatch.setattr(engine, "_rc_steps", steps)
+    monkeypatch.setattr(engine, "_solve_harvest", solve)
+    return counts
+
+
+@pytest.fixture
+def live_masks(monkeypatch):
+    """The mask of every engine.live_periods decision."""
+    seen = []
+    real = engine.live_periods
+
+    def live(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(engine, "live_periods", live)
+    return seen
+
+
+def bound_scenario(rng):
+    """A harvest window, drive and rectifier over the ranges the drive bound
+    branches on: any phase and DC offset, f_in up to 0.49*f_s and, in one
+    draw of four, up to 4*f_s (windows of 2*pi or more), alpha in
+    [0.01, 0.99] or, in one draw of four, within 1e-12 to 1e-6 of 1, where
+    the harvest sub-steps are narrower than the rounding of late periods'
+    times."""
+    f_s = 10.0 ** float(rng.uniform(2.0, 8.0))
+    f_in = f_s * float(rng.uniform(0.49, 4.0) if rng.integers(0, 4) == 0 else rng.uniform(0.001, 0.49))
+    alpha = 1.0 - 10.0 ** float(rng.uniform(-12.0, -6.0)) if rng.integers(0, 4) == 0 else float(rng.uniform(0.01, 0.99))
+    amp = float(rng.uniform(0.1, 2.0))
+    source = SineSource(amplitude=amp, frequency=f_in, phase=float(rng.uniform(-10.0, 10.0)),
+                        dc_offset=amp * float(rng.uniform(-1.5, 1.5)))
+    rect = RectifierModel(v_drop=amp * float(rng.uniform(0.0, 0.5)), r_series=1.0)
+    return ClockPlan(f_s=f_s, alpha=alpha, n_periods=MAX_PERIODS), source, rect
+
+
+class TestDeadPeriods:
+    """A harvest block that starts above 0 V tables only the periods whose
+    drive may lift the held storage voltage (harvester.live_periods); the
+    ratchet holds through the rest."""
+
+    def test_drive_bound_covers_the_envelope(self):
+        """harvester.drive_bound of a period's harvest window is at least the
+        rectified envelope on every grid point of the window, early and late
+        in a MAX_PERIODS run, where the phase reaches about 3e6 rad. The
+        draws reach windows of 2*pi or more, crests inside a window, and
+        grids that round past the window's ends."""
+        rng = np.random.default_rng(20261020)
+        wide = crest = past = 0
+        for _ in range(300):
+            plan, source, rect = bound_scenario(rng)
+            rows = np.concatenate((rng.integers(0, 64, 8), rng.integers(MAX_PERIODS - 4096, MAX_PERIODS, 56)))
+            start, end = phase_grid(plan, 1, Phase.ENERGY_HARVEST, rows).T
+            bound = harvester.drive_bound(source, rect, start, end)
+            nsub = int(rng.integers(1, 65))
+            grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
+            env = rectified_envelope(source.sample_at(grid), rect)
+            assert (bound >= env.max(axis=1)).all()
+            wide += np.count_nonzero((end - start) * source.frequency >= 1.0)
+            past += np.count_nonzero((grid.max(axis=1) > end) | (grid.min(axis=1) < start))
+            if nsub > 1:
+                crest += np.count_nonzero(env[:, 1:-1].max(axis=1) > env[:, [0, -1]].max(axis=1))
+        assert wide > 0 and crest > 0 and past > 0
+
+    def test_dead_periods_hold_at_the_edge_of_the_rule(self):
+        """For each period, the least storage voltage v at which the rule
+        calls it dead (found by bisection on the float's bits): every RC
+        candidate v*a + q of the period's table is at most v. One scenario
+        in two has a constant S2 at tau/h of 1e6 to 1e12, and half of those
+        a drive flat to 1e-12, so the candidate comes within an ulp of v
+        but for the rule's rounding margin; one in four has alpha within
+        1e-14 to 1e-10 of 1, where the snapped last width can be far
+        narrower than dt."""
+        rng = np.random.default_rng(20261021)
+        edges = 0
+        for n in range(80):
+            scenario = random_walk_scenario(rng)
+            if n % 4 == 2:
+                alpha = 1.0 - 10.0 ** -float(rng.uniform(10.0, 14.0))
+                scenario = dataclasses.replace(scenario, clock=dataclasses.replace(scenario.clock, alpha=alpha))
+            plan, ehc, nsub = scenario.clock, scenario.eh, scenario.n_sub
+            if n % 2:
+                x = 10.0 ** -float(rng.uniform(6.0, 12.0))
+                c_eh = plan.t_eh / nsub / (x * (ehc.rectifier.r_series + 1.0))
+                ehc = dataclasses.replace(ehc, c_eh=c_eh, s2=Switch.constant(1.0))
+            if n % 4 == 3:
+                amp = scenario.source.amplitude
+                flat = dataclasses.replace(scenario.source, amplitude=1e-12 * amp, dc_offset=float(rng.choice([-amp, amp])))
+                scenario = dataclasses.replace(scenario, source=flat)
+            rows = slice(0, plan.n_periods)
+            lo = np.zeros(plan.n_periods, dtype=np.int64)
+            hi = np.full(plan.n_periods, np.float64(1e300).view(np.int64))
+            for _ in range(64):
+                mid = lo + (hi - lo) // 2
+                dead = ~harvester.live_periods(ehc, plan, scenario.source, nsub, rows, mid.view(float))
+                hi = np.where(dead, mid, hi)
+                lo = np.where(dead, lo, mid)
+            v = hi.view(float)
+            held = v < 1e300
+            grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
+            env = rectified_envelope(scenario.source.sample_at(grid), ehc.rectifier)
+            a, q = engine._rc_steps(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub)
+            cand = v[held, None] * a[held] + q[held]
+            assert (cand <= v[held, None]).all()
+            edges += np.count_nonzero(held)
+        assert edges > 0
+
+    def test_a_reversed_window_is_live(self):
+        """With alpha within 1e-10 of 1, a late period's harvest window is
+        narrower than the rounding of its times, and its snapped last width
+        can be negative, where a > 1 and the candidate can rise from any v.
+        Such a period is live at every v; no dead period's candidate rises."""
+        plan = ClockPlan(f_s=1e4, alpha=1.0 - 1e-10, n_periods=MAX_PERIODS)
+        ehc = eh_branch(1e-6, 1.0, Switch.constant(1.0))
+        source = SineSource(amplitude=1.0, frequency=100.0)
+        rows = slice(MAX_PERIODS - 1024, MAX_PERIODS)
+        grid = phase_grid(plan, 8, Phase.ENERGY_HARVEST, rows)
+        env = rectified_envelope(source.sample_at(grid), ehc.rectifier)
+        a, q = engine._rc_steps(ehc.s2, 1.0, ehc.c_eh, env, grid, plan.t_eh / 8)
+        reversed_ = grid[:, -1] < grid[:, -2]
+        assert (reversed_ & (2.0 * a + q > 2.0).any(axis=1)).any()
+        for v in (0.1, 0.5, 0.9, 2.0):
+            dead = ~harvester.live_periods(ehc, plan, source, 8, rows, v)
+            assert not (v * a[dead] + q[dead] > v).any()
+
+    def test_random_scenarios_walk_bit_identically_in_small_blocks(self, live_masks, monkeypatch):
+        """32-128 periods in blocks of 2-8, so most blocks start above 0 V
+        and table only their live periods; the walk keeps every bit."""
+        rng = np.random.default_rng(20261022)
+        for _ in range(60):
+            scenario = random_walk_scenario(rng)
+            clock = dataclasses.replace(scenario.clock, n_periods=int(rng.integers(32, 129)))
+            scenario = dataclasses.replace(scenario, clock=clock)
+            monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", int(rng.integers(2, 9)) * scenario.n_sub)
+            assert_walks_bit_identically(scenario)
+        mixed = sum(0 < np.count_nonzero(mask) < mask.size for mask in live_masks)
+        dead = sum(not mask.any() for mask in live_masks)
+        assert mixed > 50 and dead > 50, (mixed, dead)
+
+    @pytest.mark.parametrize("config", ["configs/lowfreq.cfg", "configs/highfreq.cfg", "bench/configs/lowfreq_pass.cfg"])
+    def test_harvest_tables_cover_few_periods(self, config, repo_root, tabled_periods):
+        """S1 is tabled on every period and S2 on at most 40% of them."""
+        scenario, _ = build_scenario(load_config(repo_root / config))
+        run(scenario, spectral=False, eh=False)
+        nper = scenario.clock.n_periods
+        assert tabled_periods[Phase.ACQUISITION] == nper
+        assert 0 < tabled_periods[Phase.ENERGY_HARVEST] <= 0.4 * nper
 
 
 class TestTraceLayout:

@@ -228,21 +228,33 @@ def layouts_of(x):
 @pytest.fixture(scope="module")
 def pass_bench_arguments(repo_root):
     """The step arguments x = h/tau of every S1 and S2 table that engine.run
-    builds for bench/configs/lowfreq_pass.cfg, one per sub-step."""
+    builds for bench/configs/lowfreq_pass.cfg: S1 on every acquisition
+    sub-step, S2 on every harvest sub-step of the periods whose storage
+    voltage may rise (harvester.live_periods), which include every period
+    where it does."""
     scenario, _ = build_scenario(load_config(repo_root / "bench/configs/lowfreq_pass.cfg"))
-    seen = []
-    real_terms = engine.rc_step_terms
+    seen = {"S1": [], "S2": []}
+    branch = ["S1"]
+    real_terms, real_solve = engine.rc_step_terms, engine._solve_harvest
 
     def terms(x):
-        seen.append(np.array(x, dtype=float).ravel())
+        seen[branch[0]].append(np.array(x, dtype=float).ravel())
         return real_terms(x)
+
+    def solve(*args):
+        branch[0] = "S2"
+        return real_solve(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "rc_step_terms", terms)
-        engine.run(scenario, spectral=False, eh=False)
-    x = np.concatenate(seen)
-    assert x.size == 2 * scenario.clock.n_periods * scenario.n_sub
-    return x
+        patch.setattr(engine, "_solve_harvest", solve)
+        trace = engine.run(scenario, spectral=False, eh=False).trace
+    s1, s2 = (np.concatenate(seen[k]) for k in ("S1", "S2"))
+    nper, nsub = scenario.clock.n_periods, scenario.n_sub
+    assert s1.size == nper * nsub
+    rising = np.count_nonzero(trace.ceh_eh[:, -1] > np.concatenate(([0.0], trace.ceh_eh[:-1, -1])))
+    assert s2.size % nsub == 0 and 0 < rising <= s2.size // nsub <= nper
+    return np.concatenate((s1, s2))
 
 
 class TestRcStepTerms:
