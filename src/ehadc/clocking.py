@@ -62,7 +62,7 @@ class ClockPlan:
         return self.t_s - self.t_aq
 
 
-def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice = slice(None)) -> np.ndarray:
     """Sub-step endpoints of one phase of the periods in rows (all by default).
 
     Returns an array of shape (periods, n_sub + 1). Row k of the acquisition
@@ -70,14 +70,13 @@ def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice | np.ndarr
     row k of the harvest grid steps by T_EH/n_sub from that boundary to
     (k+1)*T_s. The last endpoint of each row is snapped to the closed-form
     boundary, so both phases share identical boundary times. A row depends
-    only on its period index k, so rows, a slice or an index array, have the
-    bits of those rows of the whole grid, and a phase built alone has the bits
-    of that phase of time_grid. The acquisition grid is sub-step-major
+    only on its period index k, so a slice of rows has the bits of those rows
+    of the whole grid, and a phase built alone has the bits of that phase of
+    time_grid. The acquisition grid is sub-step-major
     (Fortran order), as the engine's acquisition solver reads it; the harvest
     grid is period-major. Each phase solver builds only its own phase.
     """
-    k = np.arange(*rows.indices(plan.n_periods)) if isinstance(rows, slice) else np.asarray(rows)
-    k = k.astype(float)
+    k = np.arange(*rows.indices(plan.n_periods), dtype=float)
     boundaries = k * plan.t_s + plan.alpha * plan.t_s
     j = np.arange(n_sub + 1, dtype=float)
     if phase == Phase.ACQUISITION:

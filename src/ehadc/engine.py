@@ -32,10 +32,11 @@ is the solver outputs plus one block.
   blocks, and one scalar walk steps the ratchet only while the voltage
   rises. Its tables are period-major, so the flat walk runs in time order,
   and the storage voltage carries from one block of periods to the next.
-  A block that starts above 0 V tables only its live periods
-  (harvester.live_periods). Under a drive in [0, U] an exact step from v
-  ends at or below v - (v - U)*g; where that margin exceeds the rounding of
-  v*a + q, the period holds the voltage carried into it, bit for bit.
+  Each block tables only its live periods (harvester.live_periods), rows
+  of its own grid. Under a drive in [0, U] an exact step from v >= U ends
+  at or below v - (v - U)*g; where that margin exceeds the rounding of
+  v*a + q, the period holds the voltage carried into it, bit for bit. At
+  v = 0 only a zero drive (U = 0) is dead, and its q is exactly 0.
 
 Both apply a table of RC steps (_rc_steps) as v*a + q per sub-step, the float
 operations of the one-step update rc_step_value. The terms come from
@@ -245,10 +246,11 @@ def validate(scenario: Scenario) -> Switch:
 
     Raises:
         ValidationError: Nyquist violation, run length over MAX_PERIODS
-            periods or MAX_PERIODS*64 sub-steps per phase, nonpositive
-            n_sub, settling factor or input power, a steady-state tolerance
-            outside (0, 1), or an S1 that cannot settle the DAC capacitance
-            within the acquisition window anywhere in the input range.
+            periods or MAX_PERIODS*64 sub-steps per phase, a sub-step no
+            wider than 8 ulps of n_periods*T_s, nonpositive n_sub, settling
+            factor or input power, a steady-state tolerance outside (0, 1),
+            or an S1 that cannot settle the DAC capacitance within the
+            acquisition window anywhere in the input range.
     """
     if scenario.n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {scenario.n_sub}")
@@ -271,6 +273,16 @@ def validate(scenario: Scenario) -> Switch:
             f"n_periods {scenario.clock.n_periods} x n_sub {scenario.n_sub} = {substeps} "
             f"sub-steps per phase exceeds the cap of {cap} by {substeps - cap} "
             f"({substeps / cap:.4g} times the cap)"
+        )
+    # A sub-step within a few roundings of the run's latest times can snap
+    # to a reversed last width, where the RC step grows the node voltage.
+    clock = scenario.clock
+    width = min(clock.t_aq, clock.t_eh) / scenario.n_sub
+    bound = 8.0 * math.ulp(clock.n_periods * clock.t_s)
+    if width <= bound:
+        raise ValidationError(
+            f"sub-step width min(t_aq, t_eh)/n_sub = {width:.6g} s is not above 8 ulps of the "
+            f"run's end time, {bound:.6g} s ({width / bound:.4g} times that bound)"
         )
     if not (scenario.source.frequency < scenario.clock.f_s / 2.0):
         raise ValidationError(
@@ -486,30 +498,23 @@ def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: Sine
 
 
 def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int) -> np.ndarray:
-    """Storage-cap voltage after every harvest sub-step (n_periods, n_sub):
-    the rectified envelope of the input on the grid and _harvest block by
-    block, the storage voltage carried from each block to the next. A block
-    that starts above 0 V walks only its live periods (live_periods); a dead
-    one holds the largest end before it, since the ratchet never falls."""
+    """Storage-cap voltage after every harvest sub-step (n_periods, n_sub),
+    block by block, the voltage carried from each block to the next: on the
+    block's grid, _harvest walks the tables of the live_periods only; a dead
+    period holds the largest end before it, since the ratchet never falls."""
     nper = plan.n_periods
     ceh_eh = np.empty((nper, nsub))
-    rect = ehc.rectifier
-
-    def walk(rows, v, out):
-        grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
-        env = rectified_envelope(source.sample_at(grid), rect)
-        steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub)
-        del grid, env  # freed before the walk
-        return _harvest(steps, v, out)
-
+    rect, dt = ehc.rectifier, plan.t_eh / nsub
     v = 0.0
     for rows in _blocks(nper, nsub):
-        block = ceh_eh[rows]
-        if v == 0.0 or (live := live_periods(ehc, plan, source, nsub, rows, v)).all():
-            v = walk(rows, v, block)
-            continue
-        out, ends = np.empty((np.count_nonzero(live), nsub)), np.full(len(block), v)
-        v = walk(np.flatnonzero(live) + rows.start, v, out)
+        grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
+        live = live_periods(ehc, source, grid, dt, v)
+        grid = grid[live]
+        env = rectified_envelope(source.sample_at(grid), rect)
+        steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, dt)
+        del grid, env  # freed before the walk
+        block, out, ends = ceh_eh[rows], np.empty((len(steps[0]), nsub)), np.full(len(live), v)
+        v = _harvest(steps, v, out)
         block[live], ends[live] = out, out[:, -1]
         block[~live] = np.maximum.accumulate(ends)[~live, None]
     return ceh_eh

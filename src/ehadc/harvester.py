@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocking import ClockPlan, Phase, phase_grid
+from .clocking import Phase, phase_grid
 from .errors import NotConverged
 from .frontend import Switch, SwitchKind, r_on
 from .stimulus import SineSource
@@ -100,16 +100,16 @@ def drive_bound(source: SineSource, rect: RectifierModel, start: np.ndarray, end
     return np.maximum(peak + 1e-9 * (abs(dc) + amp) - rect.v_drop, 0.0)
 
 
-def live_periods(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int, rows: slice, v: float):
-    """Mask of the periods in rows whose harvest may raise a storage voltage
-    v > 0. The others are dead: g > 0 and U*g <= v*(g - 64*2**-53), with U
-    the drive_bound and g the least -expm1(-h/tau) of the period's steps, in
-    the float operations of the engine's tables: h the narrower of dt and the
-    snapped last width, tau the largest, for a pass S2 at the drive in [0, U]
-    nearest its gate (g = 0 at cut-off)."""
-    start, end = phase_grid(plan, 1, Phase.ENERGY_HARVEST, rows).T
-    dt = plan.t_eh / nsub
-    h = np.minimum(dt, end - (start + (nsub - 1) * dt))  # as phase_grid snaps it
+def live_periods(ehc: EhConfig, source: SineSource, grid: np.ndarray, dt: float, v: float):
+    """Mask of the rows of a harvest phase_grid of dt-wide sub-steps whose
+    harvest may raise a storage voltage v >= 0. The others are dead: g > 0,
+    U <= v and U*g <= v*(g - 64*2**-53), with U the drive_bound of the row's
+    window and g the least -expm1(-h/tau) of its steps, in the float
+    operations of the engine's tables: h the narrower of dt and the snapped
+    last width, tau the largest, for a pass S2 at the drive in [0, U] nearest
+    its gate (g = 0 at cut-off). At v = 0 only U = 0, a zero drive, is dead."""
+    start, end = grid[:, 0], grid[:, -1]
+    h = np.minimum(dt, end - grid[:, -2])
     u = drive_bound(source, ehc.rectifier, start, end)
     s2 = ehc.s2
     if s2.kind is SwitchKind.PASS_TRANSISTOR:
@@ -119,7 +119,7 @@ def live_periods(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int, 
     else:
         r = r_on(s2)
     g = -np.expm1(-(h / ((r + ehc.rectifier.r_series) * ehc.c_eh)))
-    return (g <= 0.0) | (u * g > v * (g - 64 * 2.0**-53))
+    return (g <= 0.0) | (u > v) | (u * g > v * (g - 64 * 2.0**-53))
 
 
 def steady_state_metrics(

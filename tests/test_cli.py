@@ -312,8 +312,14 @@ class TestRunCommand:
                 {"n_sub = 8": "n_sub = 100000000"},
                 "n_periods 64 x n_sub 100000000 = 6400000000 sub-steps per phase exceeds the cap of 67108864",
             ),
+            # A harvest sub-step of 1.25e-19 s, below 8 ulps of the 6.4 ms run.
+            (
+                {"clock.alpha = 0.1": "clock.alpha = 0.99999999999999"},
+                "sub-step width min(t_aq, t_eh)/n_sub = 1.25361e-19 s is not above 8 ulps",
+            ),
         ],
-        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1", "auto-r_on", "n_sub=1e8"],
+        ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1", "auto-r_on", "n_sub=1e8",
+             "alpha=1-1e-14"],
     )
     def test_bad_scenario_values_exit_2_before_the_transient(
         self, tmp_path, capsys, edits, message

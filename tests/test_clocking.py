@@ -180,24 +180,6 @@ class TestTimeGrid:
                 assert part.shape == (rows.stop - rows.start, n_sub + 1)
                 assert np.array_equal(part.view(np.uint64), full[rows].view(np.uint64))
 
-    @pytest.mark.parametrize("plan", [ClockPlan(f_s=10e3, alpha=0.1, n_periods=2050),
-                                      ClockPlan(f_s=40e6, alpha=0.37, n_periods=2050)])
-    def test_index_array_rows_have_the_bits_of_those_rows(self, plan):
-        """phase_grid of an index array of periods, in any order, with
-        repeats, and empty (as the harvest solver tables its live periods),
-        has the bits of those rows of the whole grid, in each phase's layout."""
-        n_sub = 16
-        rng = np.random.default_rng(11)
-        whole = time_grid(plan, n_sub)
-        picks = (np.array([], dtype=np.int64), np.array([0, plan.n_periods - 1]),
-                 np.sort(rng.choice(plan.n_periods, 300, replace=False)), rng.integers(0, plan.n_periods, 50))
-        for rows in picks:
-            for phase, full in zip(Phase, whole):
-                part = phase_grid(plan, n_sub, phase, rows)
-                assert part.flags["F_CONTIGUOUS" if phase is Phase.ACQUISITION else "C_CONTIGUOUS"]
-                assert part.shape == (rows.size, n_sub + 1)
-                assert np.array_equal(part.view(np.uint64), full[rows].view(np.uint64))
-
     def test_duty_identity(self):
         for plan in REFERENCE_PLANS:
             aq, eh = time_grid(plan, 8)

@@ -573,9 +573,9 @@ def bound_scenario(rng):
 
 
 class TestDeadPeriods:
-    """A harvest block that starts above 0 V tables only the periods whose
-    drive may lift the held storage voltage (harvester.live_periods); the
-    ratchet holds through the rest."""
+    """Each harvest block tables only the periods whose drive may lift the
+    held storage voltage (harvester.live_periods); the ratchet holds through
+    the rest."""
 
     def test_drive_bound_covers_the_envelope(self):
         """harvester.drive_bound of a period's harvest window is at least the
@@ -587,11 +587,12 @@ class TestDeadPeriods:
         wide = crest = past = 0
         for _ in range(300):
             plan, source, rect = bound_scenario(rng)
-            rows = np.concatenate((rng.integers(0, 64, 8), rng.integers(MAX_PERIODS - 4096, MAX_PERIODS, 56)))
-            start, end = phase_grid(plan, 1, Phase.ENERGY_HARVEST, rows).T
-            bound = harvester.drive_bound(source, rect, start, end)
             nsub = int(rng.integers(1, 65))
-            grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
+            early, late = (phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
+                           for rows in (slice(0, 64), slice(MAX_PERIODS - 4096, MAX_PERIODS)))
+            grid = np.concatenate((early[rng.integers(0, 64, 8)], late[rng.integers(0, 4096, 56)]))
+            start, end = grid[:, 0], grid[:, -1]
+            bound = harvester.drive_bound(source, rect, start, end)
             env = rectified_envelope(source.sample_at(grid), rect)
             assert (bound >= env.max(axis=1)).all()
             wide += np.count_nonzero((end - start) * source.frequency >= 1.0)
@@ -625,17 +626,16 @@ class TestDeadPeriods:
                 amp = scenario.source.amplitude
                 flat = dataclasses.replace(scenario.source, amplitude=1e-12 * amp, dc_offset=float(rng.choice([-amp, amp])))
                 scenario = dataclasses.replace(scenario, source=flat)
-            rows = slice(0, plan.n_periods)
+            grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST)
             lo = np.zeros(plan.n_periods, dtype=np.int64)
             hi = np.full(plan.n_periods, np.float64(1e300).view(np.int64))
             for _ in range(64):
                 mid = lo + (hi - lo) // 2
-                dead = ~harvester.live_periods(ehc, plan, scenario.source, nsub, rows, mid.view(float))
+                dead = ~harvester.live_periods(ehc, scenario.source, grid, plan.t_eh / nsub, mid.view(float))
                 hi = np.where(dead, mid, hi)
                 lo = np.where(dead, lo, mid)
             v = hi.view(float)
             held = v < 1e300
-            grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
             env = rectified_envelope(scenario.source.sample_at(grid), ehc.rectifier)
             a, q = engine._rc_steps(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub)
             cand = v[held, None] * a[held] + q[held]
@@ -658,8 +658,38 @@ class TestDeadPeriods:
         reversed_ = grid[:, -1] < grid[:, -2]
         assert (reversed_ & (2.0 * a + q > 2.0).any(axis=1)).any()
         for v in (0.1, 0.5, 0.9, 2.0):
-            dead = ~harvester.live_periods(ehc, plan, source, 8, rows, v)
+            dead = ~harvester.live_periods(ehc, source, grid, plan.t_eh / 8, v)
             assert not (v * a[dead] + q[dead] > v).any()
+
+    def test_the_first_block_applies_the_rule(self, repo_root, tabled_periods, live_masks):
+        """The first block starts at 0 V, where a period is dead only when
+        its drive bound is 0: lowfreq at 64 periods, one block, tables none
+        of the periods inside the rectifier's dead zone. The envelope of each
+        dead period is 0 on its whole grid, and the walk keeps every bit."""
+        scenario, _ = build_scenario(load_config(repo_root / "configs/lowfreq.cfg"))
+        scenario = dataclasses.replace(scenario, clock=dataclasses.replace(scenario.clock, n_periods=64))
+        assert len(engine._blocks(64, scenario.n_sub)) == 1
+        assert_walks_bit_identically(scenario)
+        assert 0 < tabled_periods[Phase.ENERGY_HARVEST] < 64
+        [live] = live_masks
+        grid = phase_grid(scenario.clock, scenario.n_sub, Phase.ENERGY_HARVEST)
+        assert not rectified_envelope(scenario.source.sample_at(grid[~live]), scenario.eh.rectifier).any()
+
+    @pytest.mark.parametrize("gap, c_eh", [(3e-12, 1e291), (1e-11, 1e292)])
+    def test_a_drive_bound_whose_product_underflows_is_live(self, gap, c_eh):
+        """A pass S2 a few ulps above cut-off at the bound's drive, and a
+        huge C_EH, make g subnormal and U*g underflow to 0 at a drive of a
+        few pV. At 0 V the product test alone would call such a period
+        dead, yet its candidate rises by a subnormal step where the drive is
+        further from the gate. A dead period needs U <= v, so it is live."""
+        scenario = small_scenario(
+            source=SineSource(amplitude=0.99999 * gap, frequency=coherent_frequency(10e3, 64, 3)),
+            clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=64),
+            eh=EhConfig(c_eh=c_eh, rectifier=RectifierModel(v_drop=0.0, r_series=1.0),
+                        s2=Switch.pass_transistor(k_gain=1.0, v_th=0.1, v_gate=0.1 + gap)),
+        )
+        trace = assert_walks_bit_identically(scenario)
+        assert 0.0 < trace.ceh_eh[-1, -1] < 1e-300
 
     def test_random_scenarios_walk_bit_identically_in_small_blocks(self, live_masks, monkeypatch):
         """32-128 periods in blocks of 2-8, so most blocks start above 0 V
@@ -1073,6 +1103,31 @@ class TestValidation:
         # The period cap is checked first.
         with pytest.raises(ValidationError, match=f"n_periods {MAX_PERIODS + 1} exceeds the cap"):
             validate(scenario(MAX_PERIODS + 1, 1000))
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-10, 1e-10], ids=["harvest", "acquisition"])
+    def test_substep_width_guard(self, alpha, monkeypatch):
+        """A phase's sub-step no wider than 8 ulps of the run's end time is
+        rejected before any grid is built: late periods of such a run can
+        snap to a reversed last width, where the RC step grows the node."""
+        def no_grid(*args):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr(engine, "time_grid", no_grid)
+        monkeypatch.setattr(engine, "phase_grid", no_grid)
+
+        def scenario(alpha):
+            return small_scenario(clock=ClockPlan(f_s=10e3, alpha=alpha, n_periods=MAX_PERIODS))
+
+        message = (
+            "sub-step width min(t_aq, t_eh)/n_sub = 1.25e-15 s is not above 8 ulps of the "
+            "run's end time, 1.13687e-13 s (0.011 times that bound)"
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate(scenario(alpha))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run(scenario(alpha), spectral=False, eh=False)
+        # 1.25e-13 s, 1.1 times the bound.
+        validate(scenario(1.0 - 1e-8 if alpha > 0.5 else 1e-8))
 
     def test_nonpositive_substeps(self):
         scenario = small_scenario(n_sub=0)
