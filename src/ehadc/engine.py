@@ -28,10 +28,11 @@ is the solver outputs plus one block.
   phase_grid lays out the acquisition grid, so each settle step reads one
   contiguous column of the block's periods.
 * Harvest (_harvest): the diode ratchet holds the storage voltage on most
-  sub-steps, so the RC candidate at the held voltage is tested over growing
-  blocks, and one scalar walk steps the ratchet only while the voltage
-  rises. Its tables are period-major, so the flat walk runs in time order,
-  and the storage voltage carries from one block of periods to the next.
+  sub-steps, so the RC candidate at the held voltage is tested over fixed
+  windows of sub-steps, and one scalar walk steps the ratchet only while
+  the voltage rises. Its tables are period-major, so the flat walk runs in
+  time order, and the storage voltage carries from one block of periods to
+  the next.
   Each block tables only its live periods (harvester.live_periods), rows
   of its own grid. Under a drive in [0, U] an exact step from v >= U ends
   at or below v - (v - U)*g; where that margin exceeds the rounding of
@@ -71,9 +72,9 @@ MAX_PERIODS = 1_048_576
 # down to whole periods and at least one period.
 _BLOCK_SUBSTEPS = 65536
 
-# Largest block of harvest sub-steps over which the held storage voltage is
-# tested for a rise at once.
-_MAX_HOLD_BLOCK = 16384
+# Harvest sub-steps over which the held storage voltage is tested for a rise
+# at once.
+_HOLD_WINDOW = 1024
 
 SWEEPABLE_PARAMETERS = ("alpha", "c_eh", "v_drop", "r_on_s1", "n_bits", "f_s")
 _UNKNOWN_PARAMETER = "unknown sweep parameter {!r}; choose from " + ", ".join(SWEEPABLE_PARAMETERS)
@@ -228,11 +229,22 @@ def resolve_s1(scenario: Scenario) -> Switch:
     "auto" solves a constant on-resistance from the settling budget
     r = t_aq/(k*c_dac) for the scenario's own acquisition window, so the
     residual settling error stays below half an LSB at any alpha.
+
+    Raises:
+        ValidationError: "auto" with k*c_dac rounding to 0 or an r that is
+            not positive and finite.
     """
     s1 = scenario.adc.s1
     if isinstance(s1, str):  # "auto", enforced by AdcConfig validation
-        k = _settling_factor(scenario)
-        return Switch.constant(required_r_on(scenario.clock.t_aq, c_dac(scenario.adc), k))
+        k, c, t_aq = _settling_factor(scenario), c_dac(scenario.adc), scenario.clock.t_aq
+        r = required_r_on(t_aq, c, k) if k * c > 0.0 else math.inf
+        if not (0.0 < r < math.inf):
+            raise ValidationError(
+                f"auto S1 r_on = t_aq/(k*c_dac) = {t_aq:.6g} s/({k:.6g} x {c:.6g} F) = {r:.6g} ohm "
+                f"is not positive and finite: engine.settling_factor_k = {k!r}, "
+                f"adc.c_unit_f = {scenario.adc.c_unit!r}"
+            )
+        return Switch.constant(r)
     return s1
 
 
@@ -249,8 +261,10 @@ def validate(scenario: Scenario) -> Switch:
             periods or MAX_PERIODS*64 sub-steps per phase, a sub-step no
             wider than 8 ulps of n_periods*T_s, nonpositive n_sub, settling
             factor or input power, a steady-state tolerance outside (0, 1),
-            or an S1 that cannot settle the DAC capacitance within the
-            acquisition window anywhere in the input range.
+            a harvest sub-step of more than 1e307 time constants, an "auto"
+            S1 that solves to no finite resistance, or an S1 that cannot
+            settle the DAC capacitance within the acquisition window
+            anywhere in the input range.
     """
     if scenario.n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {scenario.n_sub}")
@@ -283,6 +297,18 @@ def validate(scenario: Scenario) -> Switch:
         raise ValidationError(
             f"sub-step width min(t_aq, t_eh)/n_sub = {width:.6g} s is not above 8 ulps of the "
             f"run's end time, {bound:.6g} s ({width / bound:.4g} times that bound)"
+        )
+    # The harvest tables divide each sub-step, under 2*dt wide (the last one
+    # snaps onto the phase end), by its time constant tau >= (r_series +
+    # r_on)*c_eh, with r_on >= 0 for a pass S2. With dt at most 1e307 such
+    # time constants, that quotient stays finite.
+    eh = scenario.eh
+    r = eh.rectifier.r_series + (r_on(eh.s2) if eh.s2.kind is SwitchKind.CONSTANT_R else 0.0)
+    dt = clock.t_eh / scenario.n_sub
+    if not (r * eh.c_eh * 1e307 >= dt):
+        raise ValidationError(
+            f"eh.c_eh_f = {eh.c_eh!r} F is below {dt / 1e307 / r:.6g} F: the harvest sub-step "
+            f"{dt:.6g} s would span more than 1e307 time constants of {r:.6g} ohm x c_eh"
         )
     if not (scenario.source.frequency < scenario.clock.f_s / 2.0):
         raise ValidationError(
@@ -437,33 +463,24 @@ def _harvest(steps, v: float, out) -> float:
     steps is the _rc_steps table of the periods. The node starts at v and
     carries over from period to period. The diode ratchet takes the RC
     candidate v*a + q only where it exceeds the held voltage, which happens
-    on few sub-steps. So the candidate at the held voltage is tested over
-    blocks that double up to _MAX_HOLD_BLOCK sub-steps, and from the first
-    sub-step where it rises one scalar walk steps the ratchet while it keeps
-    rising. Rises follow the input's crests, so the first block of a hold is
-    as long as the hold before the last rise, and at least n_sub sub-steps.
-    Where S2 is cut off the candidate is v itself, which does not rise, so
-    the node holds. Both paths form the candidate with the same float
+    on few sub-steps. So each pass tests the candidate at the held voltage
+    over the next _HOLD_WINDOW sub-steps, holds up to the first rise or the
+    window's end, and from there one scalar walk steps the ratchet while it
+    keeps rising; after a window with no rise its first test fails. Where
+    S2 is cut off the candidate is v itself, which does not rise, so the
+    node holds. Both tests form the candidate with the same float
     operations.
     """
-    nsub = steps[0].shape[1]
     a, q = (m.ravel() for m in steps)
     # The scalar walk reads Python floats straight from the table.
     a_m, q_m = memoryview(a), memoryview(q)
     flat = out.reshape(len(a))
-    i = held_from = 0
-    block = nsub
+    i = 0
     while i < len(a):
-        j = i + block
-        cand = np.multiply(v, a[i:j])
-        cand += q[i:j]
+        cand = np.multiply(v, a[i:i + _HOLD_WINDOW])
+        cand += q[i:i + _HOLD_WINDOW]
         rises = np.flatnonzero(cand > v)
-        if rises.size == 0:
-            flat[i:j] = v
-            i = j
-            block = min(2 * block, _MAX_HOLD_BLOCK)
-            continue
-        k = i + int(rises[0])
+        k = i + (int(rises[0]) if rises.size else len(cand))
         flat[i:k] = v
         risen = []
         for a_k, q_k in zip(a_m[k:], q_m[k:]):
@@ -472,8 +489,7 @@ def _harvest(steps, v: float, out) -> float:
                 break
             v = cand
             risen.append(v)
-        block = min(max(k - held_from, nsub), _MAX_HOLD_BLOCK)
-        i = held_from = k + len(risen)
+        i = k + len(risen)
         flat[k:i] = risen
     return v
 

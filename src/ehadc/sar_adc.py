@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 from .frontend import Switch
 
+# Largest v_ref in volts. spectral.spectrum squares FFT bins of at most
+# n_fft*v_ref, which stays finite below 1e54 codes per record.
+MAX_V_REF = 1e100
+
 
 @dataclass(frozen=True)
 class AdcConfig:
@@ -20,7 +24,8 @@ class AdcConfig:
 
     Attributes:
         n_bits: resolution, 1..16.
-        v_ref: reference voltage; full scale is [-v_ref, +v_ref).
+        v_ref: reference voltage, at most MAX_V_REF; full scale is
+            [-v_ref, +v_ref).
         c_unit: unit capacitor of the DAC array in farads.
         s1: sampling-switch model, or the string "auto" to have the engine
             solve a constant on-resistance from the settling budget.
@@ -38,6 +43,8 @@ class AdcConfig:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.v_ref > MAX_V_REF:
+            raise ValueError(f"v_ref must be at most {MAX_V_REF:g} V, got {self.v_ref}")
         if isinstance(self.s1, str) and self.s1 != "auto":
             raise ValueError(f"s1 must be a Switch or 'auto', got {self.s1!r}")
 

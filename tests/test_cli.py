@@ -317,9 +317,33 @@ class TestRunCommand:
                 {"clock.alpha = 0.1": "clock.alpha = 0.99999999999999"},
                 "sub-step width min(t_aq, t_eh)/n_sub = 1.25361e-19 s is not above 8 ulps",
             ),
+            # k*c_dac rounds to 0, or to a subnormal whose quotient overflows.
+            (
+                {"": "engine.settling_factor_k = 5e-324\n"},
+                "auto S1 r_on = t_aq/(k*c_dac) = 1e-05 s/(4.94066e-324 x 1.536e-06 F) = inf ohm is not "
+                "positive and finite: engine.settling_factor_k = 5e-324, adc.c_unit_f = 1.2e-08",
+            ),
+            (
+                {"adc.c_unit_f = 12e-9": "adc.c_unit_f = 5e-324"},
+                "= inf ohm is not positive and finite: engine.settling_factor_k = 6.238324625039508, "
+                "adc.c_unit_f = 5e-324",
+            ),
+            (
+                {"": "engine.settling_factor_k = 1e-310\n"},
+                "= inf ohm is not positive and finite: engine.settling_factor_k = 1e-310, adc.c_unit_f = 1.2e-08",
+            ),
+            # The stimulus sits on bin 0, or on bin n_fft/2 = 8.
+            (
+                {"signal.m_cycles = 5": "signal.freq_hz = 1e-6"},
+                "signal bin 0 outside (0, n_fft/2)",
+            ),
+            (
+                {"signal.m_cycles = 5": "signal.freq_hz = 4999.9999999"},
+                "signal bin 8 outside (0, n_fft/2)",
+            ),
         ],
         ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1", "auto-r_on", "n_sub=1e8",
-             "alpha=1-1e-14"],
+             "alpha=1-1e-14", "k=5e-324", "c_unit=5e-324", "k=1e-310", "freq=1e-6", "freq=fs/2-1e-7"],
     )
     def test_bad_scenario_values_exit_2_before_the_transient(
         self, tmp_path, capsys, edits, message
@@ -635,6 +659,8 @@ class TestAnalyzeCommand:
             (["--n-bits", "8", "--f-s", "nan"], "f_s must be positive and finite, got nan"),
             (["--n-bits", "8", "--v-ref", "inf"], "v_ref must be positive and finite, got inf"),
             (["--n-bits", "8", "--v-ref", "nan"], "v_ref must be positive and finite, got nan"),
+            # Its spectrum's squared bins would overflow.
+            (["--n-bits", "8", "--v-ref", "1e300"], "v_ref must be at most 1e+100 V, got 1e+300"),
         ],
     )
     def test_invalid_analysis_arguments_exit_2(self, tmp_path, capsys, flags, message):

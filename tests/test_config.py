@@ -2,8 +2,9 @@
 
 import pytest
 
-from ehadc.config import build_scenario, load_config, parse_config
-from ehadc.errors import ConfigError
+from ehadc.config import KEY_TABLE, build_scenario, load_config, parse_config
+from ehadc.engine import run, validate
+from ehadc.errors import ConfigError, NotConverged, ValidationError
 from ehadc.frontend import Switch, SwitchKind
 
 MINIMAL = """\
@@ -19,8 +20,21 @@ eh.c_eh_f = 100e-6
 """
 
 
+# Each is set alone on every numeric key: the edges of the float and int
+# ranges, signed zero, the subnormal minimum and 2**63.
+FUZZ_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "5e-324", "-0.0")
+FUZZ_INTS = ("0", "-1", "1", "2", "3", "65", str(2**63))
+
+
 def scenario_from(text):
     return build_scenario(parse_config(text))
+
+
+def set_keys(text, keys):
+    """Config text with each key's line replaced by 'key = value', or dropped
+    where the value is None."""
+    lines = [line for line in text.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join([*lines, *(f"{k} = {v}" for k, v in keys.items() if v is not None)]) + "\n"
 
 
 class TestParseConfig:
@@ -234,3 +248,32 @@ class TestBuildScenario:
         # The run-length cap is the constant engine.MAX_PERIODS.
         with pytest.raises(ConfigError, match="unknown key 'engine.max_periods'"):
             scenario_from(text + "engine.max_periods = 5000\n")
+
+
+class TestConfigFuzz:
+    """Every numeric key, set alone to each edge value on a 64-period lowfreq
+    config, ends in a result, a ConfigError, a ValidationError or
+    NotConverged, and raises no RuntimeWarning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key", [key for key, (typ, _) in KEY_TABLE.items() if typ in (int, float)])
+    def test_every_value_runs_or_is_rejected(self, repo_root, key):
+        base = (repo_root / "configs" / "lowfreq.cfg").read_text()
+        # A 64-point record needs an odd m_cycles below 32.
+        base = set_keys(base, {"clock.n_periods": "64", "engine.n_fft": "64", "signal.m_cycles": "5"})
+        if key == "signal.freq_hz":  # it replaces m_cycles
+            base = set_keys(base, {"signal.m_cycles": None})
+        failures = []
+        for value in FUZZ_INTS if KEY_TABLE[key][0] is int else FUZZ_FLOATS:
+            try:
+                scenario, options = scenario_from(set_keys(base, {key: value}))
+                # A transient of at most a few 64 x 65 arrays, or none.
+                if scenario.clock.n_periods * scenario.n_sub <= 64 * 65:
+                    run(scenario, spectral=options.spectral, eh=options.eh)
+                else:
+                    validate(scenario)
+            except (ConfigError, ValidationError, NotConverged):
+                pass
+            except Exception as exc:  # every other outcome is a failure
+                failures.append(f"{key} = {value}: {type(exc).__name__}: {exc}")
+        assert failures == []

@@ -486,15 +486,19 @@ def ratchet_tables(gaps, nsub, rng):
 
 class TestHarvestRatchet:
     """engine._harvest against a plain ratchet, one sub-step at a time, on
-    synthetic tables whose rises follow holds of every length the hold test
-    treats differently: none, one sub-step, about n_sub, many hold windows,
-    and more than _MAX_HOLD_BLOCK."""
+    synthetic tables whose rises follow holds of none, one sub-step, about
+    n_sub and many n_sub, and holds at the hold window's edges: of
+    _HOLD_WINDOW - 1 sub-steps, so a rise lands on a window's last sub-step;
+    _HOLD_WINDOW, on the first sub-step after a window with no rise;
+    _HOLD_WINDOW + 1, one sub-step into the next window; and several windows
+    in."""
 
     @pytest.mark.parametrize("nsub", [8, 64])
     @pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
     def test_equals_a_plain_ratchet(self, nsub, order):
         rng = np.random.default_rng(20261019)
-        gaps = [1, nsub - 1, nsub, nsub + 1, 50 * nsub, engine._MAX_HOLD_BLOCK + 7, 2, 3 * nsub]
+        w = engine._HOLD_WINDOW
+        gaps = [1, nsub - 1, nsub, nsub + 1, 50 * nsub, w - 1, w, w + 1, 3 * w + 5, 2, 3 * nsub]
         if order == "falling":
             gaps.sort(reverse=True)
         elif order == "shuffled":
@@ -1153,6 +1157,29 @@ class TestValidation:
         scenario = small_scenario(settling_factor_k=1.0)
         s1 = resolve_s1(scenario)
         assert s1.r_on_ohm == required_r_on(scenario.clock.t_aq, c_dac(scenario.adc), 1.0)
+
+    def test_auto_switch_needs_a_finite_resistance(self):
+        """k*c_dac rounding to 0 is a ValidationError naming both keys, not a
+        ZeroDivisionError."""
+        scenario = small_scenario(settling_factor_k=5e-324)
+        message = "= inf ohm is not positive and finite: engine.settling_factor_k = 5e-324, adc.c_unit_f = 1.2e-09"
+        for check in (resolve_s1, validate):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                check(scenario)
+
+    def test_harvest_time_constant_floor(self):
+        """A harvest sub-step of more than 1e307 time constants (r_series +
+        r_on)*c_eh is rejected, since its h/tau could overflow; at twice the
+        least c_eh the run's tables hold no inf."""
+        def scenario(c_eh):
+            return small_scenario(eh=dataclasses.replace(small_scenario().eh, c_eh=c_eh))
+
+        dt = small_scenario().clock.t_eh / 8
+        c_min = dt / 1e307 / 74.8
+        with pytest.raises(ValidationError, match=re.escape(f"eh.c_eh_f = 5e-324 F is below {c_min:.6g} F")):
+            validate(scenario(5e-324))
+        trace = run(scenario(2 * c_min), spectral=False, eh=False).trace
+        assert np.isfinite(trace.ceh_eh).all() and trace.ceh_eh.max() > 0.0
 
     def test_cut_off_pass_switch_is_rejected(self):
         scenario = small_scenario(

@@ -215,6 +215,8 @@ class TestEnergyHelpers:
             boost_charge_time(1e-6, 1.0001, 10e-6, 5.0)
         with pytest.raises(ValueError):
             boost_charge_time(1e-6, 0.0, 10e-6, 5.0)
+        with pytest.raises(ValueError, match="c_load and v_load must be positive"):
+            boost_charge_time(1e-6, 0.65, 0.0, 5.0)
 
 
 class TestConfigValidation:

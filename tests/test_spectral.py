@@ -76,6 +76,8 @@ class TestSpectrum:
             spectrum(np.zeros(1024, dtype=int), cfg, f_s=1e3, signal_bin=512)
         with pytest.raises(ValueError):
             spectrum(np.zeros(1024, dtype=int), cfg, f_s=1e3, signal_bin=0)
+        with pytest.raises(ValueError, match="power must hold n_fft/2 \\+ 1 one-sided bins"):
+            Spectrum(power=np.zeros(512), n_fft=1024, f_s=1e3, signal_bin=10)
 
 
 class TestSndr:

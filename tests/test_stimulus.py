@@ -130,6 +130,10 @@ class TestCoherentFrequency:
         with pytest.raises(ValueError):
             coherent_frequency(10e3, 4096, 0)
 
+    def test_rejects_nonpositive_sampling_rate(self):
+        with pytest.raises(ValueError, match="f_s must be positive, got 0.0"):
+            coherent_frequency(0.0, 4096, 41)
+
 
 class TestRmsPower:
     def test_computed_from_sine_source(self):
