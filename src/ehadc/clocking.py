@@ -65,27 +65,25 @@ class ClockPlan:
 def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice = slice(None)) -> np.ndarray:
     """Sub-step endpoints of one phase of the periods in rows (all by default).
 
-    Returns an array of shape (periods, n_sub + 1). Row k of the acquisition
-    grid steps by T_aq/n_sub from k*T_s to the phase boundary k*T_s + alpha*T_s;
-    row k of the harvest grid steps by T_EH/n_sub from that boundary to
-    (k+1)*T_s. The last endpoint of each row is snapped to the closed-form
-    boundary, so both phases share identical boundary times. A row depends
-    only on its period index k, so a slice of rows has the bits of those rows
-    of the whole grid, and a phase built alone has the bits of that phase of
-    time_grid. The acquisition grid is sub-step-major
-    (Fortran order), as the engine's acquisition solver reads it; the harvest
-    grid is period-major. Each phase solver builds only its own phase.
+    Returns an array of shape (periods, n_sub + 1). A phase picks only the
+    start, width, end and memory layout of row k: acquisition runs T_aq from
+    k*T_s to the boundary k*T_s + alpha*T_s, sub-step-major (Fortran order)
+    as the engine's acquisition solver reads it; harvest runs T_EH from that
+    boundary to (k+1)*T_s, period-major. One rule then steps each row by
+    width/n_sub from its start and snaps its last endpoint to the closed-form
+    end, so both phases share identical boundary times. A row depends only on
+    k, so a slice of rows has the bits of those rows of the whole grid, and a
+    phase built alone has the bits of that phase of time_grid.
     """
     k = np.arange(*rows.indices(plan.n_periods), dtype=float)
     boundaries = k * plan.t_s + plan.alpha * plan.t_s
-    j = np.arange(n_sub + 1, dtype=float)
     if phase == Phase.ACQUISITION:
-        grid = np.empty((len(k), n_sub + 1), order="F")
-        np.add((k * plan.t_s)[:, None], j[None, :] * (plan.t_aq / n_sub), out=grid)
-        grid[:, -1] = boundaries
+        start, width, end, order = k * plan.t_s, plan.t_aq, boundaries, "F"
     else:
-        grid = boundaries[:, None] + j[None, :] * (plan.t_eh / n_sub)
-        grid[:, -1] = (k + 1.0) * plan.t_s
+        start, width, end, order = boundaries, plan.t_eh, (k + 1.0) * plan.t_s, "C"
+    grid = np.empty((len(k), n_sub + 1), order=order)
+    np.add(start[:, None], np.arange(n_sub + 1, dtype=float) * (width / n_sub), out=grid)
+    grid[:, -1] = end
     return grid
 
 

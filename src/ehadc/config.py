@@ -145,24 +145,15 @@ def _switch_from(cfg: ParsedConfig, prefix: str, allow_auto: bool):
         return "auto"
     if kind == "ideal":
         return Switch.ideal()
-    if kind == "constant":
-        r = cfg.get(f"{prefix}.r_on")
-        if r is None:
-            raise cfg.error(f"{prefix}.type", f"{prefix}.r_on is required for a constant switch")
-        try:
-            return Switch.constant(r)
-        except ValueError as exc:
-            raise cfg.error(f"{prefix}.r_on", str(exc)) from exc
-    fields = {field: cfg.get(f"{prefix}.{field}") for field in ("k_gain", "v_th", "v_gate")}
-    for field, value in fields.items():
+    values = [cfg.get(f"{prefix}.{field}") for field in read]
+    for field, value in zip(read, values):
         if value is None:
-            raise cfg.error(
-                f"{prefix}.type", f"{prefix}.{field} is required for a pass-transistor switch"
-            )
+            name = "pass-transistor" if kind == "pass" else kind
+            raise cfg.error(f"{prefix}.type", f"{prefix}.{field} is required for a {name} switch")
     try:
-        return Switch.pass_transistor(**fields)
-    except ValueError as exc:  # anchored at the field its message names
-        field = next((f for f in fields if f in str(exc)), "type")
+        return (Switch.constant if kind == "constant" else Switch.pass_transistor)(*values)
+    except ValueError as exc:  # anchored at the key its message names
+        field = next((f for f in read if f in str(exc)), "type")
         raise cfg.error(f"{prefix}.{field}", str(exc)) from exc
 
 

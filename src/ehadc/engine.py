@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,10 +262,11 @@ def validate(scenario: Scenario) -> Switch:
             periods or MAX_PERIODS*64 sub-steps per phase, a sub-step no
             wider than 8 ulps of n_periods*T_s, nonpositive n_sub, settling
             factor or input power, a steady-state tolerance outside (0, 1),
-            a harvest sub-step of more than 1e307 time constants, an "auto"
-            S1 that solves to no finite resistance, or an S1 that cannot
-            settle the DAC capacitance within the acquisition window
-            anywhere in the input range.
+            an "auto" S1 that solves to no finite resistance, an S1 that
+            cannot settle the DAC capacitance within the acquisition window
+            anywhere in the input range, or, for either switch, a sub-step
+            of more than 1e307 of its branch's least time constant or a pass
+            k_gain whose product with its largest overdrive is not finite.
     """
     if scenario.n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {scenario.n_sub}")
@@ -298,18 +300,6 @@ def validate(scenario: Scenario) -> Switch:
             f"sub-step width min(t_aq, t_eh)/n_sub = {width:.6g} s is not above 8 ulps of the "
             f"run's end time, {bound:.6g} s ({width / bound:.4g} times that bound)"
         )
-    # The harvest tables divide each sub-step, under 2*dt wide (the last one
-    # snaps onto the phase end), by its time constant tau >= (r_series +
-    # r_on)*c_eh, with r_on >= 0 for a pass S2. With dt at most 1e307 such
-    # time constants, that quotient stays finite.
-    eh = scenario.eh
-    r = eh.rectifier.r_series + (r_on(eh.s2) if eh.s2.kind is SwitchKind.CONSTANT_R else 0.0)
-    dt = clock.t_eh / scenario.n_sub
-    if not (r * eh.c_eh * 1e307 >= dt):
-        raise ValidationError(
-            f"eh.c_eh_f = {eh.c_eh!r} F is below {dt / 1e307 / r:.6g} F: the harvest sub-step "
-            f"{dt:.6g} s would span more than 1e307 time constants of {r:.6g} ohm x c_eh"
-        )
     if not (scenario.source.frequency < scenario.clock.f_s / 2.0):
         raise ValidationError(
             f"stimulus at {scenario.source.frequency} Hz violates Nyquist for "
@@ -331,6 +321,33 @@ def validate(scenario: Scenario) -> Switch:
             f"{c_dac(scenario.adc):.6g} F within t_aq {scenario.clock.t_aq:.6g} s "
             f"at settling factor {k:.4g}"
         )
+    # Each phase's tables divide its sub-steps, under 2*dt wide (the last one
+    # snaps onto the phase end), by time constants tau >= (r_series + r)*c,
+    # r the switch's r_on at the drive farthest from a pass gate, where it is
+    # least; with dt at most 1e307 such time constants, h/tau stays finite.
+    # A pass r_on there is 0 only where k_gain times the overdrive overflows.
+    eh, rect = scenario.eh, scenario.eh.rectifier
+    for phase, name, switch, r_series, width, drive, key, value, c in (
+        ("acquisition", "s1", s1, 0.0, clock.t_aq, (lo, hi), "adc.c_unit_f", scenario.adc.c_unit,
+         c_dac(scenario.adc)),
+        ("harvest", "s2", eh.s2, rect.r_series, clock.t_eh, (0.0, max(max(-lo, hi) - rect.v_drop, 0.0)),
+         "eh.c_eh_f", eh.c_eh, eh.c_eh),
+    ):
+        far = 0.0 if switch.v_gate is None else max(drive, key=lambda u: abs(switch.v_gate - u))
+        r = r_on(switch, far)
+        if r == 0.0:
+            od = abs(switch.v_gate - far) - switch.v_th
+            raise ValidationError(
+                f"switch.{name}.k_gain = {switch.k_gain!r} is above {sys.float_info.max / od:.6g}: "
+                f"times the overdrive {od:.6g} V at the {phase} drive {far:.6g} V, it is not finite"
+            )
+        r, dt = r + r_series, width / scenario.n_sub
+        if not (r * c * 1e307 >= dt):
+            raise ValidationError(
+                f"{key} = {value!r} F is below {dt / 1e307 / r * (value / c):.6g} F: the {phase} "
+                f"sub-step {dt:.6g} s would span more than 1e307 time constants of {r:.6g} ohm "
+                f"x {c:.6g} F"
+            )
     return s1
 
 

@@ -89,14 +89,14 @@ def r_on(model: Switch, v_signal: float = 0.0) -> float:
 
     Returns:
         Resistance in ohms; math.inf for a pass transistor with
-        |v_gate - v_signal| <= v_th, which is cut off (an open branch).
+        |v_gate - v_signal| <= v_th, which is cut off (an open branch), or
+        whose conductance k_gain*overdrive underflows to 0, as in the
+        engine's tables.
     """
     if model.kind is SwitchKind.CONSTANT_R:
         return model.r_on_ohm
-    overdrive = abs(model.v_gate - v_signal) - model.v_th
-    if overdrive <= 0.0:
-        return math.inf
-    return 1.0 / (model.k_gain * overdrive)
+    conductance = (abs(model.v_gate - v_signal) - model.v_th) * model.k_gain
+    return 1.0 / conductance if conductance > 0.0 else math.inf
 
 
 def rc_step_terms(x):

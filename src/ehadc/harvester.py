@@ -102,12 +102,12 @@ def drive_bound(source: SineSource, rect: RectifierModel, start: np.ndarray, end
 
 def live_periods(ehc: EhConfig, source: SineSource, grid: np.ndarray, dt: float, v: float):
     """Mask of the rows of a harvest phase_grid of dt-wide sub-steps whose
-    harvest may raise a storage voltage v >= 0. The others are dead: g > 0,
-    U <= v and U*g <= v*(g - 64*2**-53), with U the drive_bound of the row's
-    window and g the least -expm1(-h/tau) of its steps, in the float
-    operations of the engine's tables: h the narrower of dt and the snapped
-    last width, tau the largest, for a pass S2 at the drive in [0, U] nearest
-    its gate (g = 0 at cut-off). At v = 0 only U = 0, a zero drive, is dead."""
+    harvest may raise a storage voltage v >= 0. The others are dead: U <= v
+    and U*g <= v*(g - 64*2**-53), with U the drive_bound of the row's window
+    and g the least -expm1(-h/tau) of its steps, in the float operations of
+    the engine's tables: h the narrower of dt and the snapped last width,
+    tau the largest, for a pass S2 at the drive in [0, U] nearest its gate
+    (g = 0 at cut-off). At v = 0 only U = 0, a zero drive, is dead: q = 0."""
     start, end = grid[:, 0], grid[:, -1]
     h = np.minimum(dt, end - grid[:, -2])
     u = drive_bound(source, ehc.rectifier, start, end)
@@ -119,7 +119,7 @@ def live_periods(ehc: EhConfig, source: SineSource, grid: np.ndarray, dt: float,
     else:
         r = r_on(s2)
     g = -np.expm1(-(h / ((r + ehc.rectifier.r_series) * ehc.c_eh)))
-    return (g <= 0.0) | (u > v) | (u * g > v * (g - 64 * 2.0**-53))
+    return (u > v) | (u * g > v * (g - 64 * 2.0**-53))
 
 
 def steady_state_metrics(
@@ -133,14 +133,14 @@ def steady_state_metrics(
 
     The storage voltage is read per harvest phase of the run's grid: at the
     times phase_grid(clock, n_sub, ENERGY_HARVEST) of period p, column 0
-    holds the value kept through the acquisition before it (ceh_held[p])
-    and the other columns the values of ceh_eh[p]. This is the flat trace
-    without the acquisition rows, which repeat the held value. Of the grid,
-    only the harvest row of the crossing is built.
+    holds the value kept through the acquisition before it (the end of
+    period p - 1, or 0.0) and the other columns the values of ceh_eh[p].
+    It never falls in a run's trace, so the crossing is found on the period
+    ends, then in its period, whose harvest row is the only grid built.
 
     Args:
-        trace: a TransientTrace; its ceh_eh (volts, (n_periods, n_sub)),
-            ceh_held and scenario.clock are read.
+        trace: a run's TransientTrace; its ceh_eh (volts, (n_periods,
+            n_sub)) and scenario.clock are read.
         p_in: input power in watts, the energy-efficiency denominator.
         cfg: harvesting branch configuration (for c_eh).
         v_m: peak input magnitude, the reference for voltage efficiency.
@@ -175,15 +175,15 @@ def steady_state_metrics(
             f"10 periods, limit tol*v_eh = {tol * v_eh:.3e} V"
         )
 
-    # The first crossing is a ceh_eh value, because the held value at column
-    # 0 repeats the one before it and starts at 0.0. fmax skips NaN, which
-    # never crosses.
+    # The ratchet never falls, so the period ends bracket the first crossing,
+    # and the value held before period p's first harvest sub-step is the end
+    # of period p - 1 (0.0 before the run).
     threshold = (1.0 - tol) * v_eh
-    p = int(np.argmax(np.fmax.reduce(v, axis=1) >= threshold))
-    j = int(np.argmax(v[p] >= threshold))
+    p = int(np.searchsorted(v[:, -1], threshold))
+    j = int(np.searchsorted(v[p], threshold))
     t = phase_grid(trace.scenario.clock, nsub, Phase.ENERGY_HARVEST, slice(p, p + 1))[0]
     t0, t1 = float(t[j]), float(t[j + 1])
-    v0, v1 = float(v[p, j - 1] if j else trace.ceh_held[p]), float(v[p, j])
+    v0, v1 = float(v[p, j - 1] if j else (v[p - 1, -1] if p else 0.0)), float(v[p, j])
     t_ceh = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0)
 
     e_h = harvested_energy(v_eh, cfg.c_eh)

@@ -332,6 +332,35 @@ class TestRunCommand:
                 {"": "engine.settling_factor_k = 1e-310\n"},
                 "= inf ohm is not positive and finite: engine.settling_factor_k = 1e-310, adc.c_unit_f = 1.2e-08",
             ),
+            # An explicit S1 whose r_on*c_dac underflows to 0, or to a
+            # subnormal whose quotient overflows; a pass switch whose k_gain
+            # times its largest overdrive overflows.
+            (
+                {"": "switch.s1.type = constant\nswitch.s1.r_on = 5e-324\n"},
+                "adc.c_unit_f = 1.2e-08 F is below 1.97658e+08 F: the acquisition sub-step 1.25e-06 s would "
+                "span more than 1e307 time constants of 4.94066e-324 ohm x 1.536e-06 F",
+            ),
+            (
+                {"": "switch.s1.type = constant\nswitch.s1.r_on = 1e-310\n"},
+                "adc.c_unit_f = 1.2e-08 F is below 9.76562e-06 F",
+            ),
+            (
+                {"adc.c_unit_f = 12e-9": "adc.c_unit_f = 1e-300",
+                 "": "switch.s1.type = constant\nswitch.s1.r_on = 1e-20\n"},
+                "adc.c_unit_f = 1e-300 F is below 9.76562e-296 F",
+            ),
+            (
+                {"": "switch.s1.type = pass\nswitch.s1.k_gain = 1e308\n"
+                     "switch.s1.v_th = 0.4\nswitch.s1.v_gate = 1.8\n"},
+                "switch.s1.k_gain = 1e+308 is above 9.98718e+307: times the overdrive 1.8 V at the "
+                "acquisition drive -0.4 V, it is not finite",
+            ),
+            (
+                {"": "switch.s2.type = pass\nswitch.s2.k_gain = 1e308\n"
+                     "switch.s2.v_th = 0.4\nswitch.s2.v_gate = 5\n"},
+                "switch.s2.k_gain = 1e+308 is above 3.90803e+307: times the overdrive 4.6 V at the "
+                "harvest drive 0 V, it is not finite",
+            ),
             # The stimulus sits on bin 0, or on bin n_fft/2 = 8.
             (
                 {"signal.m_cycles = 5": "signal.freq_hz = 1e-6"},
@@ -343,7 +372,8 @@ class TestRunCommand:
             ),
         ],
         ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1", "auto-r_on", "n_sub=1e8",
-             "alpha=1-1e-14", "k=5e-324", "c_unit=5e-324", "k=1e-310", "freq=1e-6", "freq=fs/2-1e-7"],
+             "alpha=1-1e-14", "k=5e-324", "c_unit=5e-324", "k=1e-310", "s1-r_on=5e-324", "s1-r_on=1e-310",
+             "c_unit=1e-300", "s1-k_gain=1e308", "s2-k_gain=1e308", "freq=1e-6", "freq=fs/2-1e-7"],
     )
     def test_bad_scenario_values_exit_2_before_the_transient(
         self, tmp_path, capsys, edits, message

@@ -253,18 +253,20 @@ class TestBuildScenario:
 class TestConfigFuzz:
     """Every numeric key, set alone to each edge value on a 64-period lowfreq
     config, ends in a result, a ConfigError, a ValidationError or
-    NotConverged, and raises no RuntimeWarning."""
+    NotConverged, and raises no RuntimeWarning. So does each key an explicit
+    switch type reads, set alone on a valid switch of that type: with S1 on
+    auto, every switch.s1.* value would end as an unused key."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("key", [key for key, (typ, _) in KEY_TABLE.items() if typ in (int, float)])
-    def test_every_value_runs_or_is_rejected(self, repo_root, key):
+    @pytest.fixture
+    def base(self, repo_root):
         base = (repo_root / "configs" / "lowfreq.cfg").read_text()
         # A 64-point record needs an odd m_cycles below 32.
-        base = set_keys(base, {"clock.n_periods": "64", "engine.n_fft": "64", "signal.m_cycles": "5"})
-        if key == "signal.freq_hz":  # it replaces m_cycles
-            base = set_keys(base, {"signal.m_cycles": None})
+        return set_keys(base, {"clock.n_periods": "64", "engine.n_fft": "64", "signal.m_cycles": "5"})
+
+    @staticmethod
+    def failures(base, key, values):
         failures = []
-        for value in FUZZ_INTS if KEY_TABLE[key][0] is int else FUZZ_FLOATS:
+        for value in values:
             try:
                 scenario, options = scenario_from(set_keys(base, {key: value}))
                 # A transient of at most a few 64 x 65 arrays, or none.
@@ -276,4 +278,24 @@ class TestConfigFuzz:
                 pass
             except Exception as exc:  # every other outcome is a failure
                 failures.append(f"{key} = {value}: {type(exc).__name__}: {exc}")
-        assert failures == []
+        return failures
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key", [key for key, (typ, _) in KEY_TABLE.items() if typ in (int, float)])
+    def test_every_value_runs_or_is_rejected(self, base, key):
+        if key == "signal.freq_hz":  # it replaces m_cycles
+            base = set_keys(base, {"signal.m_cycles": None})
+        assert self.failures(base, key, FUZZ_INTS if KEY_TABLE[key][0] is int else FUZZ_FLOATS) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("switch", ["s1", "s2"])
+    @pytest.mark.parametrize("kind", ["constant", "pass"])
+    def test_every_switch_value_runs_or_is_rejected(self, base, switch, kind):
+        if kind == "constant":
+            valid = {"r_on": "1.0"}
+        else:
+            valid = {"k_gain": "2", "v_th": "0.4", "v_gate": "1.8" if switch == "s1" else "0.9"}
+        prefix = f"switch.{switch}"
+        base = set_keys(base, {f"{prefix}.type": kind, **{f"{prefix}.{f}": v for f, v in valid.items()}})
+        run(scenario_from(base)[0], eh=False)  # the baseline runs
+        assert sum((self.failures(base, f"{prefix}.{f}", FUZZ_FLOATS) for f in valid), []) == []

@@ -521,6 +521,19 @@ class TestHarvestRatchet:
         assert out.tobytes() == np.array(want).reshape(a.shape).tobytes()
         assert np.float64(got).tobytes() == np.float64(v).tobytes()
 
+    def test_the_storage_voltage_never_falls(self, repo_root):
+        """ceh_eh, read in time order, is finite and nondecreasing, on the
+        three reference configs and on the 150 draws of
+        test_random_scenarios_walk_bit_identically. The dead-period rule and
+        steady_state_metrics's crossing search both rest on this."""
+        configs = ("configs/lowfreq.cfg", "configs/highfreq.cfg", "bench/configs/lowfreq_pass.cfg")
+        scenarios = [build_scenario(load_config(repo_root / config))[0] for config in configs]
+        rng = np.random.default_rng(20261018)
+        scenarios += [random_walk_scenario(rng) for _ in range(150)]
+        for scenario in scenarios:
+            v = run(scenario, spectral=False, eh=False).trace.ceh_eh.ravel()
+            assert np.isfinite(v).all() and v[0] >= 0.0 and (np.diff(v) >= 0.0).all()
+
 
 @pytest.fixture
 def tabled_periods(monkeypatch):
@@ -665,19 +678,55 @@ class TestDeadPeriods:
             dead = ~harvester.live_periods(ehc, source, grid, plan.t_eh / 8, v)
             assert not (v * a[dead] + q[dead] > v).any()
 
-    def test_the_first_block_applies_the_rule(self, repo_root, tabled_periods, live_masks):
+    @pytest.mark.parametrize("s2", [None, Switch.pass_transistor(k_gain=2.0, v_th=0.5, v_gate=0.1)],
+                             ids=["lowfreq", "cut-off-pass"])
+    def test_the_first_block_applies_the_rule(self, repo_root, tabled_periods, live_masks, s2):
         """The first block starts at 0 V, where a period is dead only when
         its drive bound is 0: lowfreq at 64 periods, one block, tables none
-        of the periods inside the rectifier's dead zone. The envelope of each
+        of the periods inside the rectifier's dead zone, 55 tabled. So does a
+        pass S2 cut off at every drive, whose g is 0. The envelope of each
         dead period is 0 on its whole grid, and the walk keeps every bit."""
         scenario, _ = build_scenario(load_config(repo_root / "configs/lowfreq.cfg"))
         scenario = dataclasses.replace(scenario, clock=dataclasses.replace(scenario.clock, n_periods=64))
+        if s2 is not None:
+            scenario = dataclasses.replace(scenario, eh=dataclasses.replace(scenario.eh, s2=s2))
         assert len(engine._blocks(64, scenario.n_sub)) == 1
         assert_walks_bit_identically(scenario)
-        assert 0 < tabled_periods[Phase.ENERGY_HARVEST] < 64
         [live] = live_masks
+        assert tabled_periods[Phase.ENERGY_HARVEST] == np.count_nonzero(live) == 55
         grid = phase_grid(scenario.clock, scenario.n_sub, Phase.ENERGY_HARVEST)
         assert not rectified_envelope(scenario.source.sample_at(grid[~live]), scenario.eh.rectifier).any()
+
+    def test_a_cut_off_window_at_a_subnormal_voltage_holds(self, monkeypatch):
+        """g = 0 also where the voltage is subnormal enough for v*64*2**-53
+        to round to 0: a pass S2 whose gate lies inside a drive of about
+        1e-310 V, into a C_EH near 1e-306 F, in blocks of 4 periods. Some
+        such windows with U <= v are dead, and the walk keeps every bit."""
+        dead = []
+        real = engine.live_periods
+
+        def live(ehc, source, grid, dt, v):
+            mask = real(ehc, source, grid, dt, v)
+            u = harvester.drive_bound(source, ehc.rectifier, grid[:, 0], grid[:, -1])
+            dead.append(v > 0.0 and np.count_nonzero(~mask & (u >= ehc.s2.v_gate - ehc.s2.v_th)))
+            return mask
+
+        monkeypatch.setattr(engine, "live_periods", live)
+        monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", 4 * 8)
+        rng = np.random.default_rng(20261023)
+        for _ in range(10):
+            amp = 10.0 ** rng.uniform(-312, -309)
+            v_th = amp * rng.uniform(0.0, 0.5)
+            s2 = Switch.pass_transistor(k_gain=10.0 ** rng.uniform(9, 11), v_th=v_th,
+                                        v_gate=v_th + amp * rng.uniform(0.1, 0.9))
+            m_cycles = 2 * int(rng.integers(0, 15)) + 1
+            assert_walks_bit_identically(small_scenario(
+                source=SineSource(amplitude=amp, frequency=coherent_frequency(10e3, 64, m_cycles)),
+                clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=64),
+                eh=EhConfig(c_eh=10.0 ** rng.uniform(-307, -306),
+                            rectifier=RectifierModel(v_drop=0.0, r_series=1.0), s2=s2),
+            ))
+        assert sum(dead) > 0
 
     @pytest.mark.parametrize("gap, c_eh", [(3e-12, 1e291), (1e-11, 1e292)])
     def test_a_drive_bound_whose_product_underflows_is_live(self, gap, c_eh):
@@ -1180,6 +1229,29 @@ class TestValidation:
             validate(scenario(5e-324))
         trace = run(scenario(2 * c_min), spectral=False, eh=False).trace
         assert np.isfinite(trace.ceh_eh).all() and trace.ceh_eh.max() > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sampling_time_constant_floor(self):
+        """S1 has the bound of S2: an acquisition sub-step of more than 1e307
+        of S1's least time constant r_on*c_dac is rejected, naming
+        adc.c_unit_f, since its h/tau could divide by 0 or overflow; at twice
+        the least r_on the run's tables hold no inf. Either pass switch whose
+        k_gain times its largest overdrive is not finite is rejected too."""
+        def scenario(s1=None, s2=None):
+            base = small_scenario()
+            return small_scenario(adc=dataclasses.replace(base.adc, s1=s1 or base.adc.s1),
+                                  eh=dataclasses.replace(base.eh, s2=s2 or base.eh.s2))
+
+        r_min = small_scenario().clock.t_aq / 8 / 1e307 / c_dac(small_scenario().adc)
+        for r in (5e-324, r_min / 2):
+            with pytest.raises(ValidationError, match=re.escape("adc.c_unit_f = 1.2e-09 F is below")):
+                validate(scenario(s1=Switch.constant(r)))
+        trace = run(scenario(s1=Switch.constant(2 * r_min)), spectral=False, eh=False).trace
+        assert np.isfinite(trace.dac_aq).all()
+        for key, switches in (("switch.s1", {"s1": Switch.pass_transistor(1e308, 0.4, 2.0)}),
+                              ("switch.s2", {"s2": Switch.pass_transistor(1e308, 0.4, 5.0)})):
+            with pytest.raises(ValidationError, match=re.escape(f"{key}.k_gain = 1e+308 is above")):
+                validate(scenario(**switches))
 
     def test_cut_off_pass_switch_is_rejected(self):
         scenario = small_scenario(

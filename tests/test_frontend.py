@@ -47,6 +47,13 @@ class TestSwitchModels:
         assert r_on(sw, v_signal=0.4) == math.inf
         assert r_on(sw, v_signal=0.1) == math.inf
 
+    def test_pass_transistor_whose_conductance_underflows_is_open(self):
+        """k_gain*overdrive rounding to 0 is an open switch, as 1/(+0) is in
+        the engine's tables, not a ZeroDivisionError."""
+        sw = Switch.pass_transistor(k_gain=5e-324, v_th=0.4, v_gate=0.9)
+        assert r_on(sw, v_signal=0.2) == math.inf  # overdrive 0.3
+        assert r_on(sw, v_signal=0.0) == math.inf  # overdrive 0.5, a tie that rounds to 0
+
     def test_pass_transistor_resistance_falls_with_overdrive(self):
         sw = Switch.pass_transistor(k_gain=5e-4, v_th=0.3, v_gate=3.3)
         values = [r_on(sw, v_signal=v) for v in (2.5, 2.0, 1.0, 0.0)]
