@@ -406,10 +406,11 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     tau = np.subtract(switch.v_gate, u0)
     np.abs(tau, out=tau)
     tau -= switch.v_th
-    # A cut-off sub-step has overdrive 0 here, and 1/(+0) = inf.
+    # A cut-off sub-step has overdrive 0 here, and 1/(+0) = inf; a subnormal
+    # k_gain*overdrive overflows 1/x to inf, an open switch too.
     np.maximum(tau, 0.0, out=tau)
     tau *= switch.k_gain
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         np.divide(1.0, tau, out=tau)
     tau += r_series
     tau *= c
@@ -574,14 +575,28 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
         eh: compute steady-state harvesting metrics from the trace.
 
     Raises:
-        ValidationError: invalid scenario, or spectral metrics for a run
-            shorter than n_fft periods / a non-coherent stimulus; all before
-            the transient.
+        ValidationError: invalid scenario, spectral metrics for a run
+            shorter than n_fft periods / a non-coherent stimulus, or, with
+            no configured p_in, a sine input power that overflows (or, for
+            harvesting metrics, underflows to 0); all before the transient.
         NotConverged: harvesting metrics requested before steady state.
     """
     s1 = validate(scenario)
     sig_bin = _signal_bin(scenario) if spectral else 0
-    p_in = input_power(scenario) if eh else None
+    p_in = input_power(scenario)
+    # summarize reports the power, and eta_e divides by it.
+    if scenario.p_in is None and (p_in == math.inf or (eh and p_in == 0.0)):
+        # A*A and A*A/(2r) must both lie between the least subnormal and the
+        # largest float.
+        src = scenario.source
+        root_2r = math.sqrt(2.0) * math.sqrt(src.source_resistance)
+        lo = math.sqrt(math.ulp(0.0)) * max(root_2r, 1.0)
+        hi = math.sqrt(sys.float_info.max) * min(root_2r, 1.0)
+        raise ValidationError(
+            f"signal.amplitude_v = {src.amplitude!r} V into signal.r_source_ohm = {src.source_resistance!r} "
+            f"ohm gives a sine input power A**2/(2*r_source) of {p_in!r} W, which is not positive and "
+            f"finite: without signal.p_in_w the amplitude must lie between about {lo:.6g} and {hi:.6g} V"
+        )
 
     plan, adc, source, nsub = scenario.clock, scenario.adc, scenario.source, scenario.n_sub
     dac_aq, codes = _solve_acquisition(s1, adc, plan, source, nsub)

@@ -114,7 +114,8 @@ def live_periods(ehc: EhConfig, source: SineSource, grid: np.ndarray, dt: float,
     s2 = ehc.s2
     if s2.kind is SwitchKind.PASS_TRANSISTOR:
         overdrive = np.abs(s2.v_gate - np.clip(s2.v_gate, 0.0, u)) - s2.v_th
-        with np.errstate(divide="ignore"):
+        # 1/(+0) = inf at cut-off, and 1/subnormal overflows to inf: an open switch.
+        with np.errstate(divide="ignore", over="ignore"):
             r = 1.0 / (np.maximum(overdrive, 0.0) * s2.k_gain)
     else:
         r = r_on(s2)

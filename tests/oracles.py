@@ -49,8 +49,12 @@ def eh_step(v_cap: float, v_in_start: float, v_in_end: float, cfg, dt: float) ->
 def reference_walk(scenario):
     """Re-run a scenario one sub-step at a time through the one-step APIs.
 
-    Returns (v_dac_rows, v_ceh_rows, codes, v_sampled) built with
-    rc_step_value / eh_step / sar_convert on the engine's own time grid.
+    Returns a dict of lists keyed by the TransientTrace attribute each one
+    must equal, built with rc_step_value / eh_step / sar_convert on the
+    engine's own time grid: the per-phase rows dac_aq and ceh_eh (one list
+    of n_sub values per period), and per period codes, v_sampled, dac_level
+    (the DAC node the walk holds through the harvest) and ceh_held (the
+    storage node it holds through the acquisition).
     """
     s1 = resolve_s1(scenario)
     plan, adc, ehc = scenario.clock, scenario.adc, scenario.eh
@@ -66,24 +70,28 @@ def reference_walk(scenario):
     dt_eh = plan.t_eh / nsub
 
     v_dac, v_ceh = 0.0, 0.0
-    v_dac_rows, v_ceh_rows, codes, sampled = [], [], [], []
+    walk = {name: [] for name in ("dac_aq", "ceh_eh", "codes", "v_sampled", "dac_level", "ceh_held")}
     for p in range(nper):
+        walk["ceh_held"].append(v_ceh)
+        rows = []
         for j in range(nsub):
             u0, u1 = float(v_aq[p, j]), float(v_aq[p, j + 1])
             dt = dt_aq if j < nsub - 1 else float(t_aq_grid[p, -1] - t_aq_grid[p, -2])
             v_dac = rc_step_value(v_dac, u0, u1, r_on(s1, u0), c_load, dt)
-            v_dac_rows.append(v_dac)
-            v_ceh_rows.append(v_ceh)
+            rows.append(v_dac)
+        walk["dac_aq"].append(rows)
         code = sar_convert(v_dac, adc)
-        codes.append(code)
-        sampled.append(v_dac)
+        walk["codes"].append(code)
+        walk["v_sampled"].append(v_dac)
         v_dac = dac_output(code, adc)
+        walk["dac_level"].append(v_dac)
+        rows = []
         for j in range(nsub):
             dt = dt_eh if j < nsub - 1 else float(t_eh_grid[p, -1] - t_eh_grid[p, -2])
             v_ceh = eh_step(v_ceh, float(v_eh_in[p, j]), float(v_eh_in[p, j + 1]), ehc, dt)
-            v_dac_rows.append(v_dac)
-            v_ceh_rows.append(v_ceh)
-    return v_dac_rows, v_ceh_rows, codes, sampled
+            rows.append(v_ceh)
+        walk["ceh_eh"].append(rows)
+    return walk
 
 
 def settling_error(r: float, c: float, t_aq: float) -> float:
@@ -109,18 +117,13 @@ def euler_reference(v_start, u_start, u_end, r, c, dt, n_steps=1_000_000):
 
 
 def check_phase_isolation(trace):
-    """v_ceh never moves during acquisition rows, v_dac never moves during
-    harvesting rows, and v_ceh carries unchanged across the period boundary."""
-    # A new period starts wherever the phase steps from harvest to acquisition.
-    phase = trace.phase
-    same_period = ~((phase[:-1] == Phase.ENERGY_HARVEST) & (phase[1:] == Phase.ACQUISITION))
-    same_phase = phase[1:] == phase[:-1]
-    acq_pairs = same_period & same_phase & (phase[1:] == Phase.ACQUISITION)
-    eh_pairs = same_period & same_phase & (phase[1:] == Phase.ENERGY_HARVEST)
-    assert np.array_equal(trace.v_ceh[1:][acq_pairs], trace.v_ceh[:-1][acq_pairs])
-    assert np.array_equal(trace.v_dac[1:][eh_pairs], trace.v_dac[:-1][eh_pairs])
-    cross = ~same_period & (phase[1:] == Phase.ACQUISITION)
-    assert np.array_equal(trace.v_ceh[1:][cross], trace.v_ceh[:-1][cross])
+    """Each phase holds the node it does not drive: the storage cap through
+    each acquisition is the end of the harvest before it (0.0 in period 0),
+    and the DAC node through each harvest is the level of the period's
+    code."""
+    held = np.concatenate(([0.0], trace.ceh_eh[:-1, -1]))
+    assert trace.ceh_held.tobytes() == held.tobytes()
+    assert trace.dac_level.tobytes() == dac_output(trace.codes, trace.scenario.adc).tobytes()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,19 +192,25 @@ def ramp_then_flat_trace(v_eh, t_ceh, f_s, tol=0.01, extra_periods=20):
 
 
 def flat_column_metrics(trace, tol):
-    """(t_ceh, drift) of a run read by time off its flat t and v_ceh columns.
+    """(t_ceh, drift, first_row) of a run read by time off the storage-cap
+    column of trace.csv, rebuilt here from time_grid, ceh_held and ceh_eh:
+    one row per sub-step end, 2*n_sub rows per period.
 
     t_ceh is the linear crossing of (1 - tol)*v_eh between the first row at
-    or above it and the row before; drift is v_eh minus v_ceh at the first
-    time 10 sampling periods before the last one, or later.
+    or above it, first_row, and the row before; drift is v_eh minus the
+    storage cap at the first time 10 sampling periods before the last one,
+    or later.
     """
-    t, v = trace.t, trace.v_ceh
+    nsub = trace.ceh_eh.shape[1]
+    t_aq, t_eh = time_grid(trace.scenario.clock, nsub)
+    t = np.hstack((t_aq[:, 1:], t_eh[:, 1:])).ravel()
+    v = np.hstack((np.repeat(trace.ceh_held[:, None], nsub, axis=1), trace.ceh_eh)).ravel()
     v_eh = v[-1]
     threshold = (1.0 - tol) * v_eh
     i = int(np.argmax(v >= threshold))
     t_ceh = t[i - 1] + (threshold - v[i - 1]) * (t[i] - t[i - 1]) / (v[i] - v[i - 1])
     drift = v_eh - v[int(np.argmax(t >= t[-1] - 10.0 * trace.scenario.clock.t_s))]
-    return float(t_ceh), float(drift)
+    return float(t_ceh), float(drift), i
 
 
 def reference_trace_csv(trace, path):

@@ -361,6 +361,18 @@ class TestRunCommand:
                 "switch.s2.k_gain = 1e+308 is above 3.90803e+307: times the overdrive 4.6 V at the "
                 "harvest drive 0 V, it is not finite",
             ),
+            # With no signal.p_in_w, the sine power A**2/(2*r_source)
+            # overflows, or underflows to 0 where eta_e divides by it.
+            (
+                {"signal.amplitude_v = 0.4": "signal.amplitude_v = 1e155"},
+                "signal.amplitude_v = 1e+155 V into signal.r_source_ohm = 50.0 ohm gives a sine input power "
+                "A**2/(2*r_source) of inf W, which is not positive and finite: without signal.p_in_w the "
+                "amplitude must lie between about 2.22276e-161 and 1.34078e+154 V",
+            ),
+            (
+                {"signal.amplitude_v = 0.4": "signal.amplitude_v = 1e-163"},
+                "of 0.0 W, which is not positive and finite",
+            ),
             # The stimulus sits on bin 0, or on bin n_fft/2 = 8.
             (
                 {"signal.m_cycles = 5": "signal.freq_hz = 1e-6"},
@@ -373,7 +385,8 @@ class TestRunCommand:
         ],
         ids=["steady_tol=2", "steady_tol=0", "k=-1", "k=0", "n_fft=20", "p_in_w=-1", "auto-r_on", "n_sub=1e8",
              "alpha=1-1e-14", "k=5e-324", "c_unit=5e-324", "k=1e-310", "s1-r_on=5e-324", "s1-r_on=1e-310",
-             "c_unit=1e-300", "s1-k_gain=1e308", "s2-k_gain=1e308", "freq=1e-6", "freq=fs/2-1e-7"],
+             "c_unit=1e-300", "s1-k_gain=1e308", "s2-k_gain=1e308", "amplitude=1e155", "amplitude=1e-163",
+             "freq=1e-6", "freq=fs/2-1e-7"],
     )
     def test_bad_scenario_values_exit_2_before_the_transient(
         self, tmp_path, capsys, edits, message

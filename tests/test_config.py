@@ -1,5 +1,7 @@
 """Tests for config parsing and scenario construction."""
 
+import itertools
+
 import pytest
 
 from ehadc.config import KEY_TABLE, build_scenario, load_config, parse_config
@@ -21,8 +23,8 @@ eh.c_eh_f = 100e-6
 
 
 # Each is set alone on every numeric key: the edges of the float and int
-# ranges, signed zero, the subnormal minimum and 2**63.
-FUZZ_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "5e-324", "-0.0")
+# ranges, signed zero, a subnormal, the subnormal minimum and 2**63.
+FUZZ_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e-309", "5e-324", "-0.0")
 FUZZ_INTS = ("0", "-1", "1", "2", "3", "65", str(2**63))
 
 
@@ -252,10 +254,12 @@ class TestBuildScenario:
 
 class TestConfigFuzz:
     """Every numeric key, set alone to each edge value on a 64-period lowfreq
-    config, ends in a result, a ConfigError, a ValidationError or
-    NotConverged, and raises no RuntimeWarning. So does each key an explicit
-    switch type reads, set alone on a valid switch of that type: with S1 on
-    auto, every switch.s1.* value would end as an unused key."""
+    config, with and without its signal.p_in_w, ends in a result, a
+    ConfigError, a ValidationError or NotConverged, and raises no
+    RuntimeWarning. So does each key an explicit switch type reads, set
+    alone on a valid switch of that type: with S1 on auto, every
+    switch.s1.* value would end as an unused key. Without signal.p_in_w,
+    eta_e divides by the sine power A**2/(2*r_source)."""
 
     @pytest.fixture
     def base(self, repo_root):
@@ -266,9 +270,9 @@ class TestConfigFuzz:
     @staticmethod
     def failures(base, key, values):
         failures = []
-        for value in values:
+        for text, value in itertools.product((base, set_keys(base, {"signal.p_in_w": None})), values):
             try:
-                scenario, options = scenario_from(set_keys(base, {key: value}))
+                scenario, options = scenario_from(set_keys(text, {key: value}))
                 # A transient of at most a few 64 x 65 arrays, or none.
                 if scenario.clock.n_periods * scenario.n_sub <= 64 * 65:
                     run(scenario, spectral=options.spectral, eh=options.eh)
@@ -277,7 +281,8 @@ class TestConfigFuzz:
             except (ConfigError, ValidationError, NotConverged):
                 pass
             except Exception as exc:  # every other outcome is a failure
-                failures.append(f"{key} = {value}: {type(exc).__name__}: {exc}")
+                p_in = "" if text is base else " without signal.p_in_w"
+                failures.append(f"{key} = {value}{p_in}: {type(exc).__name__}: {exc}")
         return failures
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

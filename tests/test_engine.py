@@ -84,13 +84,11 @@ def conversions(monkeypatch):
 
 
 def assert_walks_bit_identically(scenario):
-    """run() and reference_walk() agree on every float and code; returns the trace."""
+    """run() and reference_walk() agree on every float and code of both
+    phases and on the node each phase holds; returns the trace."""
     trace = run(scenario, spectral=False, eh=False).trace
-    v_dac, v_ceh, codes, sampled = reference_walk(scenario)
-    assert trace.codes.tolist() == codes
-    assert trace.v_sampled.tolist() == sampled
-    assert trace.v_dac.tolist() == v_dac
-    assert trace.v_ceh.tolist() == v_ceh
+    for name, want in reference_walk(scenario).items():
+        assert getattr(trace, name).tolist() == want, name
     return trace
 
 
@@ -290,7 +288,7 @@ class TestEngineAgainstReferenceWalk:
     def test_rising_run_spans_several_periods(self):
         scenario = rising_run_walk_scenario()
         trace = assert_walks_bit_identically(scenario)
-        stored = np.concatenate(([0.0], trace.v_ceh[trace.phase == Phase.ENERGY_HARVEST]))
+        stored = np.concatenate(([0.0], trace.ceh_eh.ravel()))
         longest = run_ = 0
         for rose in (np.diff(stored) > 0.0).tolist():
             run_ = run_ + 1 if rose else 0
@@ -397,6 +395,35 @@ class TestBlocks:
         assert large <= 1.5 * small, (small, large)
 
 
+class TestPhaseIsolation:
+    """The storage node and the DAC node never interact: the acquisition
+    solver reads nothing of the harvest branch, and the harvest solver
+    nothing of the converter."""
+
+    def test_each_phase_ignores_the_other_branch(self):
+        """200 random_walk_scenario draws, each rerun with its harvest branch
+        changed (c_eh x2, r_series x2, v_drop x0.5) and with its v_ref x1.5.
+        The first keeps the bytes of dac_aq and codes, the second those of
+        ceh_eh; in most draws each change moves the outputs it may move."""
+        rng = np.random.default_rng(20261030)
+        draws, moved = 200, {"harvest": 0, "converter": 0}
+        for _ in range(draws):
+            base = random_walk_scenario(rng)
+            rect = base.eh.rectifier
+            harvest = dataclasses.replace(base, eh=dataclasses.replace(
+                base.eh, c_eh=2.0 * base.eh.c_eh,
+                rectifier=dataclasses.replace(rect, r_series=2.0 * rect.r_series, v_drop=0.5 * rect.v_drop),
+            ))
+            converter = dataclasses.replace(base, adc=dataclasses.replace(base.adc, v_ref=1.5 * base.adc.v_ref))
+            a, h, c = (run(s, spectral=False, eh=False).trace for s in (base, harvest, converter))
+            acquired = [(t.dac_aq.tobytes(), t.codes.tobytes()) for t in (a, h, c)]
+            assert acquired[1] == acquired[0]
+            assert c.ceh_eh.tobytes() == a.ceh_eh.tobytes()
+            moved["harvest"] += h.ceh_eh.tobytes() != a.ceh_eh.tobytes()
+            moved["converter"] += acquired[2] != acquired[0]
+        assert min(moved.values()) > draws // 2, moved
+
+
 @pytest.fixture
 def harvest_x(monkeypatch):
     """The step arguments x = h/tau of the tables engine._solve_harvest builds."""
@@ -430,7 +457,7 @@ def eh_branch(c_eh, r_series, s2):
 # r_series*c_eh, so c_eh sets the step argument x = h/tau of every sub-step.
 _STRONG_S2 = Switch.pass_transistor(k_gain=1e3, v_th=0.05, v_gate=2.0)
 _H_EH = 0.9e-4 / 8
-SCREEN_EDGES = {
+STEP_RANGE_EDGES = {
     # exp(-x) is subnormal for x in (708, 745)
     "subnormal-decay": (
         eh_branch(_H_EH / 720.0, 1.0, _STRONG_S2),
@@ -445,17 +472,24 @@ SCREEN_EDGES = {
         eh_branch(1e-7, 73.8, Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1)),
         lambda x: x == 0.0,
     ),
+    # k_gain*overdrive subnormal at every drive: 1/(k_gain*overdrive)
+    # overflows to r_on = inf, an open S2 as in frontend.r_on, and x is 0
+    "subnormal-gain": (
+        eh_branch(1e-7, 73.8, Switch.pass_transistor(k_gain=1e-309, v_th=0.4, v_gate=0.9)),
+        lambda x: x == 0.0,
+    ),
 }
 
 
-class TestScreenedHarvest:
-    """Harvest walks screened at the edges of the step's range: a decay
-    factor exp(-x) that is subnormal or flushed to zero, a tau/h of 1e7, and
-    an open S2 whose step holds the node."""
+class TestHarvestStepRangeEdges:
+    """Harvest walks whose step arguments x = h/tau reach the edges of the
+    step's range: a decay factor exp(-x) that is subnormal or flushed to
+    zero, a tau/h of 1e7, and an S2 open at cut-off or by a subnormal
+    conductance, whose step holds the node."""
 
-    @pytest.mark.parametrize("edge", list(SCREEN_EDGES))
-    def test_screen_at_its_edges_walks_bit_identically(self, edge, harvest_x):
-        eh, in_regime = SCREEN_EDGES[edge]
+    @pytest.mark.parametrize("edge", list(STEP_RANGE_EDGES))
+    def test_walks_bit_identically_at_each_edge(self, edge, harvest_x):
+        eh, in_regime = STEP_RANGE_EDGES[edge]
         assert_walks_bit_identically(small_scenario(eh=eh))
         reached = [x for x in harvest_x if in_regime(x)]
         assert reached, f"no harvest sub-step reached the {edge} regime"
@@ -862,8 +896,8 @@ class TestTraceLayout:
         scenario = small_scenario()
         a = run(scenario, spectral=True, eh=False)
         b = run(scenario, spectral=True, eh=False)
-        assert np.array_equal(a.trace.v_dac, b.trace.v_dac)
-        assert np.array_equal(a.trace.v_ceh, b.trace.v_ceh)
+        assert np.array_equal(a.trace.dac_aq, b.trace.dac_aq)
+        assert np.array_equal(a.trace.ceh_eh, b.trace.ceh_eh)
         assert np.array_equal(a.trace.codes, b.trace.codes)
         assert a.sndr_db == b.sndr_db
 
@@ -1077,10 +1111,9 @@ class TestDcOperatingPoint:
         assert np.all(result.trace.codes == 200)
         assert not np.any(result.trace.saturated)
         # During harvesting the DAC holds exactly the reconstructed level.
-        eh_rows = result.trace.phase == Phase.ENERGY_HARVEST
-        assert np.all(result.trace.v_dac[eh_rows] == dc)
+        assert np.all(result.trace.dac_level == dc)
         # The storage cap ratchets up to the DC level (envelope peak).
-        assert result.trace.v_ceh[-1] == pytest.approx(dc, rel=1e-6)
+        assert result.trace.ceh_eh[-1, -1] == pytest.approx(dc, rel=1e-6)
 
 
 class TestVoltageEfficiency:
@@ -1443,20 +1476,19 @@ def assert_metrics_match_flat_columns(result):
     are the tol that puts the limit on the drift and the floats next to it.
     Returns (drift, whether the crossing is in the first harvest sub-step)."""
     trace = result.trace
-    t_ceh, drift = flat_column_metrics(trace, trace.scenario.steady_tol)
+    t_ceh, drift, first_row = flat_column_metrics(trace, trace.scenario.steady_tol)
     assert result.eh.t_ceh == t_ceh
     v_eh = result.eh.v_eh
     for probe in (np.nextafter(drift / v_eh, 0.0), drift / v_eh, np.nextafter(drift / v_eh, 1.0)):
         if 0.0 < probe < 1.0:
             assert still_moving(trace, float(probe)) == (drift > probe * v_eh), probe
-    nsub = trace.scenario.n_sub
-    first_row = int(np.argmax(trace.v_ceh >= (1.0 - trace.scenario.steady_tol) * v_eh))
-    return drift, first_row % (2 * nsub) == nsub
+    return drift, first_row % (2 * trace.scenario.n_sub) == trace.scenario.n_sub
 
 
 class TestHarvestMetricsOracle:
     """steady_state_metrics reads the run's grid by period index; the oracle
-    reads the flat trace columns by time and shares none of that arithmetic."""
+    reads the storage cap's trace.csv column by time and shares none of
+    that arithmetic."""
 
     @pytest.mark.parametrize("config", ["configs/lowfreq.cfg", "configs/highfreq.cfg",
                                         "bench/configs/lowfreq_pass.cfg"])
