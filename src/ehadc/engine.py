@@ -12,10 +12,15 @@ The result equals a sub-step-by-sub-step walk bit for bit, but the work is
 done on whole arrays, with one loop over sub-steps per phase. Each phase is
 solved in blocks of whole periods, in time order, of at most _BLOCK_SUBSTEPS
 sub-steps (_blocks): a block's grid of that phase alone (phase_grid), drive
-and RC step table (_rc_steps) are built, solved, and dropped, and its node
-voltages go into the trace arrays allocated once per run. The trace keeps no
-grid or input (TransientTrace.inputs rebuilds them), so a run's peak memory
-is the solver outputs plus one block.
+and RC step table (_rc_steps) are built, solved, and dropped. run() puts its
+node voltages into the trace arrays allocated once per run; the trace keeps
+no grid or input (TransientTrace.inputs rebuilds them), so a run's peak
+memory is the solver outputs plus one block. A sweep row builds no trace:
+each solver keeps a block's node voltages only while it solves the block,
+and per period only the codes and the end storage voltage, and the harvesting
+metrics re-solve the one period that holds the crossing from the end
+voltage of the period before it (_run), so a row's memory is its
+per-period arrays plus one block.
 
 * Acquisition (_acquisition): a period depends on the one before only
   through the DAC level of the previous code. Waveform relaxation guesses
@@ -57,7 +62,7 @@ import numpy as np
 from .clocking import ClockPlan, Phase, phase_grid, time_grid
 from .errors import NotConverged, ValidationError
 from .frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
-from .harvester import EhConfig, EhMetrics, live_periods, rectified_envelope, steady_state_metrics
+from .harvester import EhConfig, EhMetrics, live_periods, period_end_metrics, rectified_envelope
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
 from .stimulus import SineSource, rms_power
@@ -190,7 +195,8 @@ class SimulationResult:
     enob are read from the spectrum on each access; enob is None also for a
     non-finite SNDR, and otherwise (sndr_db - 1.76)/6.02 by construction.
     trace holds the waveforms per phase (TransientTrace); it is None only in
-    a sweep row, which carries the metrics without the waveforms.
+    a sweep row, which is solved without building it and carries the
+    metrics, with the bits run() gives them.
     """
 
     trace: TransientTrace | None
@@ -211,7 +217,9 @@ class SimulationResult:
 class SweepRow:
     """One point of a parameter sweep; exactly one of result/error is set.
 
-    result holds the run's metrics with trace None.
+    result holds the metrics and error holds the error text of run() on the
+    point's scenario, bit for bit; result.trace is None, since the row is
+    solved without building it.
     """
 
     parameter: str
@@ -512,46 +520,64 @@ def _harvest(steps, v: float, out) -> float:
     return v
 
 
-def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: SineSource, nsub: int):
-    """DAC node after every acquisition sub-step, sub-step-major (n_periods,
-    n_sub), and the codes: _acquisition block by block on the block's grid
+def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: SineSource, nsub: int,
+                       dac_aq: np.ndarray | None = None) -> np.ndarray:
+    """Codes of the periods: _acquisition block by block on the block's grid
     and input, each block starting at the DAC level of the previous block's
-    last code."""
-    nper = plan.n_periods
-    dac_aq = np.empty((nper, nsub), order="F")
+    last code. The DAC node after every acquisition sub-step goes into
+    dac_aq, sub-step-major (n_periods, n_sub), or, when it is None, into one
+    block buffer that each block reuses."""
+    nper, blocks = plan.n_periods, _blocks(plan.n_periods, nsub)
+    buf = np.empty((blocks[0].stop, nsub), order="F") if dac_aq is None else None
     codes = np.empty(nper, dtype=np.int64)
     level = 0.0
-    for rows in _blocks(nper, nsub):
+    for rows in blocks:
         grid = phase_grid(plan, nsub, Phase.ACQUISITION, rows)
         drive = source.sample_at(grid)
         steps = _rc_steps(s1, 0.0, c_dac(adc), drive, grid, plan.t_aq / nsub)
-        codes[rows] = _acquisition(steps, drive[:, -1], adc, level, dac_aq[rows])
+        out = buf[:len(grid)] if dac_aq is None else dac_aq[rows]
+        codes[rows] = _acquisition(steps, drive[:, -1], adc, level, out)
         level = dac_output(int(codes[rows.stop - 1]), adc)
         del grid, drive, steps  # freed before the next block's are built
-    return dac_aq, codes
+    return codes
 
 
-def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int) -> np.ndarray:
-    """Storage-cap voltage after every harvest sub-step (n_periods, n_sub),
-    block by block, the voltage carried from each block to the next: on the
-    block's grid, _harvest walks the tables of the live_periods only; a dead
-    period holds the largest end before it, since the ratchet never falls."""
-    nper = plan.n_periods
-    ceh_eh = np.empty((nper, nsub))
+def _harvest_rows(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int, rows: slice, v: float):
+    """The harvest of the periods in rows from storage voltage v, on their
+    grid: _harvest walks the tables of the live_periods only. Returns the
+    live mask, each period's end voltage (a dead period holds the largest
+    end before it, since the ratchet never falls) and the voltage after
+    every sub-step of the live periods, (live periods, n_sub). A period's
+    grid, liveness and walk depend only on the period and the voltage
+    carried into it, so any slice of periods gives the bits of the whole run."""
     rect, dt = ehc.rectifier, plan.t_eh / nsub
+    grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
+    live = live_periods(ehc, source, grid, dt, v)
+    grid = grid[live]
+    env = rectified_envelope(source.sample_at(grid), rect)
+    steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, dt)
+    del grid, env  # freed before the walk
+    walked, ends = np.empty((len(steps[0]), nsub)), np.full(len(live), v)
+    _harvest(steps, v, walked)
+    ends[live] = walked[:, -1]
+    return live, np.maximum.accumulate(ends), walked
+
+
+def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int,
+                   ceh_eh: np.ndarray | None = None) -> np.ndarray:
+    """Storage-cap voltage at the end of each period: _harvest_rows block by
+    block, the voltage carried from each block to the next. The voltage
+    after every harvest sub-step goes into ceh_eh, (n_periods, n_sub), or,
+    when it is None, is dropped with its block."""
+    ends = np.empty(plan.n_periods)
     v = 0.0
-    for rows in _blocks(nper, nsub):
-        grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
-        live = live_periods(ehc, source, grid, dt, v)
-        grid = grid[live]
-        env = rectified_envelope(source.sample_at(grid), rect)
-        steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, dt)
-        del grid, env  # freed before the walk
-        block, out, ends = ceh_eh[rows], np.empty((len(steps[0]), nsub)), np.full(len(live), v)
-        v = _harvest(steps, v, out)
-        block[live], ends[live] = out, out[:, -1]
-        block[~live] = np.maximum.accumulate(ends)[~live, None]
-    return ceh_eh
+    for rows in _blocks(plan.n_periods, nsub):
+        live, ends[rows], walked = _harvest_rows(ehc, plan, source, nsub, rows, v)
+        if ceh_eh is not None:
+            block = ceh_eh[rows]
+            block[live], block[~live] = walked, ends[rows][~live, None]
+        v = float(ends[rows.stop - 1])
+    return ends
 
 
 def _rows(aq: np.ndarray, eh: np.ndarray) -> np.ndarray:
@@ -581,6 +607,14 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
             harvesting metrics, underflows to 0); all before the transient.
         NotConverged: harvesting metrics requested before steady state.
     """
+    return _run(scenario, spectral, eh, keep_trace=True)
+
+
+def _run(scenario: Scenario, spectral: bool, eh: bool, keep_trace: bool) -> SimulationResult:
+    """run(), with the trace or, for a sweep row, without it: then the phase
+    solvers keep a block's node voltages only while they solve it, and the
+    harvesting metrics re-solve the period that holds the crossing from the
+    end voltage of the one before."""
     s1 = validate(scenario)
     sig_bin = _signal_bin(scenario) if spectral else 0
     p_in = input_power(scenario)
@@ -599,14 +633,25 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
         )
 
     plan, adc, source, nsub = scenario.clock, scenario.adc, scenario.source, scenario.n_sub
-    dac_aq, codes = _solve_acquisition(s1, adc, plan, source, nsub)
-    trace = TransientTrace(dac_aq, _solve_harvest(scenario.eh, plan, source, nsub), codes, scenario)
+    shape = (plan.n_periods, nsub)
+    dac_aq = np.empty(shape, order="F") if keep_trace else None
+    codes = _solve_acquisition(s1, adc, plan, source, nsub, dac_aq)
+    ceh_eh = np.empty(shape) if keep_trace else None
+    ends = _solve_harvest(scenario.eh, plan, source, nsub, ceh_eh)
+    trace = TransientTrace(dac_aq, ceh_eh, codes, scenario) if keep_trace else None
+
+    def resolved_row(p):
+        # Period p from the end of period p - 1, with the bits of the whole
+        # run. The crossing period rises, so it is live and walked.
+        v = float(ends[p - 1]) if p else 0.0
+        return _harvest_rows(scenario.eh, plan, source, nsub, slice(p, p + 1), v)[2][0]
 
     spec = spectrum(codes[-scenario.n_fft:], adc, plan.f_s, sig_bin) if spectral else None
     metrics = None
     if eh:
         v_m = max(abs(x) for x in _source_extremes(source))
-        metrics = steady_state_metrics(trace, p_in, scenario.eh, v_m, tol=scenario.steady_tol)
+        row = ceh_eh.__getitem__ if keep_trace else resolved_row
+        metrics = period_end_metrics(ends, row, plan, p_in, scenario.eh, v_m, tol=scenario.steady_tol)
     return SimulationResult(trace, spec, metrics)
 
 
@@ -643,10 +688,8 @@ def _sweep_worker(args) -> SweepRow:
     base, parameter, value, spectral, eh = args
     try:
         scenario = apply_parameter(base, parameter, value)
-        result = run(scenario, spectral=spectral, eh=eh)
-        # The trace is megabytes per row and no sweep output reads it, so
-        # it stays in the worker instead of being pickled back.
-        return SweepRow(parameter, value, dataclasses.replace(result, trace=None), None)
+        # No sweep output reads the trace, so a row never builds it.
+        return SweepRow(parameter, value, _run(scenario, spectral, eh, keep_trace=False), None)
     except (ValidationError, NotConverged) as exc:
         return SweepRow(parameter, value, None, str(exc))
 

@@ -130,18 +130,31 @@ def steady_state_metrics(
     v_m: float,
     tol: float = 0.01,
 ) -> EhMetrics:
-    """Harvesting metrics from a finished transient trace.
+    """Harvesting metrics from a run's TransientTrace: period_end_metrics of
+    the period ends ceh_eh[:, -1] (volts), with ceh_eh[p] as the row of
+    period p, on scenario.clock; the other arguments and the errors are
+    those of period_end_metrics."""
+    v = trace.ceh_eh
+    return period_end_metrics(v[:, -1], v.__getitem__, trace.scenario.clock, p_in, cfg, v_m, tol)
+
+
+def period_end_metrics(ends, row, clock, p_in: float, cfg: EhConfig, v_m: float, tol: float = 0.01) -> EhMetrics:
+    """Harvesting metrics from the storage voltage at each period's end and
+    the row of the one period that holds the crossing.
 
     The storage voltage is read per harvest phase of the run's grid: at the
     times phase_grid(clock, n_sub, ENERGY_HARVEST) of period p, column 0
-    holds the value kept through the acquisition before it (the end of
-    period p - 1, or 0.0) and the other columns the values of ceh_eh[p].
-    It never falls in a run's trace, so the crossing is found on the period
-    ends, then in its period, whose harvest row is the only grid built.
+    holds the value kept through the acquisition before it (ends[p - 1], or
+    0.0) and the other columns the values of row(p). It never falls in a
+    run, so the crossing is found on the period ends, then in its period,
+    whose row and harvest grid are the only ones read or built.
 
     Args:
-        trace: a run's TransientTrace; its ceh_eh (volts, (n_periods,
-            n_sub)) and scenario.clock are read.
+        ends: storage voltage (volts) at the end of each period, n_periods.
+        row: row(p) gives the voltage after each of period p's n_sub
+            harvest sub-steps; it is called once, for the crossing period,
+            and only once the steady-state tests have passed.
+        clock: the run's ClockPlan.
         p_in: input power in watts, the energy-efficiency denominator.
         cfg: harvesting branch configuration (for c_eh).
         v_m: peak input magnitude, the reference for voltage efficiency.
@@ -161,15 +174,14 @@ def steady_state_metrics(
         raise ValueError(f"v_m must be positive, got {v_m}")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    v = trace.ceh_eh
-    nper, nsub = v.shape
+    nper = len(ends)
 
-    v_eh = float(v[-1, -1])
+    v_eh = float(ends[-1])
     if not (v_eh > 0.0):
         raise NotConverged(f"storage capacitor ended at {v_eh:.6g} V, which is not above 0 V")
     if nper <= 10:
         raise NotConverged(f"run has {nper} periods, but the steady-state test needs at least 11")
-    drift = abs(v_eh - float(v[-11, -1]))
+    drift = abs(v_eh - float(ends[-11]))
     if drift > tol * v_eh:
         raise NotConverged(
             f"storage voltage still moving: changed {drift:.3e} V over the last "
@@ -180,11 +192,12 @@ def steady_state_metrics(
     # and the value held before period p's first harvest sub-step is the end
     # of period p - 1 (0.0 before the run).
     threshold = (1.0 - tol) * v_eh
-    p = int(np.searchsorted(v[:, -1], threshold))
-    j = int(np.searchsorted(v[p], threshold))
-    t = phase_grid(trace.scenario.clock, nsub, Phase.ENERGY_HARVEST, slice(p, p + 1))[0]
+    p = int(np.searchsorted(ends, threshold))
+    v = row(p)
+    j = int(np.searchsorted(v, threshold))
+    t = phase_grid(clock, len(v), Phase.ENERGY_HARVEST, slice(p, p + 1))[0]
     t0, t1 = float(t[j]), float(t[j + 1])
-    v0, v1 = float(v[p, j - 1] if j else (v[p - 1, -1] if p else 0.0)), float(v[p, j])
+    v0, v1 = float(v[j - 1] if j else (ends[p - 1] if p else 0.0)), float(v[j])
     t_ceh = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0)
 
     e_h = harvested_energy(v_eh, cfg.c_eh)

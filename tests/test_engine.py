@@ -12,6 +12,7 @@ import dataclasses
 import math
 import pickle
 import re
+import struct
 import sys
 import tracemalloc
 
@@ -1337,14 +1338,138 @@ class TestValidation:
             run(scenario, spectral=False, eh=True)
 
 
+def float_bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+def assert_row_matches_run(row, scenario, spectral):
+    """A sweep row of scenario has the bits of run(scenario): the same error
+    text, or the same EhMetrics and SNDR bits and spectrum. Returns run's
+    result, or its error text."""
+    try:
+        direct = run(scenario, spectral=spectral, eh=True)
+    except (ValidationError, NotConverged) as exc:
+        assert row.result is None and row.error == str(exc)
+        return str(exc)
+    assert row.error is None and row.result.trace is None
+    assert [float_bits(x) for x in dataclasses.astuple(row.result.eh)] == [
+        float_bits(x) for x in dataclasses.astuple(direct.eh)]
+    assert float_bits(row.result.sndr_db) == float_bits(direct.sndr_db)
+    if spectral:
+        assert row.result.spectrum.power.tobytes() == direct.spectrum.power.tobytes()
+    return direct
+
+
+def crossing_period(result):
+    """The period whose end first reaches (1 - tol)*v_eh, and whether the
+    period before it held the storage voltage of the one before that."""
+    ends = result.trace.ceh_eh[:, -1]
+    p = int(np.searchsorted(ends, (1.0 - result.trace.scenario.steady_tol) * result.eh.v_eh))
+    return p, bool(p >= 2 and ends[p - 1] == ends[p - 2])
+
+
+def small_eh(c_eh=1e-7, v_drop=0.09284, s2=Switch.constant(1.0)):
+    return EhConfig(c_eh=c_eh, rectifier=RectifierModel(v_drop=v_drop, r_series=73.8), s2=s2)
+
+
+def phased_source(phase, n_fft=16):
+    return SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, n_fft, 3), phase=phase)
+
+
+# A sweep row solves without the trace and re-solves the crossing period
+# from the end voltage of the period before it. Each case: (scenario,
+# spectral, and what run() must show: the crossing period and whether the
+# period before it held, or the start of the error text).
+SWEEP_ROW_CASES = {
+    "crossing-in-period-1": (small_scenario, True, (1, False)),
+    "crossing-in-period-0": (lambda: small_scenario(source=phased_source(0.98), eh=small_eh(1e-9)), True,
+                             (0, False)),
+    "crossing-after-a-held-period": (
+        lambda: small_scenario(source=phased_source(1.5), eh=small_eh(1e-9)), True, (2, True)),
+    # Blocks of 1,024 periods at n_sub 64; the crossing is in the second.
+    "crossing-in-a-later-block": (
+        lambda: small_scenario(clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=2048), eh=small_eh(1e-4),
+                               n_sub=64),
+        True, (1582, True)),
+    "pass-s2": (pass_walk_scenario, True, (1, False)),
+    "cut-off-pass-s2": (
+        lambda: small_scenario(
+            source=phased_source(2.0),
+            eh=small_eh(1e-8, s2=Switch.pass_transistor(k_gain=0.1, v_th=0.05, v_gate=0.1))),
+        True, (2, False)),
+    "ten-periods": (
+        lambda: small_scenario(clock=ClockPlan(f_s=10e3, alpha=0.1, n_periods=10)), False,
+        "run has 10 periods"),
+    "still-moving": (lambda: small_scenario(eh=small_eh(1e-6)), True, "storage voltage still moving"),
+    "eta-above-1": (lambda: small_scenario(p_in=1e-12), True, "eta_e = "),
+    "no-charge": (lambda: small_scenario(eh=small_eh(v_drop=0.5)), True, "storage capacitor ended at 0 V"),
+}
+
+
 class TestSweep:
-    def test_single_value_sweep_matches_run(self):
-        scenario = small_scenario()
-        rows = sweep(scenario, "alpha", [0.1], spectral=True, eh=True)
-        assert len(rows) == 1 and rows[0].error is None
-        row, direct = rows[0].result, run(scenario, spectral=True, eh=True)
-        assert_same_metrics(row, direct)
-        assert summarize(apply_parameter(scenario, "alpha", 0.1), row) == summarize(scenario, direct)
+    @pytest.mark.parametrize("case", list(SWEEP_ROW_CASES))
+    def test_single_value_sweep_matches_run(self, case):
+        make, spectral, want = SWEEP_ROW_CASES[case]
+        scenario = make()
+        rows = sweep(scenario, "alpha", [scenario.clock.alpha], spectral=spectral, eh=True)
+        assert len(rows) == 1
+        direct = assert_row_matches_run(rows[0], scenario, spectral)
+        if isinstance(want, str):
+            assert direct.startswith(want), direct
+            return
+        assert crossing_period(direct) == want
+        assert summarize(scenario, rows[0].result) == summarize(scenario, direct)
+
+    def test_rows_without_the_trace_match_run_on_random_scenarios(self):
+        """Random scenarios over the walk's ranges, 11-200 periods, storage
+        caps that often converge and, in half of them, an input power low
+        enough that eta_e may exceed 1; run() on each either raises or
+        reports metrics, and a sweep row of it gives the same bits or error
+        text."""
+        rng = np.random.default_rng(20261020)
+        crossings, errors = [], []
+        for _ in range(300):
+            scenario = random_walk_scenario(rng)
+            scenario = dataclasses.replace(
+                scenario,
+                clock=dataclasses.replace(scenario.clock, n_periods=int(rng.integers(11, 200))),
+                eh=dataclasses.replace(scenario.eh, c_eh=10.0 ** float(rng.uniform(-13.0, -7.0))),
+                p_in=10.0 ** float(rng.uniform(-16.0, -8.0)) if rng.integers(0, 2) else None,
+            )
+            (row,) = sweep(scenario, "alpha", [scenario.clock.alpha], spectral=False, eh=True)
+            direct = assert_row_matches_run(row, scenario, spectral=False)
+            if isinstance(direct, str):
+                errors.append(direct.split(":")[0].split(" = ")[0])
+            else:
+                crossings.append(crossing_period(direct))
+        periods, held = zip(*crossings)
+        assert 0 in periods and any(p > 1 for p in periods)
+        assert sum(held) >= 10
+        assert {"storage voltage still moving", "storage capacitor ended at 0 V, which is not above 0 V",
+                "eta_e"} <= set(errors), set(errors)
+
+    def test_row_memory_is_flat_in_run_length(self, lowfreq_scenario):
+        """A lowfreq row holds its per-period arrays plus one block: its
+        tracemalloc peak at 16,384 periods is within 1 MiB of its peak at
+        4,096, and that is at most 3.5 MiB. A row that kept the trace would
+        hold 1 KiB more per period."""
+
+        def peak(n_periods):
+            clock = dataclasses.replace(lowfreq_scenario.clock, n_periods=n_periods)
+            task = (dataclasses.replace(lowfreq_scenario, clock=clock), "alpha", 0.1, True, True)
+            tracemalloc.start()
+            try:
+                row = engine._sweep_worker(task)
+                highest = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert row.error is None, row.error
+            return highest
+
+        peak(4096)  # first-call set-up is not per-row memory
+        small, large = peak(4096), peak(16384)
+        assert small <= 3.5 * 2**20, small
+        assert large - small <= 2**20, (small, large)
 
     def test_rows_keep_input_order_and_record_errors(self):
         scenario = small_scenario()
