@@ -62,7 +62,7 @@ class ClockPlan:
         return self.t_s - self.t_aq
 
 
-def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice = slice(None)) -> np.ndarray:
+def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice = slice(None), out=None) -> np.ndarray:
     """Sub-step endpoints of one phase of the periods in rows (all by default).
 
     Returns an array of shape (periods, n_sub + 1). A phase picks only the
@@ -73,7 +73,8 @@ def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice = slice(No
     width/n_sub from its start and snaps its last endpoint to the closed-form
     end, so both phases share identical boundary times. A row depends only on
     k, so a slice of rows has the bits of those rows of the whole grid, and a
-    phase built alone has the bits of that phase of time_grid.
+    phase built alone has the bits of that phase of time_grid. The grid goes
+    into out, if given, an array of its shape, best in its layout.
     """
     k = np.arange(*rows.indices(plan.n_periods), dtype=float)
     boundaries = k * plan.t_s + plan.alpha * plan.t_s
@@ -81,7 +82,7 @@ def phase_grid(plan: ClockPlan, n_sub: int, phase: Phase, rows: slice = slice(No
         start, width, end, order = k * plan.t_s, plan.t_aq, boundaries, "F"
     else:
         start, width, end, order = boundaries, plan.t_eh, (k + 1.0) * plan.t_s, "C"
-    grid = np.empty((len(k), n_sub + 1), order=order)
+    grid = np.empty((len(k), n_sub + 1), order=order) if out is None else out
     np.add(start[:, None], np.arange(n_sub + 1, dtype=float) * (width / n_sub), out=grid)
     grid[:, -1] = end
     return grid

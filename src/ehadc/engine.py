@@ -12,15 +12,17 @@ The result equals a sub-step-by-sub-step walk bit for bit, but the work is
 done on whole arrays, with one loop over sub-steps per phase. Each phase is
 solved in blocks of whole periods, in time order, of at most _BLOCK_SUBSTEPS
 sub-steps (_blocks): a block's grid of that phase alone (phase_grid), drive
-and RC step table (_rc_steps) are built, solved, and dropped. run() puts its
-node voltages into the trace arrays allocated once per run; the trace keeps
-no grid or input (TransientTrace.inputs rebuilds them), so a run's peak
-memory is the solver outputs plus one block. A sweep row builds no trace:
-each solver keeps a block's node voltages only while it solves the block,
-and per period only the codes and the end storage voltage, and the harvesting
-metrics re-solve the one period that holds the crossing from the end
-voltage of the period before it (_run), so a row's memory is its
-per-period arrays plus one block.
+and RC step table (_rc_steps) are built in buffers of one block's size,
+allocated once per run and reused by every block of both phases
+(_BlockBuffers), and solved. run() puts its node voltages into the trace
+arrays allocated once per run; the trace keeps no grid or input
+(TransientTrace.inputs rebuilds them), so a run's peak memory is the solver
+outputs plus one block. A sweep row builds no trace: each solver writes a
+block's node voltages over the block's grid and keeps per period only the
+codes and the end storage voltage, so a row's memory is its per-period
+arrays plus one block. Either way the harvesting metrics re-solve the one
+period that holds the crossing from the end voltage of the period before it
+(_run).
 
 * Acquisition (_acquisition): a period depends on the one before only
   through the DAC level of the previous code. Waveform relaxation guesses
@@ -382,9 +384,11 @@ def _signal_bin(scenario: Scenario) -> int:
     return int(m)
 
 
-def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid: np.ndarray, dt: float):
+def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid: np.ndarray, dt: float,
+              buffers: _BlockBuffers | None = None):
     """The RC step table (a, q) of some periods of one phase, each
-    (periods, n_sub) and laid out in memory as drive is.
+    (periods, n_sub), laid out in memory as drive is and held in buffers
+    (a new _BlockBuffers by default).
 
     drive holds the (periods, n_sub + 1) branch drive voltages at the grid
     times, for a whole phase or for a row slice of it (a block, see
@@ -401,17 +405,21 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     """
     u0, u1 = drive[:, :-1], drive[:, 1:]
     h_last = grid[:, -1] - grid[:, -2]
-    if switch.kind is not SwitchKind.PASS_TRANSISTOR:
+    pass_transistor = switch.kind is SwitchKind.PASS_TRANSISTOR
+    if buffers is None:
+        buffers = _BlockBuffers(*u0.shape, pass_transistor)
+    shape, order = u0.shape, "F" if np.isfortran(drive) else "C"
+    if not pass_transistor:
         tau = (r_series + r_on(switch)) * c
-        q = np.subtract(u1, u0)
-        a = np.empty_like(q)
+        q = np.subtract(u1, u0, out=buffers.view("q", shape, order))
+        a = buffers.view("a", shape, order)
         for cols, x in ((np.s_[:, :-1], dt / tau), (np.s_[:, -1], h_last / tau)):
             a_x, g, psi = rc_step_terms(x)
             q[cols] *= psi
             q[cols] += np.multiply(u0[cols], g, out=a[cols])
             a[cols] = a_x
         return a, q
-    tau = np.subtract(switch.v_gate, u0)
+    tau = np.subtract(switch.v_gate, u0, out=buffers.view("tau", shape, order))
     np.abs(tau, out=tau)
     tau -= switch.v_th
     # A cut-off sub-step has overdrive 0 here, and 1/(+0) = inf; a subnormal
@@ -426,7 +434,7 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     tau_last = tau[:, -1].copy()
     x = np.divide(dt, tau, out=tau)
     np.divide(h_last, tau_last, out=x[:, -1])
-    a, q, psi = rc_step_terms(x)
+    a, q, psi = rc_step_terms(x, tuple(buffers.view(k, shape, order) for k in ("a", "q", "psi")))
     psi *= np.subtract(u1, u0, out=x)
     q *= u0
     q += psi
@@ -438,6 +446,24 @@ def _blocks(n_periods: int, n_sub: int) -> list[slice]:
     most _BLOCK_SUBSTEPS sub-steps, and at least one period."""
     step = max(1, _BLOCK_SUBSTEPS // n_sub)
     return [slice(p, min(p + step, n_periods)) for p in range(0, n_periods, step)]
+
+
+class _BlockBuffers:
+    """Named float buffers of periods x (n_sub + 1) values, the size of a
+    run's largest block, which all its blocks of both phases reuse: a
+    block's grid, drive and RC step table (with the tau and psi terms of a
+    pass transistor's) are views of them, and its node voltages overwrite
+    its grid once _rc_steps has read it. They are one allocation, so the
+    allocator neither hands their pages back between blocks nor faults them
+    in again."""
+
+    def __init__(self, periods: int, n_sub: int, pass_transistor: bool):
+        names = ("grid", "drive", "a", "q") + (("tau", "psi") if pass_transistor else ())
+        self.buffers = dict(zip(names, np.empty((len(names), periods * (n_sub + 1)))))
+
+    def view(self, name: str, shape: tuple[int, int], order: str = "C") -> np.ndarray:
+        """The leading values of buffer name as an array of shape, laid out in order."""
+        return self.buffers[name][:shape[0] * shape[1]].reshape(shape, order=order)
 
 
 def _acquisition(steps, boundary_in: np.ndarray, adc: AdcConfig, v0: float, out) -> np.ndarray:
@@ -521,58 +547,63 @@ def _harvest(steps, v: float, out) -> float:
 
 
 def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: SineSource, nsub: int,
-                       dac_aq: np.ndarray | None = None) -> np.ndarray:
+                       buffers: _BlockBuffers, dac_aq: np.ndarray | None = None) -> np.ndarray:
     """Codes of the periods: _acquisition block by block on the block's grid
     and input, each block starting at the DAC level of the previous block's
     last code. The DAC node after every acquisition sub-step goes into
-    dac_aq, sub-step-major (n_periods, n_sub), or, when it is None, into one
-    block buffer that each block reuses."""
-    nper, blocks = plan.n_periods, _blocks(plan.n_periods, nsub)
-    buf = np.empty((blocks[0].stop, nsub), order="F") if dac_aq is None else None
-    codes = np.empty(nper, dtype=np.int64)
+    dac_aq, sub-step-major (n_periods, n_sub), or, when it is None, over
+    the block's grid."""
+    codes = np.empty(plan.n_periods, dtype=np.int64)
     level = 0.0
-    for rows in blocks:
-        grid = phase_grid(plan, nsub, Phase.ACQUISITION, rows)
-        drive = source.sample_at(grid)
-        steps = _rc_steps(s1, 0.0, c_dac(adc), drive, grid, plan.t_aq / nsub)
-        out = buf[:len(grid)] if dac_aq is None else dac_aq[rows]
+    for rows in _blocks(plan.n_periods, nsub):
+        m = rows.stop - rows.start
+        grid = phase_grid(plan, nsub, Phase.ACQUISITION, rows, buffers.view("grid", (m, nsub + 1), "F"))
+        drive = source.sample_at(grid, buffers.view("drive", (m, nsub + 1), "F"))
+        steps = _rc_steps(s1, 0.0, c_dac(adc), drive, grid, plan.t_aq / nsub, buffers)
+        out = buffers.view("grid", (m, nsub), "F") if dac_aq is None else dac_aq[rows]
         codes[rows] = _acquisition(steps, drive[:, -1], adc, level, out)
         level = dac_output(int(codes[rows.stop - 1]), adc)
-        del grid, drive, steps  # freed before the next block's are built
     return codes
 
 
-def _harvest_rows(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int, rows: slice, v: float):
+def _harvest_rows(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int, rows: slice, v: float,
+                  buffers: _BlockBuffers):
     """The harvest of the periods in rows from storage voltage v, on their
     grid: _harvest walks the tables of the live_periods only. Returns the
     live mask, each period's end voltage (a dead period holds the largest
     end before it, since the ratchet never falls) and the voltage after
-    every sub-step of the live periods, (live periods, n_sub). A period's
-    grid, liveness and walk depend only on the period and the voltage
-    carried into it, so any slice of periods gives the bits of the whole run."""
+    every sub-step of the live periods, (live periods, n_sub), which
+    overwrites their grid in buffers. A period's grid, liveness and walk
+    depend only on the period and the voltage carried into it, so any slice
+    of periods gives the bits of the whole run."""
     rect, dt = ehc.rectifier, plan.t_eh / nsub
-    grid = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows)
-    live = live_periods(ehc, source, grid, dt, v)
-    grid = grid[live]
-    env = rectified_envelope(source.sample_at(grid), rect)
-    steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, dt)
-    del grid, env  # freed before the walk
-    walked, ends = np.empty((len(steps[0]), nsub)), np.full(len(live), v)
+    # The whole grid is only read for liveness, so the drive overwrites it.
+    m = rows.stop - rows.start
+    whole = phase_grid(plan, nsub, Phase.ENERGY_HARVEST, rows, buffers.view("drive", (m, nsub + 1)))
+    live = live_periods(ehc, source, whole, dt, v)
+    idx = np.flatnonzero(live)
+    n_live = len(idx)
+    # take writes straight into out only in a mode other than "raise"; the
+    # indices are in range, so "clip" never clips.
+    grid = np.take(whole, idx, axis=0, out=buffers.view("grid", (n_live, nsub + 1)), mode="clip")
+    env = rectified_envelope(source.sample_at(grid, whole[:n_live]), rect, whole[:n_live])
+    steps = _rc_steps(ehc.s2, rect.r_series, ehc.c_eh, env, grid, dt, buffers)
+    walked, ends = buffers.view("grid", (n_live, nsub)), np.full(m, v)
     _harvest(steps, v, walked)
     ends[live] = walked[:, -1]
     return live, np.maximum.accumulate(ends), walked
 
 
-def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int,
+def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int, buffers: _BlockBuffers,
                    ceh_eh: np.ndarray | None = None) -> np.ndarray:
     """Storage-cap voltage at the end of each period: _harvest_rows block by
     block, the voltage carried from each block to the next. The voltage
     after every harvest sub-step goes into ceh_eh, (n_periods, n_sub), or,
-    when it is None, is dropped with its block."""
+    when it is None, is kept only until the next block overwrites it."""
     ends = np.empty(plan.n_periods)
     v = 0.0
     for rows in _blocks(plan.n_periods, nsub):
-        live, ends[rows], walked = _harvest_rows(ehc, plan, source, nsub, rows, v)
+        live, ends[rows], walked = _harvest_rows(ehc, plan, source, nsub, rows, v, buffers)
         if ceh_eh is not None:
             block = ceh_eh[rows]
             block[live], block[~live] = walked, ends[rows][~live, None]
@@ -612,9 +643,9 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
 
 def _run(scenario: Scenario, spectral: bool, eh: bool, keep_trace: bool) -> SimulationResult:
     """run(), with the trace or, for a sweep row, without it: then the phase
-    solvers keep a block's node voltages only while they solve it, and the
-    harvesting metrics re-solve the period that holds the crossing from the
-    end voltage of the one before."""
+    solvers keep a block's node voltages only while they solve it. Either
+    way the harvesting metrics re-solve the period that holds the crossing
+    from the end voltage of the one before."""
     s1 = validate(scenario)
     sig_bin = _signal_bin(scenario) if spectral else 0
     p_in = input_power(scenario)
@@ -634,24 +665,25 @@ def _run(scenario: Scenario, spectral: bool, eh: bool, keep_trace: bool) -> Simu
 
     plan, adc, source, nsub = scenario.clock, scenario.adc, scenario.source, scenario.n_sub
     shape = (plan.n_periods, nsub)
+    pass_transistor = SwitchKind.PASS_TRANSISTOR in (s1.kind, scenario.eh.s2.kind)
+    buffers = _BlockBuffers(_blocks(plan.n_periods, nsub)[0].stop, nsub, pass_transistor)
     dac_aq = np.empty(shape, order="F") if keep_trace else None
-    codes = _solve_acquisition(s1, adc, plan, source, nsub, dac_aq)
+    codes = _solve_acquisition(s1, adc, plan, source, nsub, buffers, dac_aq)
     ceh_eh = np.empty(shape) if keep_trace else None
-    ends = _solve_harvest(scenario.eh, plan, source, nsub, ceh_eh)
+    ends = _solve_harvest(scenario.eh, plan, source, nsub, buffers, ceh_eh)
     trace = TransientTrace(dac_aq, ceh_eh, codes, scenario) if keep_trace else None
 
     def resolved_row(p):
         # Period p from the end of period p - 1, with the bits of the whole
         # run. The crossing period rises, so it is live and walked.
         v = float(ends[p - 1]) if p else 0.0
-        return _harvest_rows(scenario.eh, plan, source, nsub, slice(p, p + 1), v)[2][0]
+        return _harvest_rows(scenario.eh, plan, source, nsub, slice(p, p + 1), v, buffers)[2][0]
 
     spec = spectrum(codes[-scenario.n_fft:], adc, plan.f_s, sig_bin) if spectral else None
     metrics = None
     if eh:
         v_m = max(abs(x) for x in _source_extremes(source))
-        row = ceh_eh.__getitem__ if keep_trace else resolved_row
-        metrics = period_end_metrics(ends, row, plan, p_in, scenario.eh, v_m, tol=scenario.steady_tol)
+        metrics = period_end_metrics(ends, resolved_row, plan, p_in, scenario.eh, v_m, tol=scenario.steady_tol)
     return SimulationResult(trace, spec, metrics)
 
 

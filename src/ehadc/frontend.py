@@ -99,7 +99,7 @@ def r_on(model: Switch, v_signal: float = 0.0) -> float:
     return 1.0 / conductance if conductance > 0.0 else math.inf
 
 
-def rc_step_terms(x):
+def rc_step_terms(x, out=None):
     """The terms (a, g, psi) of one exact RC step at x = h/tau >= 0.
 
     a = exp(-x), g = -expm1(-x) and psi = 1 - g/x (from _PSI_SERIES below
@@ -110,7 +110,9 @@ def rc_step_terms(x):
     gets the bits an array element gets. An array runs the series only if
     some element lies below _PSI_SERIES_X and the quotient only if some
     element lies at or above it (or is NaN); a mixed array runs both, each
-    on x clamped to its side, and takes each element from its own side.
+    on x clamped to its side, and takes each element from its own side. An
+    array's terms go into out, if given, three arrays (a, g, psi) of x's
+    shape.
     """
     if not isinstance(x, np.ndarray):
         e = np.array([-x])
@@ -126,26 +128,28 @@ def rc_step_terms(x):
         return a, g, psi
     below = x < _PSI_SERIES_X
     n_below = np.count_nonzero(below)
-    g = np.negative(x)
+    a, g, psi = (None,) * 3 if out is None else out
+    g = np.negative(x, out=g)
     np.expm1(g, out=g)
     np.negative(g, out=g)
     if n_below == x.size:
-        psi = _psi_series(x)
+        psi = _psi_series(x, psi)
     else:
         # In a mixed array each form runs on x clamped to its side of
         # _PSI_SERIES_X, so neither overflows nor divides 0/0.
-        psi = np.divide(g, np.maximum(x, _PSI_SERIES_X) if n_below else x)
+        psi = np.divide(g, np.maximum(x, _PSI_SERIES_X) if n_below else x, out=psi)
         np.subtract(1.0, psi, out=psi)
         if n_below:
             np.copyto(psi, _psi_series(np.minimum(x, _PSI_SERIES_X)), where=below)
-    a = np.negative(x)
+    a = np.negative(x, out=a)
     np.exp(a, out=a)
     return a, g, psi
 
 
-def _psi_series(x: np.ndarray) -> np.ndarray:
-    """psi from _PSI_SERIES at every element of x, in x's layout."""
-    psi = np.full_like(x, _PSI_SERIES[0])
+def _psi_series(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """psi from _PSI_SERIES at every element of x, in x's layout, or into out."""
+    psi = np.empty_like(x) if out is None else out
+    psi.fill(_PSI_SERIES[0])
     for coef in _PSI_SERIES[1:]:
         psi *= x
         psi += coef

@@ -68,15 +68,16 @@ class EhMetrics:
     e_h: float
 
 
-def rectified_envelope(v_in, rect: RectifierModel):
+def rectified_envelope(v_in, rect: RectifierModel, out=None):
     """Dead-zone full-wave transfer: max(|v_in| - v_drop, 0).
 
     Accepts scalars or ndarrays. Inside the dead zone |v_in| <= v_drop the
-    rectifier does not conduct and the output is zero.
+    rectifier does not conduct and the output is zero. An array's output
+    goes into out, if given, an array of v_in's shape (v_in itself too).
     """
     if np.ndim(v_in) == 0:
         return np.maximum(np.abs(v_in) - rect.v_drop, 0.0)
-    out = np.abs(v_in, dtype=float)
+    out = np.abs(v_in, out=out, dtype=float)
     out -= rect.v_drop
     np.maximum(out, 0.0, out=out)
     return out

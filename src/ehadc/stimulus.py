@@ -43,14 +43,17 @@ class SineSource:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
-    def sample_at(self, t):
-        """Evaluate the source voltage at time t (scalar or ndarray, seconds)."""
+    def sample_at(self, t, out=None):
+        """Evaluate the source voltage at time t (scalar or ndarray, seconds).
+
+        An array's voltages go into out, if given, an array of t's shape.
+        """
         w = 2.0 * math.pi * self.frequency
         if np.ndim(t) == 0:
             return float(self.dc_offset + self.amplitude * np.sin(w * float(t) + self.phase))
         # In place and in the memory layout of t: one array, not a temporary
         # per operation.
-        out = np.multiply(w, t, dtype=float)
+        out = np.multiply(w, t, out=out, dtype=float)
         out += self.phase
         np.sin(out, out=out)
         out *= self.amplitude

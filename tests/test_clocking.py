@@ -168,17 +168,24 @@ class TestTimeGrid:
         """phase_grid of one phase, as each phase solver builds it, over
         every block of whole periods that _blocks makes, has the bits and
         the layout of that phase of time_grid: acquisition sub-step-major,
-        harvest period-major."""
+        harvest period-major. So does each written into a view of one
+        buffer that every block reuses, as the solvers write them."""
         n_sub = 64
         if periods is not None:
             monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", periods * n_sub)
         whole = time_grid(plan, n_sub)
-        for rows in engine._blocks(plan.n_periods, n_sub):
+        blocks = engine._blocks(plan.n_periods, n_sub)
+        buffer = np.empty(blocks[0].stop * (n_sub + 1))
+        for rows in blocks:
             for phase, full in zip(Phase, whole):
                 part = phase_grid(plan, n_sub, phase, rows)
-                assert part.flags["F_CONTIGUOUS" if phase is Phase.ACQUISITION else "C_CONTIGUOUS"]
+                order = "F" if phase is Phase.ACQUISITION else "C"
+                assert part.flags[order + "_CONTIGUOUS"]
                 assert part.shape == (rows.stop - rows.start, n_sub + 1)
                 assert np.array_equal(part.view(np.uint64), full[rows].view(np.uint64))
+                out = buffer[:part.size].reshape(part.shape, order=order)
+                assert phase_grid(plan, n_sub, phase, rows, out) is out
+                assert np.array_equal(out.view(np.uint64), part.view(np.uint64))
 
     def test_duty_identity(self):
         for plan in REFERENCE_PLANS:

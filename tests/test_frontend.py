@@ -244,9 +244,9 @@ def pass_bench_arguments(repo_root):
     branch = ["S1"]
     real_terms, real_solve = engine.rc_step_terms, engine._solve_harvest
 
-    def terms(x):
+    def terms(x, *out):
         seen[branch[0]].append(np.array(x, dtype=float).ravel())
-        return real_terms(x)
+        return real_terms(x, *out)
 
     def solve(*args):
         branch[0] = "S2"
@@ -298,24 +298,26 @@ class TestRcStepTerms:
     def test_one_sided_and_mixed_arrays_take_the_float_bits(self, side):
         """An array all below the series threshold runs only the series, one
         all at or above it only 1 - g/x, and a mixed array both; each keeps
-        the bits of the float path in every layout, and no form divides 0/0
-        or overflows."""
+        the bits of the float path in every layout, also written into given
+        out arrays, and no form divides 0/0 or overflows."""
         x = _SIDED_ARGUMENTS[side]
         n_below = np.count_nonzero(x < 0.125)
         assert {"all-below": n_below == x.size, "all-at-or-above": n_below == 0, "mixed": 0 < n_below < x.size}[side]
         want = np.array([rc_step_terms(v) for v in x.tolist()]).view(np.uint64).T
         for name, arr in layouts_of(x).items():
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                terms = rc_step_terms(arr)
-            for k, term in enumerate(terms):
-                got = np.ravel(term).view(np.uint64)
-                assert np.array_equal(got, want[k]), (side, name, "agq"[k], x[got != want[k]][:5])
+            for out in (None, tuple(np.full_like(arr, np.nan) for _ in "agq")):
+                with np.errstate(divide="raise", invalid="raise", over="raise"):
+                    terms = rc_step_terms(arr, out)
+                assert out is None or all(t is o for t, o in zip(terms, out))
+                for k, term in enumerate(terms):
+                    got = np.ravel(term).view(np.uint64)
+                    assert np.array_equal(got, want[k]), (side, name, "agq"[k], x[got != want[k]][:5])
 
     @pytest.mark.parametrize("side, series_runs", [("all-below", 1), ("all-at-or-above", 0), ("mixed", 1)])
     def test_the_series_runs_only_where_some_element_needs_it(self, side, series_runs, monkeypatch):
         calls = []
         real = frontend._psi_series
-        monkeypatch.setattr(frontend, "_psi_series", lambda x: calls.append(x.size) or real(x))
+        monkeypatch.setattr(frontend, "_psi_series", lambda x, *out: calls.append(x.size) or real(x, *out))
         rc_step_terms(_SIDED_ARGUMENTS[side])
         assert len(calls) == series_runs
 

@@ -47,6 +47,12 @@ class TestRectifiedEnvelope:
         assert out.shape == (3,)
         assert out[1] == 0.0 and out[2] == pytest.approx(0.2 - 0.09284, abs=1e-12)
 
+    def test_array_input_in_place(self):
+        v_in = np.array([-0.4, 0.0, 0.05, 0.2])
+        want = rectified_envelope(v_in, RECT)
+        assert rectified_envelope(v_in, RECT, v_in) is v_in
+        assert np.array_equal(v_in.view(np.uint64), want.view(np.uint64))
+
     def test_rectifier_validation(self):
         with pytest.raises(ValueError):
             RectifierModel(v_drop=-0.1, r_series=1.0)

@@ -51,6 +51,13 @@ class TestSineSource:
         expected = src.sample_at(np.ascontiguousarray(grid))
         assert np.array_equal(v.view(np.uint64), expected.view(np.uint64))
 
+    def test_array_sampling_into_out_keeps_the_bits(self):
+        src = SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 4096, 41), phase=0.3)
+        grid, _ = time_grid(ClockPlan(f_s=10e3, alpha=0.1, n_periods=64), 64)
+        out = np.full_like(grid, np.nan)
+        assert src.sample_at(grid, out) is out
+        assert np.array_equal(out.view(np.uint64), src.sample_at(grid).view(np.uint64))
+
     def test_scalar_sample_is_a_float(self):
         src = SineSource(amplitude=0.3, frequency=1e3)
         assert isinstance(src.sample_at(1e-4), float)
