@@ -9,16 +9,17 @@ integrated with the exact RC update, so the only discretization left is the
 piecewise-linear approximation of the sine drive.
 
 The result equals a sub-step-by-sub-step walk bit for bit, but the work is
-done on whole arrays, with one loop over sub-steps per phase. Each phase is
-solved in blocks of whole periods, in time order, of at most _BLOCK_SUBSTEPS
-sub-steps (_blocks): a block's grid of that phase alone (phase_grid), drive
-and RC step table (_rc_steps) are built in buffers of one block's size,
-allocated once per run and reused by every block of both phases
-(_BlockBuffers), and solved. run() puts its node voltages into the trace
-arrays allocated once per run; the trace keeps no grid or input
-(TransientTrace.inputs rebuilds them), so a run's peak memory is the solver
-outputs plus one block. A sweep row builds no trace: each solver writes a
-block's node voltages over the block's grid and keeps per period only the
+done on whole arrays, with one loop over sub-steps per phase. A run walks
+its periods once, in time order, in blocks of whole periods of at most
+_BLOCK_SUBSTEPS sub-steps (_blocks), and solves both phases of each block:
+first its acquisition (_acquire_rows), then its harvest (_harvest_rows).
+Each phase's grid of the block alone (phase_grid), drive and RC step table
+(_rc_steps) are built in buffers of one block's size, allocated once per
+run and reused by both phases of every block (_BlockBuffers), and a phase's
+node voltages overwrite its grid. run() copies them into the trace arrays
+allocated once per run; the trace keeps no grid or input
+(TransientTrace.inputs rebuilds them), so a run's peak memory is the trace
+plus one block. A sweep row builds no trace: it keeps per period only the
 codes and the end storage voltage, so a row's memory is its per-period
 arrays plus one block. Either way the harvesting metrics re-solve the one
 period that holds the crossing from the end voltage of the period before it
@@ -76,8 +77,8 @@ _FEASIBILITY_SLACK = 1e-9
 # Hard cap on the simulated periods of one run.
 MAX_PERIODS = 1_048_576
 
-# Sub-steps per block of periods that a phase solver tables at once, rounded
-# down to whole periods and at least one period.
+# Sub-steps per block of periods that a run tables at once in each phase,
+# rounded down to whole periods and at least one period.
 _BLOCK_SUBSTEPS = 65536
 
 # Harvest sub-steps over which the held storage voltage is tested for a rise
@@ -385,10 +386,9 @@ def _signal_bin(scenario: Scenario) -> int:
 
 
 def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid: np.ndarray, dt: float,
-              buffers: _BlockBuffers | None = None):
+              buffers: _BlockBuffers):
     """The RC step table (a, q) of some periods of one phase, each
-    (periods, n_sub), laid out in memory as drive is and held in buffers
-    (a new _BlockBuffers by default).
+    (periods, n_sub), laid out in memory as drive is and held in buffers.
 
     drive holds the (periods, n_sub + 1) branch drive voltages at the grid
     times, for a whole phase or for a row slice of it (a block, see
@@ -405,11 +405,8 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     """
     u0, u1 = drive[:, :-1], drive[:, 1:]
     h_last = grid[:, -1] - grid[:, -2]
-    pass_transistor = switch.kind is SwitchKind.PASS_TRANSISTOR
-    if buffers is None:
-        buffers = _BlockBuffers(*u0.shape, pass_transistor)
     shape, order = u0.shape, "F" if np.isfortran(drive) else "C"
-    if not pass_transistor:
+    if switch.kind is not SwitchKind.PASS_TRANSISTOR:
         tau = (r_series + r_on(switch)) * c
         q = np.subtract(u1, u0, out=buffers.view("q", shape, order))
         a = buffers.view("a", shape, order)
@@ -442,7 +439,7 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
 
 
 def _blocks(n_periods: int, n_sub: int) -> list[slice]:
-    """Row slices of whole periods that cover a phase in time order, each of at
+    """Row slices of whole periods that cover a run in time order, each of at
     most _BLOCK_SUBSTEPS sub-steps, and at least one period."""
     step = max(1, _BLOCK_SUBSTEPS // n_sub)
     return [slice(p, min(p + step, n_periods)) for p in range(0, n_periods, step)]
@@ -546,24 +543,19 @@ def _harvest(steps, v: float, out) -> float:
     return v
 
 
-def _solve_acquisition(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: SineSource, nsub: int,
-                       buffers: _BlockBuffers, dac_aq: np.ndarray | None = None) -> np.ndarray:
-    """Codes of the periods: _acquisition block by block on the block's grid
-    and input, each block starting at the DAC level of the previous block's
-    last code. The DAC node after every acquisition sub-step goes into
-    dac_aq, sub-step-major (n_periods, n_sub), or, when it is None, over
-    the block's grid."""
-    codes = np.empty(plan.n_periods, dtype=np.int64)
-    level = 0.0
-    for rows in _blocks(plan.n_periods, nsub):
-        m = rows.stop - rows.start
-        grid = phase_grid(plan, nsub, Phase.ACQUISITION, rows, buffers.view("grid", (m, nsub + 1), "F"))
-        drive = source.sample_at(grid, buffers.view("drive", (m, nsub + 1), "F"))
-        steps = _rc_steps(s1, 0.0, c_dac(adc), drive, grid, plan.t_aq / nsub, buffers)
-        out = buffers.view("grid", (m, nsub), "F") if dac_aq is None else dac_aq[rows]
-        codes[rows] = _acquisition(steps, drive[:, -1], adc, level, out)
-        level = dac_output(int(codes[rows.stop - 1]), adc)
-    return codes
+def _acquire_rows(s1: Switch, adc: AdcConfig, plan: ClockPlan, source: SineSource, nsub: int, rows: slice,
+                  level: float, buffers: _BlockBuffers):
+    """The acquisition of the periods in rows, the first starting at DAC
+    level level, on their grid and input: _acquisition on their tables.
+    Returns their codes and the DAC node after every acquisition sub-step,
+    sub-step-major (periods, n_sub), which overwrites their grid in
+    buffers."""
+    m = rows.stop - rows.start
+    grid = phase_grid(plan, nsub, Phase.ACQUISITION, rows, buffers.view("grid", (m, nsub + 1), "F"))
+    drive = source.sample_at(grid, buffers.view("drive", (m, nsub + 1), "F"))
+    steps = _rc_steps(s1, 0.0, c_dac(adc), drive, grid, plan.t_aq / nsub, buffers)
+    settled = buffers.view("grid", (m, nsub), "F")
+    return _acquisition(steps, drive[:, -1], adc, level, settled), settled
 
 
 def _harvest_rows(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int, rows: slice, v: float,
@@ -594,23 +586,6 @@ def _harvest_rows(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int,
     return live, np.maximum.accumulate(ends), walked
 
 
-def _solve_harvest(ehc: EhConfig, plan: ClockPlan, source: SineSource, nsub: int, buffers: _BlockBuffers,
-                   ceh_eh: np.ndarray | None = None) -> np.ndarray:
-    """Storage-cap voltage at the end of each period: _harvest_rows block by
-    block, the voltage carried from each block to the next. The voltage
-    after every harvest sub-step goes into ceh_eh, (n_periods, n_sub), or,
-    when it is None, is kept only until the next block overwrites it."""
-    ends = np.empty(plan.n_periods)
-    v = 0.0
-    for rows in _blocks(plan.n_periods, nsub):
-        live, ends[rows], walked = _harvest_rows(ehc, plan, source, nsub, rows, v, buffers)
-        if ceh_eh is not None:
-            block = ceh_eh[rows]
-            block[live], block[~live] = walked, ends[rows][~live, None]
-        v = float(ends[rows.stop - 1])
-    return ends
-
-
 def _rows(aq: np.ndarray, eh: np.ndarray) -> np.ndarray:
     """Trace rows, period by period, from (n_periods, n_sub) values of each phase.
 
@@ -629,7 +604,8 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
         scenario: validated inputs (validate() is called internally).
         spectral: compute SNDR/ENOB from the last n_fft codes; requires a
             coherent sine record of at least n_fft periods.
-        eh: compute steady-state harvesting metrics from the trace.
+        eh: compute steady-state harvesting metrics from the storage
+            voltage at each period's end and the re-solved crossing period.
 
     Raises:
         ValidationError: invalid scenario, spectral metrics for a run
@@ -642,10 +618,13 @@ def run(scenario: Scenario, spectral: bool = True, eh: bool = True) -> Simulatio
 
 
 def _run(scenario: Scenario, spectral: bool, eh: bool, keep_trace: bool) -> SimulationResult:
-    """run(), with the trace or, for a sweep row, without it: then the phase
-    solvers keep a block's node voltages only while they solve it. Either
-    way the harvesting metrics re-solve the period that holds the crossing
-    from the end voltage of the one before."""
+    """run(), with the trace or, for a sweep row, without it: one walk over
+    the blocks acquires and then harvests each block, and keeps per period
+    the codes and the end storage voltage. With the trace it copies each
+    phase's node voltages of the block into the trace arrays, before the
+    next phase overwrites them; without it they are kept only while the
+    phase solves the block. Either way the harvesting metrics re-solve the
+    period that holds the crossing from the end voltage of the one before."""
     s1 = validate(scenario)
     sig_bin = _signal_bin(scenario) if spectral else 0
     p_in = input_power(scenario)
@@ -666,11 +645,23 @@ def _run(scenario: Scenario, spectral: bool, eh: bool, keep_trace: bool) -> Simu
     plan, adc, source, nsub = scenario.clock, scenario.adc, scenario.source, scenario.n_sub
     shape = (plan.n_periods, nsub)
     pass_transistor = SwitchKind.PASS_TRANSISTOR in (s1.kind, scenario.eh.s2.kind)
-    buffers = _BlockBuffers(_blocks(plan.n_periods, nsub)[0].stop, nsub, pass_transistor)
-    dac_aq = np.empty(shape, order="F") if keep_trace else None
-    codes = _solve_acquisition(s1, adc, plan, source, nsub, buffers, dac_aq)
-    ceh_eh = np.empty(shape) if keep_trace else None
-    ends = _solve_harvest(scenario.eh, plan, source, nsub, buffers, ceh_eh)
+    blocks = _blocks(plan.n_periods, nsub)
+    buffers = _BlockBuffers(blocks[0].stop, nsub, pass_transistor)
+    codes, ends = np.empty(plan.n_periods, dtype=np.int64), np.empty(plan.n_periods)
+    if keep_trace:
+        dac_aq, ceh_eh = np.empty(shape, order="F"), np.empty(shape)
+    level = v = 0.0
+    for rows in blocks:
+        # Each block starts at the DAC level of the previous block's last
+        # code and at the storage voltage it ended at.
+        codes[rows], settled = _acquire_rows(s1, adc, plan, source, nsub, rows, level, buffers)
+        if keep_trace:  # before the harvest overwrites the buffers
+            dac_aq[rows] = settled
+        live, ends[rows], walked = _harvest_rows(scenario.eh, plan, source, nsub, rows, v, buffers)
+        if keep_trace:
+            block = ceh_eh[rows]
+            block[live], block[~live] = walked, ends[rows][~live, None]
+        level, v = dac_output(int(codes[rows.stop - 1]), adc), float(ends[rows.stop - 1])
     trace = TransientTrace(dac_aq, ceh_eh, codes, scenario) if keep_trace else None
 
     def resolved_row(p):

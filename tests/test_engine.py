@@ -313,6 +313,12 @@ class TestEngineAgainstReferenceWalk:
         assert max(passes) > 2
 
 
+def block_buffers(switch, drive):
+    """New engine._BlockBuffers that hold the RC step table of drive."""
+    periods, points = drive.shape
+    return engine._BlockBuffers(periods, points - 1, switch.kind is SwitchKind.PASS_TRANSISTOR)
+
+
 def trace_bytes(trace):
     """Bytes of the arrays a TransientTrace holds."""
     return sum(
@@ -427,10 +433,10 @@ class TestPhaseIsolation:
 
 @pytest.fixture
 def harvest_x(monkeypatch):
-    """The step arguments x = h/tau of the tables engine._solve_harvest builds."""
+    """The step arguments x = h/tau of the tables engine._harvest_rows builds."""
     seen = []
     inside = [False]
-    real_terms, real_solve = engine.rc_step_terms, engine._solve_harvest
+    real_terms, real_solve = engine.rc_step_terms, engine._harvest_rows
 
     def terms(x, *out):
         if inside[0]:
@@ -445,7 +451,7 @@ def harvest_x(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(engine, "rc_step_terms", terms)
-    monkeypatch.setattr(engine, "_solve_harvest", solve)
+    monkeypatch.setattr(engine, "_harvest_rows", solve)
     return seen
 
 
@@ -575,11 +581,11 @@ def tabled_periods(monkeypatch):
     """The periods whose RC step tables engine._rc_steps builds, by phase."""
     counts = dict.fromkeys(Phase, 0)
     phase = [Phase.ACQUISITION]
-    real_steps, real_solve = engine._rc_steps, engine._solve_harvest
+    real_steps, real_solve = engine._rc_steps, engine._harvest_rows
 
-    def steps(switch, r_series, c, drive, grid, dt, *buffers):
+    def steps(switch, r_series, c, drive, grid, dt, buffers):
         counts[phase[0]] += len(drive)
-        return real_steps(switch, r_series, c, drive, grid, dt, *buffers)
+        return real_steps(switch, r_series, c, drive, grid, dt, buffers)
 
     def solve(*args):
         phase[0] = Phase.ENERGY_HARVEST
@@ -589,7 +595,7 @@ def tabled_periods(monkeypatch):
             phase[0] = Phase.ACQUISITION
 
     monkeypatch.setattr(engine, "_rc_steps", steps)
-    monkeypatch.setattr(engine, "_solve_harvest", solve)
+    monkeypatch.setattr(engine, "_harvest_rows", solve)
     return counts
 
 
@@ -689,7 +695,8 @@ class TestDeadPeriods:
             v = hi.view(float)
             held = v < 1e300
             env = rectified_envelope(scenario.source.sample_at(grid), ehc.rectifier)
-            a, q = engine._rc_steps(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub)
+            a, q = engine._rc_steps(ehc.s2, ehc.rectifier.r_series, ehc.c_eh, env, grid, plan.t_eh / nsub,
+                                    block_buffers(ehc.s2, env))
             cand = v[held, None] * a[held] + q[held]
             assert (cand <= v[held, None]).all()
             edges += np.count_nonzero(held)
@@ -706,7 +713,7 @@ class TestDeadPeriods:
         rows = slice(MAX_PERIODS - 1024, MAX_PERIODS)
         grid = phase_grid(plan, 8, Phase.ENERGY_HARVEST, rows)
         env = rectified_envelope(source.sample_at(grid), ehc.rectifier)
-        a, q = engine._rc_steps(ehc.s2, 1.0, ehc.c_eh, env, grid, plan.t_eh / 8)
+        a, q = engine._rc_steps(ehc.s2, 1.0, ehc.c_eh, env, grid, plan.t_eh / 8, block_buffers(ehc.s2, env))
         reversed_ = grid[:, -1] < grid[:, -2]
         assert (reversed_ & (2.0 * a + q > 2.0).any(axis=1)).any()
         for v in (0.1, 0.5, 0.9, 2.0):
@@ -795,12 +802,17 @@ class TestDeadPeriods:
 
     @pytest.mark.parametrize("config", ["configs/lowfreq.cfg", "configs/highfreq.cfg", "bench/configs/lowfreq_pass.cfg"])
     def test_harvest_tables_cover_few_periods(self, config, repo_root, tabled_periods):
-        """S1 is tabled on every period and S2 on at most 40% of them."""
+        """S1 is tabled on every period and S2 on at most 40% of them. The
+        harvesting metrics re-solve one harvest period and no acquisition."""
         scenario, _ = build_scenario(load_config(repo_root / config))
         run(scenario, spectral=False, eh=False)
         nper = scenario.clock.n_periods
         assert tabled_periods[Phase.ACQUISITION] == nper
-        assert 0 < tabled_periods[Phase.ENERGY_HARVEST] <= 0.4 * nper
+        harvested = tabled_periods[Phase.ENERGY_HARVEST]
+        assert 0 < harvested <= 0.4 * nper
+        tabled_periods.update(dict.fromkeys(Phase, 0))
+        run(scenario, spectral=False, eh=True)
+        assert tabled_periods == {Phase.ACQUISITION: nper, Phase.ENERGY_HARVEST: harvested + 1}
 
 
 class TestTraceLayout:
@@ -966,9 +978,11 @@ class TestTableLayout:
         drive = SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 512, 5)).sample_at(grid)
         assert drive.flags.f_contiguous
         dt = plan.t_aq / 16
-        f_tables = engine._rc_steps(switch, r_series, c, drive, grid, dt)
+        # One set of buffers each: the tables are views of them.
+        f_tables = engine._rc_steps(switch, r_series, c, drive, grid, dt, block_buffers(switch, drive))
         c_tables = engine._rc_steps(
-            switch, r_series, c, np.ascontiguousarray(drive), np.ascontiguousarray(grid), dt
+            switch, r_series, c, np.ascontiguousarray(drive), np.ascontiguousarray(grid), dt,
+            block_buffers(switch, drive),
         )
         assert len(f_tables) == len(c_tables) == 2
         if case == "pass-cut-off":
@@ -998,7 +1012,7 @@ class TestTableLayout:
         drive = SineSource(amplitude=0.35, frequency=coherent_frequency(10e3, 32, 5)).sample_at(grid)
         drive[3, 5] = v_gate - v_th
         dt = (plan.t_aq if phase is Phase.ACQUISITION else plan.t_eh) / n_sub
-        a, q = engine._rc_steps(switch, r_series, c, drive, grid, dt)
+        a, q = engine._rc_steps(switch, r_series, c, drive, grid, dt, block_buffers(switch, drive))
         assert a.flags.f_contiguous == (phase is Phase.ACQUISITION)
         want_a, want_q = np.empty_like(a), np.empty_like(q)
         for p in range(plan.n_periods):
@@ -1427,12 +1441,14 @@ class TestSweep:
         assert crossing_period(direct) == want
         assert summarize(scenario, rows[0].result) == summarize(scenario, direct)
 
-    def test_rows_without_the_trace_match_run_on_random_scenarios(self):
+    @pytest.mark.parametrize("block_periods", [None, 3])
+    def test_rows_without_the_trace_match_run_on_random_scenarios(self, block_periods, monkeypatch):
         """Random scenarios over the walk's ranges, 11-200 periods, storage
         caps that often converge and, in half of them, an input power low
         enough that eta_e may exceed 1; run() on each either raises or
         reports metrics, and a sweep row of it gives the same bits or error
-        text."""
+        text. In the default blocks, and in blocks of 3 periods, where some
+        crossings fall on the first period of a block."""
         rng = np.random.default_rng(20261020)
         crossings, errors = [], []
         for _ in range(300):
@@ -1443,6 +1459,8 @@ class TestSweep:
                 eh=dataclasses.replace(scenario.eh, c_eh=10.0 ** float(rng.uniform(-13.0, -7.0))),
                 p_in=10.0 ** float(rng.uniform(-16.0, -8.0)) if rng.integers(0, 2) else None,
             )
+            if block_periods:
+                monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", block_periods * scenario.n_sub)
             (row,) = sweep(scenario, "alpha", [scenario.clock.alpha], spectral=False, eh=True)
             direct = assert_row_matches_run(row, scenario, spectral=False)
             if isinstance(direct, str):
@@ -1451,6 +1469,8 @@ class TestSweep:
                 crossings.append(crossing_period(direct))
         periods, held = zip(*crossings)
         assert 0 in periods and any(p > 1 for p in periods)
+        if block_periods:
+            assert any(p > 0 and p % block_periods == 0 for p in periods), periods
         assert sum(held) >= 10
         assert {"storage voltage still moving", "storage capacitor ended at 0 V, which is not above 0 V",
                 "eta_e"} <= set(errors), set(errors)

@@ -242,7 +242,7 @@ def pass_bench_arguments(repo_root):
     scenario, _ = build_scenario(load_config(repo_root / "bench/configs/lowfreq_pass.cfg"))
     seen = {"S1": [], "S2": []}
     branch = ["S1"]
-    real_terms, real_solve = engine.rc_step_terms, engine._solve_harvest
+    real_terms, real_solve = engine.rc_step_terms, engine._harvest_rows
 
     def terms(x, *out):
         seen[branch[0]].append(np.array(x, dtype=float).ravel())
@@ -250,11 +250,14 @@ def pass_bench_arguments(repo_root):
 
     def solve(*args):
         branch[0] = "S2"
-        return real_solve(*args)
+        try:
+            return real_solve(*args)
+        finally:
+            branch[0] = "S1"
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "rc_step_terms", terms)
-        patch.setattr(engine, "_solve_harvest", solve)
+        patch.setattr(engine, "_harvest_rows", solve)
         trace = engine.run(scenario, spectral=False, eh=False).trace
     s1, s2 = (np.concatenate(seen[k]) for k in ("S1", "S2"))
     nper, nsub = scenario.clock.n_periods, scenario.n_sub
