@@ -78,9 +78,12 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
     place; each cell is a NUL-padded slot of floattext.text, and the NULs are
     dropped as the block is written. A block's times and inputs come from
     trace.inputs. The value a phase holds (v_ceh in acquisition, v_dac in
-    harvest) is formatted once per period. The block, its values and their
-    text are buffers allocated once per call, because megabyte buffers
-    allocated anew per block are faulted in anew when the heap is small.
+    harvest) is formatted once per period, and the harvest's v_ceh once per
+    run of bit-equal values in the block: the storage cap holds its voltage
+    through most harvest sub-steps, and each cell gathers its run's text.
+    The block, its values and their text are buffers allocated once per
+    call, because megabyte buffers allocated anew per block are faulted in
+    anew when the heap is small.
     """
     # Loaded here, after the simulation's memory peak, which loading it
     # before would raise by its tables and code (about 0.2 MB).
@@ -94,8 +97,8 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
     t, v_in, v_dac, v_ceh = (slice(at, at + w) for at in (0, w + 1, 2 * w + 6, 3 * w + 7))
     aq, eh = Phase
     # The phase and field of each block part: values per sub-step, or per
-    # period as (n, 1).
-    cells = ((aq, t), (eh, t), (aq, v_in), (eh, v_in), (aq, v_dac), (eh, v_dac), (aq, v_ceh), (eh, v_ceh))
+    # period as (n, 1). The harvest's v_ceh cells are placed apart.
+    cells = ((aq, t), (eh, t), (aq, v_in), (eh, v_in), (aq, v_dac), (eh, v_dac), (aq, v_ceh))
     dac_level, ceh_held = trace.dac_level[:, None], trace.ceh_held[:, None]
     rows = min(per_block, nper)
     # A bytearray, so a whole block is written without a tobytes copy.
@@ -103,6 +106,10 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
     block = np.frombuffer(canvas, dtype=np.uint8).reshape(rows, 2, nsub, 4 * w + 8)
     n_max = rows * (6 * nsub + 2)  # six parts per sub-step and two per period
     values_buf, text_buf = np.empty(n_max), np.empty((n_max, w), dtype=np.uint8)
+    # Per harvest v_ceh cell: whether it starts a run of equal bits, and the
+    # row of its text.
+    first_buf, index_buf = np.empty(rows * nsub, dtype=bool), np.empty(rows * nsub, dtype=np.intp)
+    held_buf = np.empty((rows * nsub, w), dtype=np.uint8)
     for phase in Phase:
         label = f",{PHASE_LABELS[phase]},".encode().ljust(5, b"\0")
         block[:, phase, :, 2 * w + 1 : 2 * w + 6] = np.frombuffer(label, dtype=np.uint8)
@@ -112,16 +119,32 @@ def write_trace_csv(trace: TransientTrace, path) -> None:
         for lo in range(0, nper, per_block):
             p = slice(lo, lo + per_block)
             t_aq, t_eh, v_in_aq, v_in_eh = trace.inputs(p)
+            # The storage cap holds its voltage through most harvest
+            # sub-steps: only the first of each run of equal values is
+            # formatted. Equal bits, not ==, which would merge 0.0 and -0.0.
+            ceh = trace.ceh_eh[p].ravel()
+            bits = ceh.view(np.uint64)
+            first = first_buf[: ceh.size]
+            first[0] = True
+            np.not_equal(bits[1:], bits[:-1], out=first[1:])
             parts = (t_aq[:, 1:], t_eh[:, 1:], v_in_aq[:, 1:], v_in_eh[:, 1:],
-                     trace.dac_aq[p], dac_level[p], ceh_held[p], trace.ceh_eh[p])
-            n = sum(part.size for part in parts)
-            flat = np.concatenate([part.ravel() for part in parts], out=values_buf[:n])
+                     trace.dac_aq[p], dac_level[p], ceh_held[p])
+            heads = ceh[first]
+            n = sum(part.size for part in parts) + heads.size
+            flat = np.concatenate([*(part.ravel() for part in parts), heads], out=values_buf[:n])
             text = floattext.text(flat, out=text_buf[:n])
             b = block[: len(parts[0])]
             at = 0
             for (phase, field), part in zip(cells, parts):
                 b[:, phase, :, field] = text[at : at + part.size].reshape(*part.shape, w)
                 at += part.size
+            # Each cell takes the text of the last run start at or before it,
+            # the heads' text starting at row at. Only a mode other than
+            # "raise" lets np.take write into out without a buffered copy.
+            index = np.cumsum(first, out=index_buf[: ceh.size])
+            index += at - 1
+            held = np.take(text, index, axis=0, out=held_buf[: ceh.size], mode="clip")
+            b[:, eh, :, v_ceh] = held.reshape(len(b), nsub, w)
             fh.write((canvas if len(b) == rows else b.tobytes()).translate(None, b"\0"))
 
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from ehadc.sar_adc import AdcConfig
 
 from oracles import make_trace, reference_trace_csv
 from test_engine import small_scenario, trace_bytes
+from test_floattext import count_layouts
 
 FAST_CFG = """\
 signal.amplitude_v = 0.4
@@ -81,7 +83,7 @@ def edge_trace():
                  [nan, 5e-324, -5e-324], [nan, 0.3, 0.3]],
         dac_aq=[[0.1, 0.0], [-0.0, 0.25], [0.25, 0.25], [nan, nan], [inf, -inf]],
         ceh_eh=[[5e-324, 1e-05], [0.0001, 1e16], [9999999999999998.0, 1e16],
-                [inf, -inf], [nan, -0.0]],
+                [1e16, nan], [0.0, -0.0]],
         dac_level=[-0.0, 0.25, 0.25, 0.0, -0.0],
     )
 
@@ -104,10 +106,11 @@ class TestTraceWriter:
     def test_edge_values_match_the_reference_writer(self, tmp_path, monkeypatch):
         # 5 periods of 2 sub-steps per phase (4 rows each) in blocks of 2
         # periods, so the last block is short. The held 0.25 in v_dac and the
-        # held 1e16 in v_ceh run across the first block boundary; 0.0 is
-        # followed by -0.0 (equal as floats, not in repr); v_ceh passes where
-        # repr switches notation. Column 0 of grids and inputs is the phase
-        # start, which is not a row.
+        # held 1e16 in v_ceh run across the first block boundary, and 1e16
+        # across a period boundary inside the second; 0.0 is followed by
+        # -0.0 (equal as floats, not in repr), in v_dac and in the harvest's
+        # v_ceh; v_ceh passes where repr switches notation. Column 0 of grids
+        # and inputs is the phase start, which is not a row.
         monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 8)
         trace = edge_trace()
         write_trace_csv(trace, tmp_path / "blocks.csv")
@@ -116,6 +119,30 @@ class TestTraceWriter:
         assert text == (tmp_path / "reference.csv").read_text()
         assert len(text.splitlines()) == 1 + 5 * 4
         assert [line.split(",")[3] for line in text.splitlines()[2:4]] == ["0.0", "-0.0"]
+        assert [line.split(",")[4] for line in text.splitlines()[-2:]] == ["0.0", "-0.0"]
+
+    def test_held_storage_voltages_across_blocks_match_the_reference_writer(
+        self, tmp_path, monkeypatch, repo_root
+    ):
+        """A short lowfreq run in blocks of 8 periods: the storage cap holds
+        its voltage across block edges, and the first block's 0.0 takes the
+        general layout of floattext while the others take the one for a
+        point after the first digit."""
+        cfg = (repo_root / "configs" / "lowfreq.cfg").read_text()
+        for key, value in (("clock.n_periods", 256), ("engine.n_sub", 16), ("engine.n_fft", 256)):
+            cfg = re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", cfg, flags=re.M)
+        scenario, _ = build_scenario(parse_config(cfg))
+        trace = run(scenario, spectral=False, eh=False).trace
+        monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 8 * 2 * 16)
+        ceh = trace.ceh_eh.ravel()
+        edges = np.arange(1, 256 // 8) * 8 * 16  # the first cell of each later block
+        assert (ceh[edges] == ceh[edges - 1]).sum() > 5
+        calls = count_layouts(monkeypatch)
+        write_trace_csv(trace, tmp_path / "blocks.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert calls["chunks"] == 256 // 8
+        assert 0 < calls["point_after_first"] < calls["chunks"]
 
     def test_memory_order_of_the_trace_does_not_change_the_bytes(self, tmp_path, monkeypatch):
         """A run stores its acquisition arrays sub-step-major; period-major and

@@ -7,6 +7,8 @@ sets cover the cases Schubfach treats apart (powers of two, whose rounding
 interval is narrower below than above), the places where repr switches
 notation, three-digit exponents, exact ties between two shortest
 candidates, and the values the kernel formats without digits from Schubfach.
+Chunks without a value in positional form with digits before the point take
+a layout of their own, tested with and without such a value.
 """
 
 import math
@@ -15,6 +17,26 @@ import numpy as np
 import pytest
 
 from ehadc import floattext
+
+
+def count_layouts(monkeypatch):
+    """Counts, while monkeypatch holds, of floattext._fill calls (chunks) and
+    of those laid out by _point_after_first (every point after the first
+    digit)."""
+    calls = {"chunks": 0, "point_after_first": 0}
+    fill, point_after_first = floattext._fill, floattext._point_after_first
+
+    def counted_fill(*args):
+        calls["chunks"] += 1
+        return fill(*args)
+
+    def counted_point_after_first(*args):
+        calls["point_after_first"] += 1
+        return point_after_first(*args)
+
+    monkeypatch.setattr(floattext, "_fill", counted_fill)
+    monkeypatch.setattr(floattext, "_point_after_first", counted_point_after_first)
+    return calls
 
 
 def texts(values) -> list[bytes]:
@@ -140,6 +162,56 @@ def test_typical_trace_values_match_repr():
         np.round(rng.random(10_000) * 4096) / 4096,  # DAC levels
     ))
     assert_matches_repr(values)
+
+
+def no_digits_before_the_point():
+    """Values whose text has its point after the first digit: 0.0... values
+    of both signs from 1e-4 to 1, and exponent form, subnormals and values
+    from 1e16 up included; none is a zero."""
+    rng = np.random.default_rng(19)
+    below_one = 10.0 ** rng.uniform(-4.0, 0.0, 1_500)
+    exponents = rng.integers(-324, 309, size=1_500)
+    with np.errstate(over="ignore", under="ignore"):
+        exponent_form = (rng.random(1_500) + 1.0) * np.power(10.0, exponents.astype(np.float64))
+    exponent_form = exponent_form[(exponent_form != 0.0) & np.isfinite(exponent_form)]
+    exponent_form = exponent_form[(exponent_form < 1e-4) | (exponent_form >= 1e16)]
+    subnormals = rng.integers(1, 2**52, size=300, dtype=np.uint64).view(np.float64)
+    one, big = np.array([1.0, 1e16]).view(np.int64)
+    edges = np.concatenate((
+        neighbours([1e-4], ulps=3),
+        (big + np.arange(4)).view(np.float64),  # 1e16 and up
+        (one - np.arange(1, 6)).view(np.float64),  # the largest below 1
+        [5e-324, 1.7976931348623157e308, 1e-05, 0.0001, 0.1, 0.5],
+    ))
+    values = np.concatenate((below_one, exponent_form, subnormals, edges))
+    values = np.concatenate((values, -values))
+    assert np.all(values != 0.0) and np.all((np.abs(values) < 1.0) | (np.abs(values) >= 1e16))
+    assert len(values) < floattext._CHUNK  # one chunk, so one layout
+    return values
+
+
+def test_chunks_with_every_point_after_the_first_digit_match_repr(monkeypatch):
+    calls = count_layouts(monkeypatch)
+    assert_matches_repr(no_digits_before_the_point())
+    assert calls == {"chunks": 1, "point_after_first": 1}
+
+
+@pytest.mark.parametrize("inserted", [1.5, 0.0, -0.0, 9999999999999998.0])
+def test_one_value_with_digits_before_the_point_takes_the_general_layout(monkeypatch, inserted):
+    values = no_digits_before_the_point()
+    calls = count_layouts(monkeypatch)
+    assert_matches_repr(np.insert(values, len(values) // 2, inserted))
+    assert calls == {"chunks": 1, "point_after_first": 0}
+
+
+def test_point_after_the_first_digit_tables_are_constant_masks():
+    # The identities _point_after_first relies on: at p = 1 only word 0
+    # holds digits before the point and the point's text.
+    assert floattext._LOW[1][1] == floattext._LOW[2][1] == 0
+    assert floattext._HIGH[1][1] == floattext._HIGH[2][1] == 2**64 - 1
+    assert floattext._DOT_TEXT[1][18] == floattext._DOT_TEXT[2][18] == 0
+    assert [int(floattext._DOT_TEXT[w][1]) for w in range(3)] == [0, 0, 0]
+    assert int(floattext._DOT_TEXT[0][18]) == ord(".") << 8
 
 
 def test_table_rows_are_the_ceiling_of_a_power_of_ten_in_128_bits():
