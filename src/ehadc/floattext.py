@@ -22,8 +22,7 @@ more right of it, else positional (0.0001, 1234.5, 100.0, -0.0). Only inf,
 -inf and nan are left to repr. The point goes after digit p of the 17-digit
 field, through per-p byte masks. In a chunk where no value has digits before
 its point (none in [1, 1e16) and no zero, inf or nan, which go through as
-1.0), p = 1 for every value, where the masks are constants, and the chunk
-takes a shorter path.
+1.0), p = 1 for every value, and each mask is one constant.
 """
 
 from __future__ import annotations
@@ -234,17 +233,6 @@ _EXP_TEXT = np.array(
 )
 
 
-def _point_after_first(out, u0, a0, a1, a2, several, exp_text):
-    """Words 1-3 of _fill when every point follows the first digit (p = 1),
-    where the tables are constant masks: _LOW[1][1] = _LOW[2][1] = 0,
-    _HIGH[1][1] = _HIGH[2][1] = all ones, and _DOT_TEXT[0][18] is the only
-    point text."""
-    point = np.where(several, _DOT_TEXT[0][18], _ZERO)
-    out[:, 1] = (u0 & _LOW[0][1]) | point | ((a0 << _U64(8)) & _HIGH[0][1])
-    out[:, 2] = (a1 << _U64(8)) | (a0 >> _U64(56))
-    out[:, 3] = (a2 << _U64(8)) | (a1 >> _U64(56)) | (exp_text << _U64(16))
-
-
 def _fill(x, out):
     """Write the text of each finite x into the four little-endian words of
     its row of out; rows of inf and nan are left for repr."""
@@ -273,26 +261,28 @@ def _fill(x, out):
     expo = (decpt <= -4) | (decpt > 16)
     positional = ~expo & (decpt > 0)
     below_one = ~expo & (decpt <= 0)
-    several = expo & (some1 | ((z0 >> _U64(8)) != _ZERO))
-    exp_text = _EXP_TEXT[np.where(expo, decpt + 323, len(_EXP_TEXT) - 1)]
-    out[:, 0] = _LEAD_TEXT[5 * np.signbit(x) + np.where(below_one, 1 - decpt, 0)]
-    if not positional.any():
-        _point_after_first(out, u0, a0, a1, a2, several, exp_text)
-        return
     # The point goes after digit p: decpt in positional form (with a 0 after
     # it for an integral value), else after the first digit, where it is
-    # shown only in exponent form with more digits to follow.
-    p = np.where(positional, decpt, 1)
-    finite = bits.view(np.float64)
-    integral = (np.abs(finite) < 1e16) & (np.trunc(finite) == finite)
-    dot = np.where(positional, decpt + 17 + 17 * integral, 1 + 17 * several)
+    # shown only in exponent form with more digits to follow. A chunk with
+    # no value in positional form skips the per-value p and the integral
+    # test: p = 1 picks one constant from each mask table.
+    several = expo & (some1 | ((z0 >> _U64(8)) != _ZERO))
+    if positional.any():
+        p = np.where(positional, decpt, 1)
+        finite = bits.view(np.float64)
+        integral = (np.abs(finite) < 1e16) & (np.trunc(finite) == finite)
+        dot = np.where(positional, decpt + 17 + 17 * integral, 1 + 17 * several)
+    else:
+        p, dot = 1, 1 + 17 * several
 
+    out[:, 0] = _LEAD_TEXT[5 * np.signbit(x) + np.where(below_one, 1 - decpt, 0)]
     out[:, 1] = (u0 & _LOW[0][p]) | _DOT_TEXT[0][dot] | ((a0 << _U64(8)) & _HIGH[0][p])
     out[:, 2] = (
         (u1 & _LOW[1][p])
         | _DOT_TEXT[1][dot]
         | (((a1 << _U64(8)) | (a0 >> _U64(56))) & _HIGH[1][p])
     )
+    exp_text = _EXP_TEXT[np.where(expo, decpt + 323, len(_EXP_TEXT) - 1)]
     out[:, 3] = (
         _DOT_TEXT[2][dot]
         | (((a2 << _U64(8)) | (a1 >> _U64(56))) & _HIGH[2][p])

@@ -70,21 +70,25 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
 
 
 def edge_trace():
-    """5 periods of 2 sub-steps per phase, with the float values whose text is
+    """7 periods of 2 sub-steps per phase, with the float values whose text is
     easiest to get wrong, in the t and v_in columns too: a run's grid and
     input never hold them, so the trace's inputs(rows) returns given arrays."""
     inf, nan = float("inf"), float("nan")
+    plain = (5, 6)
     return make_trace(
-        t_aq=[[4 * p + j for j in (0, 1, 2)] for p in range(4)] + [[nan, 0.0, -0.0]],
-        t_eh=[[4 * p + j for j in (2, 3, 4)] for p in range(4)] + [[nan, 1e16, 9999999999999998.0]],
+        t_aq=[[4 * p + j for j in (0, 1, 2)] for p in range(4)] + [[nan, 0.0, -0.0]]
+        + [[4 * p + j for j in (0, 1, 2)] for p in plain],
+        t_eh=[[4 * p + j for j in (2, 3, 4)] for p in range(4)] + [[nan, 1e16, 9999999999999998.0]]
+        + [[4 * p + j for j in (2, 3, 4)] for p in plain],
         v_in_aq=[[nan, 0.0, -0.0], [nan, 0.1, 0.1], [nan, 1 / 3, 2 / 3],
-                 [nan, -0.0, 0.0], [nan, inf, -inf]],
+                 [nan, -0.0, 0.0], [nan, inf, -inf], [nan, 0.5, 0.5], [nan, 0.25, 0.5]],
         v_in_eh=[[nan, 0.1, -0.1], [nan, 0.2, 0.2], [nan, nan, nan],
-                 [nan, 5e-324, -5e-324], [nan, 0.3, 0.3]],
-        dac_aq=[[0.1, 0.0], [-0.0, 0.25], [0.25, 0.25], [nan, nan], [inf, -inf]],
+                 [nan, 5e-324, -5e-324], [nan, 0.3, 0.3], [nan, 0.5, 0.25], [nan, 0.25, 0.25]],
+        dac_aq=[[0.1, 0.0], [-0.0, 0.25], [0.25, 0.25], [nan, nan], [inf, -inf],
+                [0.5, 0.5], [0.0, 0.25]],
         ceh_eh=[[5e-324, 1e-05], [0.0001, 1e16], [9999999999999998.0, 1e16],
-                [1e16, nan], [0.0, -0.0]],
-        dac_level=[-0.0, 0.25, 0.25, 0.0, -0.0],
+                [inf, -inf], [nan, -0.0], [0.0, -0.0], [inf, inf]],
+        dac_level=[-0.0, 0.25, 0.25, 0.0, -0.0, 0.5, 0.25],
     )
 
 
@@ -104,22 +108,25 @@ class TestTraceWriter:
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_edge_values_match_the_reference_writer(self, tmp_path, monkeypatch):
-        # 5 periods of 2 sub-steps per phase (4 rows each) in blocks of 2
+        # 7 periods of 2 sub-steps per phase (4 rows each) in blocks of 2
         # periods, so the last block is short. The held 0.25 in v_dac and the
-        # held 1e16 in v_ceh run across the first block boundary, and 1e16
-        # across a period boundary inside the second; 0.0 is followed by
-        # -0.0 (equal as floats, not in repr), in v_dac and in the harvest's
-        # v_ceh; v_ceh passes where repr switches notation. Column 0 of grids
-        # and inputs is the phase start, which is not a row.
+        # held 1e16 in v_ceh run across the first block boundary. In v_dac
+        # and in the harvest's v_ceh, 0.0 and -0.0 follow each other inside
+        # one block (equal as floats, not in repr); the harvest's v_ceh holds
+        # inf, -inf and nan, which repr formats, and a run of inf. v_ceh passes
+        # where repr switches notation. Column 0 of grids and inputs is the
+        # phase start, which is not a row.
         monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 8)
         trace = edge_trace()
         write_trace_csv(trace, tmp_path / "blocks.csv")
         reference_trace_csv(trace, tmp_path / "reference.csv")
         text = (tmp_path / "blocks.csv").read_text()
         assert text == (tmp_path / "reference.csv").read_text()
-        assert len(text.splitlines()) == 1 + 5 * 4
-        assert [line.split(",")[3] for line in text.splitlines()[2:4]] == ["0.0", "-0.0"]
-        assert [line.split(",")[4] for line in text.splitlines()[-2:]] == ["0.0", "-0.0"]
+        lines = text.splitlines()
+        assert len(lines) == 1 + 7 * 4
+        assert [line.split(",")[3] for line in lines[2:4]] == ["0.0", "-0.0"]
+        harvest_v_ceh = [line.split(",")[4] for k in range(3, 7) for line in lines[3 + 4 * k : 5 + 4 * k]]
+        assert harvest_v_ceh == ["inf", "-inf", "nan", "-0.0", "0.0", "-0.0", "inf", "inf"]
 
     def test_held_storage_voltages_across_blocks_match_the_reference_writer(
         self, tmp_path, monkeypatch, repo_root

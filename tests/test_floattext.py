@@ -21,21 +21,19 @@ from ehadc import floattext
 
 def count_layouts(monkeypatch):
     """Counts, while monkeypatch holds, of floattext._fill calls (chunks) and
-    of those laid out by _point_after_first (every point after the first
-    digit)."""
+    of those with every point after the first digit, which _fill lays out at
+    p = 1: no value in [1, 1e16) and no zero, inf or nan."""
     calls = {"chunks": 0, "point_after_first": 0}
-    fill, point_after_first = floattext._fill, floattext._point_after_first
+    fill = floattext._fill
 
-    def counted_fill(*args):
+    def counted_fill(x, out):
         calls["chunks"] += 1
-        return fill(*args)
-
-    def counted_point_after_first(*args):
-        calls["point_after_first"] += 1
-        return point_after_first(*args)
+        size = np.abs(x)
+        digits_before_point = (size >= 1.0) & (size < 1e16)
+        calls["point_after_first"] += bool(np.all(np.isfinite(x) & (size > 0.0) & ~digits_before_point))
+        return fill(x, out)
 
     monkeypatch.setattr(floattext, "_fill", counted_fill)
-    monkeypatch.setattr(floattext, "_point_after_first", counted_point_after_first)
     return calls
 
 
@@ -202,16 +200,6 @@ def test_one_value_with_digits_before_the_point_takes_the_general_layout(monkeyp
     calls = count_layouts(monkeypatch)
     assert_matches_repr(np.insert(values, len(values) // 2, inserted))
     assert calls == {"chunks": 1, "point_after_first": 0}
-
-
-def test_point_after_the_first_digit_tables_are_constant_masks():
-    # The identities _point_after_first relies on: at p = 1 only word 0
-    # holds digits before the point and the point's text.
-    assert floattext._LOW[1][1] == floattext._LOW[2][1] == 0
-    assert floattext._HIGH[1][1] == floattext._HIGH[2][1] == 2**64 - 1
-    assert floattext._DOT_TEXT[1][18] == floattext._DOT_TEXT[2][18] == 0
-    assert [int(floattext._DOT_TEXT[w][1]) for w in range(3)] == [0, 0, 0]
-    assert int(floattext._DOT_TEXT[0][18]) == ord(".") << 8
 
 
 def test_table_rows_are_the_ceiling_of_a_power_of_ten_in_128_bits():
