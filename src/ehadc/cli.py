@@ -258,8 +258,11 @@ def _parse_values(spec: str) -> list[float]:
     """Sweep value list: either 'a,b,c' or an inclusive 'start:stop:step'.
 
     A range steps in exact decimals from the strings given, so
-    0.05:0.3:0.05 yields 0.15, not 0.15000000000000002.
+    0.05:0.3:0.05 yields 0.15, not 0.15000000000000002. Either form holds
+    at most 2**16 values, counted before any is converted.
     """
+    # A sweep row keeps about 16.9 kB of results, so 2^16 rows are about 1.1 GB.
+    cap = 2**16
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -271,14 +274,15 @@ def _parse_values(spec: str) -> list[float]:
             n = int((stop - start) // step) + 1
         except decimal.InvalidOperation:
             raise ValueError(f"bad range {spec!r}") from None
-        # A sweep row keeps about 16.9 kB of results, so 2^16 rows are about 1.1 GB.
-        if n > 2**16:
-            raise ValueError(f"range {spec!r} has {n} values, more than the cap of {2**16}")
+        if n > cap:
+            raise ValueError(f"range {spec!r} has {n} values, more than the cap of {cap}")
         return [float(start + i * step) for i in range(n)]
-    values = [float(p) for p in spec.split(",") if p.strip()]
-    if not values:
+    parts = [p for p in spec.split(",") if p.strip()]
+    if not parts:
         raise ValueError(f"no sweep values in {spec!r}")
-    return values
+    if len(parts) > cap:
+        raise ValueError(f"value list has {len(parts)} values, more than the cap of {cap}")
+    return [float(p) for p in parts]
 
 
 def _cmd_sweep(args) -> int:

@@ -42,14 +42,17 @@ period that holds the crossing from the end voltage of the period before it
   time order, and the storage voltage carries from one block of periods to
   the next.
   Each block tables only its live periods (harvester.live_periods), rows
-  of its own grid. Under a drive in [0, U] an exact step from v >= U ends
-  at or below v - (v - U)*g; where that margin exceeds the rounding of
-  v*a + q, the period holds the voltage carried into it, bit for bit. At
-  v = 0 only a zero drive (U = 0) is dead, and its q is exactly 0.
+  of its own grid. U bounds the rectified drive over a period's window
+  (SineSource.magnitude_bound through rectified_envelope), and under a
+  drive in [0, U] an exact step from v >= U ends at or below
+  v - (v - U)*g; where that margin exceeds the rounding of v*a + q, the
+  period holds the voltage carried into it, bit for bit. At v = 0 only a
+  zero drive (U = 0) is dead, and its q is exactly 0.
 
 Both apply a table of RC steps (_rc_steps) as v*a + q per sub-step, the float
 operations of the one-step update rc_step_value. The terms come from
-frontend.rc_step_terms, whose array and float forms give the same bits, so the
+frontend.rc_step_terms, and a pass transistor's resistances from
+frontend.r_on; the array and float forms of each give the same bits, so the
 solvers give the bits of the one-step walk.
 """
 
@@ -231,10 +234,6 @@ class SweepRow:
     error: str | None
 
 
-def _source_extremes(source: SineSource) -> tuple[float, float]:
-    return source.dc_offset - source.amplitude, source.dc_offset + source.amplitude
-
-
 def resolve_s1(scenario: Scenario) -> Switch:
     """The sampling-switch model actually used by the run.
 
@@ -322,7 +321,7 @@ def validate(scenario: Scenario) -> Switch:
     # weakest at the input nearest its gate (infinite when cut off there);
     # the drive never leaves [lo, hi], so an S1 that settles there settles
     # on every sub-step.
-    lo, hi = _source_extremes(scenario.source)
+    lo, hi = scenario.source.extremes
     v_worst = lo if s1.v_gate is None else min(max(s1.v_gate, lo), hi)
     r_worst = r_on(s1, v_worst)
     budget = scenario.clock.t_aq * (1.0 + _FEASIBILITY_SLACK)
@@ -394,8 +393,8 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     times, for a whole phase or for a row slice of it (a block, see
     _blocks). Steps are dt wide, except the last of each period, which
     absorbs the snap onto the exact boundary and takes its width h from grid.
-    tau = (r_series + r_on) * c, with a pass transistor's r_on (the float
-    operations of frontend.r_on) at the drive at the start of each sub-step.
+    tau = (r_series + r_on) * c, with a pass transistor's r_on (the array
+    form of frontend.r_on) at the drive at the start of each sub-step.
     With (a, g, psi) from rc_step_terms at x = h/tau and u0, u1 the drive at
     the step's ends, q = u0*g + (u1 - u0)*psi, so a step from v ends at
     v*a + q. A cut-off switch has tau = inf and x = 0, so a = 1 and q = 0:
@@ -416,15 +415,7 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
             q[cols] += np.multiply(u0[cols], g, out=a[cols])
             a[cols] = a_x
         return a, q
-    tau = np.subtract(switch.v_gate, u0, out=buffers.view("tau", shape, order))
-    np.abs(tau, out=tau)
-    tau -= switch.v_th
-    # A cut-off sub-step has overdrive 0 here, and 1/(+0) = inf; a subnormal
-    # k_gain*overdrive overflows 1/x to inf, an open switch too.
-    np.maximum(tau, 0.0, out=tau)
-    tau *= switch.k_gain
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(1.0, tau, out=tau)
+    tau = r_on(switch, u0, out=buffers.view("tau", shape, order))
     tau += r_series
     tau *= c
     # x = h/tau, formed in tau's buffer.
@@ -673,7 +664,7 @@ def _run(scenario: Scenario, spectral: bool, eh: bool, keep_trace: bool) -> Simu
     spec = spectrum(codes[-scenario.n_fft:], adc, plan.f_s, sig_bin) if spectral else None
     metrics = None
     if eh:
-        v_m = max(abs(x) for x in _source_extremes(source))
+        v_m = max(abs(x) for x in source.extremes)
         metrics = period_end_metrics(ends, resolved_row, plan, p_in, scenario.eh, v_m, tol=scenario.steady_tol)
     return SimulationResult(trace, spec, metrics)
 

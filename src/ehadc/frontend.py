@@ -79,24 +79,39 @@ class Switch:
         return cls(SwitchKind.PASS_TRANSISTOR, k_gain=k_gain, v_th=v_th, v_gate=v_gate)
 
 
-def r_on(model: Switch, v_signal: float = 0.0) -> float:
+def r_on(model: Switch, v_signal=0.0, out=None):
     """On-resistance of a switch at the given signal voltage.
 
     Args:
         model: switch model.
-        v_signal: voltage on the signal terminal; only the pass-transistor
-            variant depends on it (through its gate overdrive).
+        v_signal: voltage on the signal terminal, a float or an ndarray;
+            only the pass-transistor variant depends on it (through its gate
+            overdrive).
+        out: for an array v_signal, an array of its shape to hold the
+            resistances.
 
     Returns:
         Resistance in ohms; math.inf for a pass transistor with
         |v_gate - v_signal| <= v_th, which is cut off (an open branch), or
-        whose conductance k_gain*overdrive underflows to 0, as in the
-        engine's tables.
+        whose conductance k_gain*overdrive underflows to 0, or is so small
+        that 1/conductance overflows. An array goes through the same float
+        operations elementwise, into out if given, with a cut-off overdrive
+        floored at 0 and 1/(+0) = inf, so each element has the bits of the
+        float form. A constant switch returns r_on_ohm for either form.
     """
     if model.kind is SwitchKind.CONSTANT_R:
         return model.r_on_ohm
-    conductance = (abs(model.v_gate - v_signal) - model.v_th) * model.k_gain
-    return 1.0 / conductance if conductance > 0.0 else math.inf
+    if not isinstance(v_signal, np.ndarray):
+        conductance = (abs(model.v_gate - v_signal) - model.v_th) * model.k_gain
+        return 1.0 / conductance if conductance > 0.0 else math.inf
+    r = np.subtract(model.v_gate, v_signal, out=out, dtype=float)
+    np.abs(r, out=r)
+    r -= model.v_th
+    np.maximum(r, 0.0, out=r)
+    r *= model.k_gain
+    # 1/(+0) at cut-off, and 1/x overflowing, give inf: an open switch.
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(1.0, r, out=r)
 
 
 def rc_step_terms(x, out=None):

@@ -5,8 +5,10 @@ the storage capacitor C_EH. The rectifier is modeled behaviorally as a
 dead-zone transfer (|v| minus a conduction drop, floored at zero) in series
 with a conduction resistance; charge flows only into the capacitor, never
 back out (diode blocking), so the stored voltage ratchets upward toward the
-peak rectified amplitude, and a period whose drive cannot lift the held
-voltage (live_periods) holds it throughout.
+rectified input's peak, and a period whose drive cannot lift the held
+voltage (live_periods) holds it throughout. live_periods bounds the drive
+with SineSource.magnitude_bound and a pass S2 with frontend.r_on, the laws
+the engine's tables evaluate, so the bound holds for the bits they give.
 """
 
 from __future__ import annotations
@@ -83,44 +85,20 @@ def rectified_envelope(v_in, rect: RectifierModel, out=None):
     return out
 
 
-def drive_bound(source: SineSource, rect: RectifierModel, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """An upper bound on the rectified drive over each harvest window [start,
-    end]: sin at the ends of its phase interval, or +-1 at a crest or trough
-    inside it, widened for the rounding of the grid, sample_at and np.sin."""
-    w = 2.0 * math.pi * source.frequency
-    lo, hi = w * start + source.phase, w * end + source.phase
-    slack = 2.0**-40 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-    lo, hi = lo - slack, hi + slack
-    bottom, top = np.sort(np.sin([lo, hi]), axis=0)
-    turns_lo, turns_hi = lo / (2.0 * math.pi), hi / (2.0 * math.pi)
-    for s, turn in ((top, 1.0), (bottom, -1.0)):
-        # A crest (trough) inside: a whole number of turns past 1/4 (3/4).
-        s[np.floor(turns_hi - turn / 4.0) > np.floor(turns_lo - turn / 4.0)] = turn
-    dc, amp = source.dc_offset, source.amplitude
-    peak = np.maximum(np.abs(dc + amp * top), np.abs(dc + amp * bottom))
-    return np.maximum(peak + 1e-9 * (abs(dc) + amp) - rect.v_drop, 0.0)
-
-
 def live_periods(ehc: EhConfig, source: SineSource, grid: np.ndarray, dt: float, v: float):
     """Mask of the rows of a harvest phase_grid of dt-wide sub-steps whose
     harvest may raise a storage voltage v >= 0. The others are dead: U <= v
-    and U*g <= v*(g - 64*2**-53), with U the drive_bound of the row's window
-    and g the least -expm1(-h/tau) of its steps, in the float operations of
-    the engine's tables: h the narrower of dt and the snapped last width,
-    tau the largest, for a pass S2 at the drive in [0, U] nearest its gate
+    and U*g <= v*(g - 64*2**-53), with U the rectified_envelope of the
+    source's magnitude_bound over the row's window and g the least
+    -expm1(-h/tau) of its steps, in the float operations of the engine's
+    tables: h the narrower of dt and the snapped last width, tau the
+    largest, for a pass S2 its r_on at the drive in [0, U] nearest its gate
     (g = 0 at cut-off). At v = 0 only U = 0, a zero drive, is dead: q = 0."""
     start, end = grid[:, 0], grid[:, -1]
     h = np.minimum(dt, end - grid[:, -2])
-    u = drive_bound(source, ehc.rectifier, start, end)
-    s2 = ehc.s2
-    if s2.kind is SwitchKind.PASS_TRANSISTOR:
-        overdrive = np.abs(s2.v_gate - np.clip(s2.v_gate, 0.0, u)) - s2.v_th
-        # 1/(+0) = inf at cut-off, and 1/subnormal overflows to inf: an open switch.
-        with np.errstate(divide="ignore", over="ignore"):
-            r = 1.0 / (np.maximum(overdrive, 0.0) * s2.k_gain)
-    else:
-        r = r_on(s2)
-    g = -np.expm1(-(h / ((r + ehc.rectifier.r_series) * ehc.c_eh)))
+    u = rectified_envelope(source.magnitude_bound(start, end), ehc.rectifier)
+    near = np.clip(ehc.s2.v_gate, 0.0, u) if ehc.s2.kind is SwitchKind.PASS_TRANSISTOR else 0.0
+    g = -np.expm1(-(h / ((r_on(ehc.s2, near) + ehc.rectifier.r_series) * ehc.c_eh)))
     return (u > v) | (u * g > v * (g - 64 * 2.0**-53))
 
 

@@ -60,6 +60,29 @@ class SineSource:
         out += self.dc_offset
         return out
 
+    def magnitude_bound(self, start, end):
+        """An upper bound on |sample_at(t)| for t in each window [start, end],
+        start and end arrays of times in seconds: sin at the ends of its
+        phase interval, or +-1 at a crest or trough inside it, widened for
+        the rounding of the window's grid, sample_at and np.sin."""
+        w = 2.0 * math.pi * self.frequency
+        lo, hi = w * start + self.phase, w * end + self.phase
+        slack = 2.0**-40 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        lo, hi = lo - slack, hi + slack
+        bottom, top = np.sort(np.sin([lo, hi]), axis=0)
+        turns_lo, turns_hi = lo / (2.0 * math.pi), hi / (2.0 * math.pi)
+        for s, turn in ((top, 1.0), (bottom, -1.0)):
+            # A crest (trough) inside: a whole number of turns past 1/4 (3/4).
+            s[np.floor(turns_hi - turn / 4.0) > np.floor(turns_lo - turn / 4.0)] = turn
+        dc, amp = self.dc_offset, self.amplitude
+        peak = np.maximum(np.abs(dc + amp * top), np.abs(dc + amp * bottom))
+        return peak + 1e-9 * (abs(dc) + amp)
+
+    @property
+    def extremes(self) -> tuple[float, float]:
+        """The least and the greatest voltage, dc_offset -+ amplitude."""
+        return self.dc_offset - self.amplitude, self.dc_offset + self.amplitude
+
 
 def coherent_frequency(f_s: float, n_fft: int, m_cycles: int) -> float:
     """Pick a test frequency that fits an integer cycle count into the record.

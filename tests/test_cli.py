@@ -513,6 +513,19 @@ class TestSweepCommand:
         with pytest.raises(ValueError, match="has 1000000000000000001 values"):
             _parse_values("0:1:1e-18")
 
+    def test_a_comma_list_has_the_range_cap(self, tmp_path, capsys):
+        """A comma list is refused above 2**16 values as a range is, and the
+        sweep exits 2 before it runs a row."""
+        assert len(_parse_values(",".join(["0.1"] * 2**16))) == 2**16
+        values = ",".join(["0.1"] * 65541)
+        with pytest.raises(ValueError, match="value list has 65541 values, more than the cap of 65536"):
+            _parse_values(values)
+        out = tmp_path / "sweep_out"
+        argv = ["sweep", write_cfg(tmp_path, FAST_CFG), "--param", "alpha", "--values", values]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "value list has 65541 values, more than the cap of 65536" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_metric_cells_equal_the_run_summary(self, tmp_path):
         """Each metric cell of a sweep row is the repr of the same key in the
         summary.json of a standalone run at that value."""

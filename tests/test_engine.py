@@ -636,11 +636,11 @@ class TestDeadPeriods:
     the rest."""
 
     def test_drive_bound_covers_the_envelope(self):
-        """harvester.drive_bound of a period's harvest window is at least the
-        rectified envelope on every grid point of the window, early and late
-        in a MAX_PERIODS run, where the phase reaches about 3e6 rad. The
-        draws reach windows of 2*pi or more, crests inside a window, and
-        grids that round past the window's ends."""
+        """The rectified source.magnitude_bound of a period's harvest window
+        is at least the rectified envelope on every grid point of the window,
+        early and late in a MAX_PERIODS run, where the phase reaches about
+        3e6 rad. The draws reach windows of 2*pi or more, crests inside a
+        window, and grids that round past the window's ends."""
         rng = np.random.default_rng(20261020)
         wide = crest = past = 0
         for _ in range(300):
@@ -650,7 +650,7 @@ class TestDeadPeriods:
                            for rows in (slice(0, 64), slice(MAX_PERIODS - 4096, MAX_PERIODS)))
             grid = np.concatenate((early[rng.integers(0, 64, 8)], late[rng.integers(0, 4096, 56)]))
             start, end = grid[:, 0], grid[:, -1]
-            bound = harvester.drive_bound(source, rect, start, end)
+            bound = rectified_envelope(source.magnitude_bound(start, end), rect)
             env = rectified_envelope(source.sample_at(grid), rect)
             assert (bound >= env.max(axis=1)).all()
             wide += np.count_nonzero((end - start) * source.frequency >= 1.0)
@@ -749,7 +749,7 @@ class TestDeadPeriods:
 
         def live(ehc, source, grid, dt, v):
             mask = real(ehc, source, grid, dt, v)
-            u = harvester.drive_bound(source, ehc.rectifier, grid[:, 0], grid[:, -1])
+            u = rectified_envelope(source.magnitude_bound(grid[:, 0], grid[:, -1]), ehc.rectifier)
             dead.append(v > 0.0 and np.count_nonzero(~mask & (u >= ehc.s2.v_gate - ehc.s2.v_th)))
             return mask
 
@@ -1369,7 +1369,7 @@ def assert_row_matches_run(row, scenario, spectral):
         assert row.result is None and row.error == str(exc)
         return str(exc)
     assert row.error is None and row.result.trace is None
-    v_m = max(abs(x) for x in engine._source_extremes(scenario.source))
+    v_m = max(abs(x) for x in scenario.source.extremes)
     from_trace = steady_state_metrics(direct.trace, engine.input_power(scenario), scenario.eh, v_m,
                                       tol=scenario.steady_tol)
     for m in (row.result.eh, from_trace):
@@ -1614,7 +1614,7 @@ class TestEfficiencyLimits:
 def still_moving(trace, tol):
     """Whether steady_state_metrics at tol finds the storage voltage moving."""
     scenario = trace.scenario
-    v_m = max(abs(x) for x in engine._source_extremes(scenario.source))
+    v_m = max(abs(x) for x in scenario.source.extremes)
     try:
         steady_state_metrics(trace, engine.input_power(scenario), scenario.eh, v_m, tol=tol)
     except NotConverged as exc:

@@ -267,6 +267,63 @@ def pass_bench_arguments(repo_root):
     return np.concatenate((s1, s2))
 
 
+@pytest.fixture(scope="module")
+def pass_bench_drives(repo_root):
+    """{switch: drives} for both pass transistors of
+    bench/configs/lowfreq_pass.cfg: every drive at which engine.run's S1 and
+    S2 tables take their r_on, the start of each tabled sub-step."""
+    scenario, _ = build_scenario(load_config(repo_root / "bench/configs/lowfreq_pass.cfg"))
+    seen = {}
+    real = engine.r_on
+
+    def spy(model, v_signal=0.0, out=None):
+        if isinstance(v_signal, np.ndarray):
+            seen.setdefault(model, []).append(np.ravel(v_signal).copy())
+        return real(model, v_signal, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "r_on", spy)
+        engine.run(scenario, spectral=False, eh=False)
+    assert set(seen) == {scenario.adc.s1, scenario.eh.s2}
+    return {model: np.concatenate(drives) for model, drives in seen.items()}
+
+
+class TestROnForms:
+    def test_array_bits_equal_the_float_bits_in_every_layout(self, pass_bench_drives):
+        """The engine's tables take r_on of whole arrays of drives, and the
+        one-step walk of one float at a time; each element has the float
+        form's bits, written into a given out too, in C-order, Fortran-order
+        and strided arrays. Checked at the S1 and S2 drives of the
+        pass-transistor bench config, across and at the edges of each
+        switch's cut-off band |v_gate - v| <= v_th, and for a k_gain of
+        1e-309, whose subnormal conductance gives inf."""
+        switches = dict(pass_bench_drives)
+        tiny = Switch.pass_transistor(k_gain=1e-309, v_th=0.4, v_gate=0.9)
+        switches[tiny] = np.linspace(-1.0, 1.0, 161)
+        for sw, drives in switches.items():
+            edges = (sw.v_gate - sw.v_th, sw.v_gate + sw.v_th)
+            x = np.concatenate((drives, np.linspace(*edges, 161), np.nextafter(edges, 0.0), edges,
+                                np.nextafter(edges, sw.v_gate), [sw.v_gate, 0.0, -0.0]))
+            x = np.concatenate((x, np.zeros(-x.size % 16)))
+            want = np.array([r_on(sw, v) for v in x.tolist()])
+            inf = np.isinf(want)
+            assert inf.all() if sw is tiny else 0 < np.count_nonzero(inf) < inf.size
+            for name, arr in layouts_of(x).items():
+                for out in (None, np.full_like(arr, np.nan)):
+                    with np.errstate(divide="raise", invalid="raise", over="raise"):
+                        got = r_on(sw, arr, out)
+                    assert out is None or got is out
+                    bits = np.ravel(got).view(np.uint64)
+                    assert np.array_equal(bits, want.view(np.uint64)), (name, x[np.ravel(got) != want][:5])
+
+    def test_a_constant_switch_returns_its_resistance_for_an_array(self):
+        sw = Switch.constant(6.51)
+        for arr in layouts_of(np.linspace(-1.0, 1.0, 32)).values():
+            out = np.full_like(arr, np.nan)
+            assert r_on(sw, arr) == r_on(sw, arr, out) == 6.51
+            assert np.isnan(out).all()
+
+
 class TestRcStepTerms:
     def test_an_open_branch_holds(self):
         assert rc_step_terms(0.0) == (1.0, 0.0, 0.0)
