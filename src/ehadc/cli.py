@@ -34,7 +34,6 @@ from .engine import (
     Scenario,
     SimulationResult,
     TransientTrace,
-    apply_parameter,
     input_power,
     resolve_s1,
     run,
@@ -164,15 +163,16 @@ def write_summary_json(summary: dict, path) -> None:
         fh.write(json.dumps(summary, indent=2, allow_nan=False) + "\n")
 
 
-def write_sweep_csv(base: Scenario, rows, path) -> None:
-    """One line per row; each metric cell is the repr of that summarize() key."""
+def write_sweep_csv(rows, path) -> None:
+    """One line per row; each metric cell is the repr of that summarize() key
+    of the row's scenario and result."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("parameter", "value", *SWEEP_COLUMNS, "error"))
         for row in rows:
             cells = [""] * len(SWEEP_COLUMNS)
             if row.result is not None:
-                summary = summarize(apply_parameter(base, row.parameter, row.value), row.result)
+                summary = summarize(row.scenario, row.result)
                 cells = ["" if summary[k] is None else repr(summary[k]) for k in SWEEP_COLUMNS]
             writer.writerow((row.parameter, repr(row.value), *cells, row.error or ""))
 
@@ -261,7 +261,7 @@ def _parse_values(spec: str) -> list[float]:
     0.05:0.3:0.05 yields 0.15, not 0.15000000000000002. Either form holds
     at most 2**16 values, counted before any is converted.
     """
-    # A sweep row keeps about 16.9 kB of results, so 2^16 rows are about 1.1 GB.
+    # A sweep row keeps about 17.6 kB of results, so 2^16 rows are about 1.2 GB.
     cap = 2**16
     if ":" in spec:
         parts = spec.split(":")
@@ -302,7 +302,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    _write_outputs(out, {"sweep.csv": functools.partial(write_sweep_csv, scenario, rows)})
+    _write_outputs(out, {"sweep.csv": functools.partial(write_sweep_csv, rows)})
     print(f"wrote {os.path.join(out, 'sweep.csv')}")
     return 0
 

@@ -41,13 +41,14 @@ period that holds the crossing from the end voltage of the period before it
   the voltage rises. Its tables are period-major, so the flat walk runs in
   time order, and the storage voltage carries from one block of periods to
   the next.
-  Each block tables only its live periods (harvester.live_periods), rows
-  of its own grid. U bounds the rectified drive over a period's window
+  Each block tables only its live periods (live_periods), rows of its own
+  grid. U bounds the rectified drive over a period's window
   (SineSource.magnitude_bound through rectified_envelope), and under a
   drive in [0, U] an exact step from v >= U ends at or below
   v - (v - U)*g; where that margin exceeds the rounding of v*a + q, the
   period holds the voltage carried into it, bit for bit. At v = 0 only a
-  zero drive (U = 0) is dead, and its q is exactly 0.
+  zero drive (U = 0) is dead, and its q is exactly 0. The test sits beside
+  _rc_steps, since it repeats the h, tau and g of its tables.
 
 Both apply a table of RC steps (_rc_steps) as v*a + q per sub-step, the float
 operations of the one-step update rc_step_value. The terms come from
@@ -68,7 +69,7 @@ import numpy as np
 from .clocking import ClockPlan, Phase, phase_grid, time_grid
 from .errors import NotConverged, ValidationError
 from .frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
-from .harvester import EhConfig, EhMetrics, live_periods, period_end_metrics, rectified_envelope
+from .harvester import EhConfig, EhMetrics, period_end_metrics, rectified_envelope
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
 from .spectral import Spectrum, enob, sndr, spectrum
 from .stimulus import SineSource, rms_power
@@ -225,13 +226,17 @@ class SweepRow:
 
     result holds the metrics and error holds the error text of run() on the
     point's scenario, bit for bit; result.trace is None, since the row is
-    solved without building it.
+    solved without building it. scenario is the one the result came from
+    (apply_parameter of the sweep's base), so a row's summary and waveforms
+    are summarize(row.scenario, row.result) and run(row.scenario); it is
+    None on an error row.
     """
 
     parameter: str
     value: float
     result: SimulationResult | None
     error: str | None
+    scenario: Scenario | None = None
 
 
 def resolve_s1(scenario: Scenario) -> Switch:
@@ -427,6 +432,23 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     q *= u0
     q += psi
     return a, q
+
+
+def live_periods(ehc: EhConfig, source: SineSource, grid: np.ndarray, dt: float, v: float):
+    """Mask of the rows of a harvest phase_grid of dt-wide sub-steps whose
+    harvest may raise a storage voltage v >= 0. The others are dead: U <= v
+    and U*g <= v*(g - 64*2**-53), with U the rectified_envelope of the
+    source's magnitude_bound over the row's window and g the least
+    -expm1(-h/tau) of its steps, in the float operations of the engine's
+    tables: h the narrower of dt and the snapped last width, tau the
+    largest, for a pass S2 its r_on at the drive in [0, U] nearest its gate
+    (g = 0 at cut-off). At v = 0 only U = 0, a zero drive, is dead: q = 0."""
+    start, end = grid[:, 0], grid[:, -1]
+    h = np.minimum(dt, end - grid[:, -2])
+    u = rectified_envelope(source.magnitude_bound(start, end), ehc.rectifier)
+    near = np.clip(ehc.s2.v_gate, 0.0, u) if ehc.s2.kind is SwitchKind.PASS_TRANSISTOR else 0.0
+    g = -np.expm1(-(h / ((r_on(ehc.s2, near) + ehc.rectifier.r_series) * ehc.c_eh)))
+    return (u > v) | (u * g > v * (g - 64 * 2.0**-53))
 
 
 def _blocks(n_periods: int, n_sub: int) -> list[slice]:
@@ -703,7 +725,7 @@ def _sweep_worker(args) -> SweepRow:
     try:
         scenario = apply_parameter(base, parameter, value)
         # No sweep output reads the trace, so a row never builds it.
-        return SweepRow(parameter, value, _run(scenario, spectral, eh, keep_trace=False), None)
+        return SweepRow(parameter, value, _run(scenario, spectral, eh, keep_trace=False), None, scenario)
     except (ValidationError, NotConverged) as exc:
         return SweepRow(parameter, value, None, str(exc))
 
@@ -720,8 +742,9 @@ def sweep(
 
     Per-row validation and convergence failures are recorded in the row's
     error field instead of aborting the sweep. Rows are returned in input
-    order regardless of jobs, and carry no trace. At most jobs worker
-    processes run, and never more than there are values.
+    order regardless of jobs, and carry no trace; each result row carries
+    the scenario it ran. At most jobs worker processes run, and never more
+    than there are values.
 
     Raises:
         ValueError: unknown parameter name or jobs < 1 (checked before any

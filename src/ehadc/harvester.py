@@ -5,10 +5,10 @@ the storage capacitor C_EH. The rectifier is modeled behaviorally as a
 dead-zone transfer (|v| minus a conduction drop, floored at zero) in series
 with a conduction resistance; charge flows only into the capacitor, never
 back out (diode blocking), so the stored voltage ratchets upward toward the
-rectified input's peak, and a period whose drive cannot lift the held
-voltage (live_periods) holds it throughout. live_periods bounds the drive
-with SineSource.magnitude_bound and a pass S2 with frontend.r_on, the laws
-the engine's tables evaluate, so the bound holds for the bits they give.
+rectified input's peak. This module holds the circuit (RectifierModel,
+EhConfig, rectified_envelope) and the metrics read from a run's storage
+voltage. The engine solves the charging, and its dead-period test sits
+beside the RC tables whose bits that test must match.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 
 from .clocking import Phase, phase_grid
 from .errors import NotConverged
-from .frontend import Switch, SwitchKind, r_on
-from .stimulus import SineSource
+from .frontend import Switch
 
 
 @dataclass(frozen=True)
@@ -83,23 +82,6 @@ def rectified_envelope(v_in, rect: RectifierModel, out=None):
     out -= rect.v_drop
     np.maximum(out, 0.0, out=out)
     return out
-
-
-def live_periods(ehc: EhConfig, source: SineSource, grid: np.ndarray, dt: float, v: float):
-    """Mask of the rows of a harvest phase_grid of dt-wide sub-steps whose
-    harvest may raise a storage voltage v >= 0. The others are dead: U <= v
-    and U*g <= v*(g - 64*2**-53), with U the rectified_envelope of the
-    source's magnitude_bound over the row's window and g the least
-    -expm1(-h/tau) of its steps, in the float operations of the engine's
-    tables: h the narrower of dt and the snapped last width, tau the
-    largest, for a pass S2 its r_on at the drive in [0, U] nearest its gate
-    (g = 0 at cut-off). At v = 0 only U = 0, a zero drive, is dead: q = 0."""
-    start, end = grid[:, 0], grid[:, -1]
-    h = np.minimum(dt, end - grid[:, -2])
-    u = rectified_envelope(source.magnitude_bound(start, end), ehc.rectifier)
-    near = np.clip(ehc.s2.v_gate, 0.0, u) if ehc.s2.kind is SwitchKind.PASS_TRANSISTOR else 0.0
-    g = -np.expm1(-(h / ((r_on(ehc.s2, near) + ehc.rectifier.r_series) * ehc.c_eh)))
-    return (u > v) | (u * g > v * (g - 64 * 2.0**-53))
 
 
 def steady_state_metrics(

@@ -26,7 +26,7 @@ from ehadc.harvester import EhConfig, RectifierModel, rectified_envelope, steady
 from ehadc.sar_adc import AdcConfig, c_dac, dac_output
 from ehadc.spectral import enob, sndr
 from ehadc.stimulus import SineSource, coherent_frequency
-from ehadc import engine, harvester
+from ehadc import engine
 from ehadc.cli import summarize
 from ehadc.config import build_scenario, load_config
 from ehadc.engine import (
@@ -632,7 +632,7 @@ def bound_scenario(rng):
 
 class TestDeadPeriods:
     """Each harvest block tables only the periods whose drive may lift the
-    held storage voltage (harvester.live_periods); the ratchet holds through
+    held storage voltage (engine.live_periods); the ratchet holds through
     the rest."""
 
     def test_drive_bound_covers_the_envelope(self):
@@ -689,7 +689,7 @@ class TestDeadPeriods:
             hi = np.full(plan.n_periods, np.float64(1e300).view(np.int64))
             for _ in range(64):
                 mid = lo + (hi - lo) // 2
-                dead = ~harvester.live_periods(ehc, scenario.source, grid, plan.t_eh / nsub, mid.view(float))
+                dead = ~engine.live_periods(ehc, scenario.source, grid, plan.t_eh / nsub, mid.view(float))
                 hi = np.where(dead, mid, hi)
                 lo = np.where(dead, lo, mid)
             v = hi.view(float)
@@ -717,7 +717,7 @@ class TestDeadPeriods:
         reversed_ = grid[:, -1] < grid[:, -2]
         assert (reversed_ & (2.0 * a + q > 2.0).any(axis=1)).any()
         for v in (0.1, 0.5, 0.9, 2.0):
-            dead = ~harvester.live_periods(ehc, source, grid, plan.t_eh / 8, v)
+            dead = ~engine.live_periods(ehc, source, grid, plan.t_eh / 8, v)
             assert not (v * a[dead] + q[dead] > v).any()
 
     @pytest.mark.parametrize("s2", [None, Switch.pass_transistor(k_gain=2.0, v_th=0.5, v_gate=0.1)],
@@ -1514,7 +1514,19 @@ class TestSweep:
             assert a.value == b.value and a.error is None and b.error is None
             assert_same_metrics(a.result, b.result)
             case = apply_parameter(scenario, "alpha", a.value)
+            assert a.scenario == case and b.scenario == case
             assert summarize(case, a.result) == summarize(case, b.result)
+
+    def test_rows_carry_the_scenario_they_ran(self):
+        """A result row's scenario is the one its result came from, so
+        run(row.scenario) gives its bits; an error row carries none."""
+        rows = sweep(small_scenario(), "n_bits", [6.0, 4.5, 10.0], spectral=True, eh=True)
+        assert [r.value for r in rows] == [6.0, 4.5, 10.0]
+        assert rows[1].scenario is None and rows[1].result is None
+        assert "n_bits must be a whole number" in rows[1].error
+        for row in (rows[0], rows[2]):
+            assert row.scenario.adc.n_bits == int(row.value)
+            assert_row_matches_run(row, row.scenario, spectral=True)
 
     def test_rows_carry_metrics_without_the_trace(self):
         # n_sub = 64 makes each row's trace alone larger than the bound.

@@ -237,7 +237,7 @@ def pass_bench_arguments(repo_root):
     """The step arguments x = h/tau of every S1 and S2 table that engine.run
     builds for bench/configs/lowfreq_pass.cfg: S1 on every acquisition
     sub-step, S2 on every harvest sub-step of the periods whose storage
-    voltage may rise (harvester.live_periods), which include every period
+    voltage may rise (engine.live_periods), which include every period
     where it does."""
     scenario, _ = build_scenario(load_config(repo_root / "bench/configs/lowfreq_pass.cfg"))
     seen = {"S1": [], "S2": []}
