@@ -2,7 +2,7 @@
 
 Subcommands:
   run       simulate one config and write trace/codes/spectrum/summary files
-  sweep     rerun a config across values of one parameter, write sweep.csv
+  sweep     rerun a config across values of one key, write sweep.csv
   size-cap  storage-capacitor sizing from load current, period, and ripple
   analyze   recompute SNDR/ENOB and a spectrum from an existing codes.csv
 
@@ -28,9 +28,8 @@ import numpy as np
 
 from . import spectral
 from .clocking import PHASE_LABELS, Phase
-from .config import RunOptions, build_scenario, load_config
+from .config import SWEEP_ALIASES, SWEEP_KEYS, RunOptions, build_scenario, load_config, scenario_with
 from .engine import (
-    SWEEPABLE_PARAMETERS,
     Scenario,
     SimulationResult,
     TransientTrace,
@@ -287,12 +286,12 @@ def _parse_values(spec: str) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    scenario, options = build_scenario(cfg)
+    _, options = build_scenario(cfg)
     out = _out_dir(args, options)
     try:
         values = _parse_values(args.values)
         rows = sweep(
-            scenario,
+            functools.partial(scenario_with, cfg, args.param),
             args.param,
             values,
             jobs=args.jobs,
@@ -381,9 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output directory (default: run.out_dir key)")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="rerun a config across one parameter")
+    p_sweep = sub.add_parser("sweep", help="rerun a config across one key")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE_PARAMETERS)
+    p_sweep.add_argument("--param", required=True, choices=SWEEP_KEYS, metavar="KEY",
+                         help=f"a numeric config key, or one of {', '.join(SWEEP_ALIASES)}")
     p_sweep.add_argument("--values", required=True, help="comma list or start:stop:step")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel rows (default 1)")
     p_sweep.add_argument("--out")

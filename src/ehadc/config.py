@@ -60,6 +60,14 @@ KEY_TABLE: dict[str, tuple[type, object]] = {
 
 _SWITCH_TYPES = ("auto", "ideal", "constant", "pass")
 
+# The sweep names of earlier releases, kept as the parameter text of
+# sweep.csv, and the config key each sets.
+SWEEP_ALIASES = {"alpha": "clock.alpha", "f_s": "clock.f_s_hz", "c_eh": "eh.c_eh_f", "v_drop": "eh.v_drop_v",
+                 "n_bits": "adc.n_bits", "r_on_s1": "switch.s1.r_on"}
+
+# What a sweep may set: an alias or a numeric key.
+SWEEP_KEYS = (*SWEEP_ALIASES, *(key for key, (typ, _) in KEY_TABLE.items() if typ is not str))
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -73,7 +81,7 @@ class RunOptions:
 class ParsedConfig:
     """Key/value mapping plus the source line of each key, for error anchoring."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str | None):
         self.path = path
         self.values: dict[str, object] = {}
         self.lines: dict[str, int] = {}
@@ -239,3 +247,35 @@ def build_scenario(cfg: ParsedConfig) -> tuple[Scenario, RunOptions]:
         eh="eh" in metrics,
     )
     return scenario, options
+
+
+def scenario_with(cfg: ParsedConfig, key: str, value: float) -> Scenario:
+    """The scenario of cfg with one SWEEP_KEYS key set to value, built as a
+    config that sets it on its own line would be.
+
+    The value passes the checks of a config line: a float key's must be
+    finite and an int key's a whole number. r_on_s1 also makes S1 a
+    constant switch, dropping any pass-transistor keys of S1. Its errors
+    name no file, since the scenario is not the file's.
+
+    Raises:
+        ValueError: key is not in SWEEP_KEYS.
+        ConfigError: the value or the scenario it gives is invalid.
+    """
+    if key not in SWEEP_KEYS:
+        raise ValueError(f"cannot sweep {key!r}: it is neither an alias nor a numeric config key")
+    point = ParsedConfig(None)
+    point.values = dict(cfg.values)
+    if key == "r_on_s1":
+        for field in ("k_gain", "v_th", "v_gate"):
+            point.values.pop(f"switch.s1.{field}", None)
+        point.values["switch.s1.type"] = "constant"
+    key = SWEEP_ALIASES.get(key, key)
+    if KEY_TABLE[key][0] is int:
+        if not float(value).is_integer():
+            raise ConfigError(f"key {key!r} needs a whole number, got {value!r}")
+        value = int(value)
+    elif not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {value!r}")
+    point.values[key] = value
+    return build_scenario(point)[0]

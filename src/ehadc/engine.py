@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocking import ClockPlan, Phase, phase_grid, time_grid
-from .errors import NotConverged, ValidationError
+from .errors import ConfigError, NotConverged, ValidationError
 from .frontend import Switch, SwitchKind, default_settling_factor, r_on, rc_step_terms, required_r_on
 from .harvester import EhConfig, EhMetrics, period_end_metrics, rectified_envelope
 from .sar_adc import AdcConfig, c_dac, dac_output, sar_convert
@@ -88,9 +88,6 @@ _BLOCK_SUBSTEPS = 65536
 # Harvest sub-steps over which the held storage voltage is tested for a rise
 # at once.
 _HOLD_WINDOW = 1024
-
-SWEEPABLE_PARAMETERS = ("alpha", "c_eh", "v_drop", "r_on_s1", "n_bits", "f_s")
-_UNKNOWN_PARAMETER = "unknown sweep parameter {!r}; choose from " + ", ".join(SWEEPABLE_PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -227,7 +224,7 @@ class SweepRow:
     result holds the metrics and error holds the error text of run() on the
     point's scenario, bit for bit; result.trace is None, since the row is
     solved without building it. scenario is the one the result came from
-    (apply_parameter of the sweep's base), so a row's summary and waveforms
+    (the sweep's make(value)), so a row's summary and waveforms
     are summarize(row.scenario, row.result) and run(row.scenario); it is
     None on an error row.
     """
@@ -275,20 +272,21 @@ def validate(scenario: Scenario) -> Switch:
     Raises:
         ValidationError: Nyquist violation, run length over MAX_PERIODS
             periods or MAX_PERIODS*64 sub-steps per phase, a sub-step no
-            wider than 8 ulps of n_periods*T_s, nonpositive n_sub, settling
-            factor or input power, a steady-state tolerance outside (0, 1),
-            an "auto" S1 that solves to no finite resistance, an S1 that
-            cannot settle the DAC capacitance within the acquisition window
-            anywhere in the input range, or, for either switch, a sub-step
-            of more than 1e307 of its branch's least time constant or a pass
-            k_gain whose product with its largest overdrive is not finite.
+            wider than 8 ulps of n_periods*T_s, nonpositive n_sub or settling
+            factor, an input power that is not positive and finite, a
+            steady-state tolerance outside (0, 1), an "auto" S1 that solves
+            to no finite resistance, an S1 that cannot settle the DAC
+            capacitance within the acquisition window anywhere in the input
+            range, or, for either switch, a sub-step of more than 1e307 of
+            its branch's least time constant or a pass k_gain whose product
+            with its largest overdrive is not finite.
     """
     if scenario.n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {scenario.n_sub}")
     if not (0.0 < scenario.steady_tol < 1.0):
         raise ValidationError(f"steady_tol must lie in (0, 1), got {scenario.steady_tol}")
-    if scenario.p_in is not None and not (scenario.p_in > 0.0):
-        raise ValidationError(f"p_in must be positive, got {scenario.p_in}")
+    if scenario.p_in is not None and not (0.0 < scenario.p_in < math.inf):
+        raise ValidationError(f"p_in must be positive and finite, got {scenario.p_in}")
     k = _settling_factor(scenario)
     if not (k > 0.0):
         raise ValidationError(f"settling_factor_k must be positive, got {k}")
@@ -691,70 +689,43 @@ def _run(scenario: Scenario, spectral: bool, eh: bool, keep_trace: bool) -> Simu
     return SimulationResult(trace, spec, metrics)
 
 
-def apply_parameter(base: Scenario, parameter: str, value: float) -> Scenario:
-    """A copy of base with one sweepable parameter replaced.
-
-    Raises:
-        ValueError: unknown parameter name.
-        ValidationError: the new value violates a constructor invariant, or an
-            n_bits value is not a whole number.
-    """
-    try:
-        if parameter == "alpha":
-            return dataclasses.replace(base, clock=dataclasses.replace(base.clock, alpha=value))
-        if parameter == "f_s":
-            return dataclasses.replace(base, clock=dataclasses.replace(base.clock, f_s=value))
-        if parameter == "c_eh":
-            return dataclasses.replace(base, eh=dataclasses.replace(base.eh, c_eh=value))
-        if parameter == "v_drop":
-            rect = dataclasses.replace(base.eh.rectifier, v_drop=value)
-            return dataclasses.replace(base, eh=dataclasses.replace(base.eh, rectifier=rect))
-        if parameter == "r_on_s1":
-            return dataclasses.replace(base, adc=dataclasses.replace(base.adc, s1=Switch.constant(value)))
-        if parameter == "n_bits":
-            if not float(value).is_integer():
-                raise ValueError(f"n_bits must be a whole number, got {value}")
-            return dataclasses.replace(base, adc=dataclasses.replace(base.adc, n_bits=int(value)))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    raise ValueError(_UNKNOWN_PARAMETER.format(parameter))
-
-
 def _sweep_worker(args) -> SweepRow:
-    base, parameter, value, spectral, eh = args
+    make, parameter, value, spectral, eh = args
     try:
-        scenario = apply_parameter(base, parameter, value)
+        # A Scenario as make is bench/layers.py's alpha sweep; this goes once it passes a make.
+        scenario = make(value) if callable(make) else dataclasses.replace(
+            make, clock=dataclasses.replace(make.clock, alpha=value))
         # No sweep output reads the trace, so a row never builds it.
         return SweepRow(parameter, value, _run(scenario, spectral, eh, keep_trace=False), None, scenario)
-    except (ValidationError, NotConverged) as exc:
+    except (ConfigError, ValidationError, NotConverged) as exc:
         return SweepRow(parameter, value, None, str(exc))
 
 
 def sweep(
-    base: Scenario,
+    make,
     parameter: str,
     values,
     jobs: int = 1,
     spectral: bool = True,
     eh: bool = True,
 ) -> list[SweepRow]:
-    """Run one scenario per value of a single parameter.
+    """Run one row per value, on the scenario make(value).
 
-    Per-row validation and convergence failures are recorded in the row's
-    error field instead of aborting the sweep. Rows are returned in input
-    order regardless of jobs, and carry no trace; each result row carries
-    the scenario it ran. At most jobs worker processes run, and never more
-    than there are values.
+    make is a picklable callable when jobs > 1, such as
+    functools.partial(config.scenario_with, cfg, key); parameter is the
+    rows' label. A ConfigError of make, and a validation or convergence
+    failure of the run, is recorded in the row's error field instead of
+    aborting the sweep. Rows are returned in input order regardless of
+    jobs, and carry no trace; each result row carries the scenario it ran.
+    At most jobs worker processes run, and never more than there are
+    values. A Scenario passed as make is swept over its clock.alpha.
 
     Raises:
-        ValueError: unknown parameter name or jobs < 1 (checked before any
-            run starts).
+        ValueError: jobs < 1 (checked before any run starts).
     """
-    if parameter not in SWEEPABLE_PARAMETERS:
-        raise ValueError(_UNKNOWN_PARAMETER.format(parameter))
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(base, parameter, float(v), spectral, eh) for v in values]
+    tasks = [(make, parameter, float(v), spectral, eh) for v in values]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: the pool pulls in multiprocessing, which a single
         # run never uses.

@@ -6,12 +6,14 @@ high-frequency (40 MHz) designs plus closed-form regressions of the metric
 definitions themselves.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from ehadc.clocking import ClockPlan
+from ehadc.config import load_config, scenario_with
 from ehadc.engine import Scenario, run, sweep
 from ehadc.frontend import Switch, rc_step_value, required_r_on
 from ehadc.harvester import (
@@ -150,18 +152,13 @@ def test_c08_capacitance_to_charge_time_ratio(lowfreq_run, highfreq_run):
         assert 0.34e-3 <= ratio <= 0.46e-3
 
 
-def test_c09_acquisition_fraction_tradeoff(lowfreq_scenario):
+def test_c09_acquisition_fraction_tradeoff(repo_root):
     """Sweeping alpha from 0.05 to 0.5: ENOB stays above n - 0.5 and the
     charge time never decreases (longer acquisition = slower harvesting)."""
-    import dataclasses
-
-    base = dataclasses.replace(
-        lowfreq_scenario,
-        clock=dataclasses.replace(lowfreq_scenario.clock, n_periods=6144),
-        n_sub=32,
-    )
+    cfg = load_config(repo_root / "configs/lowfreq.cfg")
+    cfg.values.update({"clock.n_periods": 6144, "engine.n_sub": 32})
     values = [k / 20.0 for k in range(1, 11)]  # 0.05 .. 0.50
-    rows = sweep(base, "alpha", values, spectral=True, eh=True)
+    rows = sweep(functools.partial(scenario_with, cfg, "alpha"), "alpha", values, spectral=True, eh=True)
     assert [r.value for r in rows] == values
     for row in rows:
         assert row.error is None, f"alpha={row.value}: {row.error}"

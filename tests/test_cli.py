@@ -13,9 +13,9 @@ import pytest
 
 from ehadc import cli
 from ehadc.cli import SWEEP_COLUMNS, _parse_values, main, summarize, write_trace_csv
-from ehadc.config import build_scenario, parse_config
-from ehadc.engine import apply_parameter, run
-from ehadc.errors import ValidationError
+from ehadc.config import build_scenario, parse_config, scenario_with
+from ehadc.engine import run
+from ehadc.errors import ConfigError
 from ehadc.frontend import IDEAL_R_FLOOR, Switch
 from ehadc.sar_adc import AdcConfig
 
@@ -36,6 +36,28 @@ eh.c_eh_f = 1e-9
 engine.n_sub = 8
 engine.n_fft = 16
 """
+
+# A pass-transistor S1 for FAST_CFG.
+PASS_S1 = """\
+switch.s1.type = pass
+switch.s1.k_gain = 2.0
+switch.s1.v_th = 0.4
+switch.s1.v_gate = 1.8
+"""
+
+# (--param, --values, config text, that text with the swept line as a
+# {} field): one case per alias, and keys no alias names.
+SWEEP_CASES = [
+    ("alpha", "0.1,0.2", FAST_CFG, FAST_CFG.replace("clock.alpha = 0.1", "clock.alpha = {}")),
+    ("f_s", "10e3,20e3", FAST_CFG, FAST_CFG.replace("clock.f_s_hz = 10e3", "clock.f_s_hz = {}")),
+    ("c_eh", "1e-9,2e-9", FAST_CFG, FAST_CFG.replace("eh.c_eh_f = 1e-9", "eh.c_eh_f = {}")),
+    ("v_drop", "0.05,0.15", FAST_CFG, FAST_CFG + "eh.v_drop_v = {}\n"),
+    ("n_bits", "6,8", FAST_CFG, FAST_CFG.replace("adc.n_bits = 8", "adc.n_bits = {}")),
+    ("r_on_s1", "0.5,1", FAST_CFG + PASS_S1, FAST_CFG + "switch.s1.type = constant\nswitch.s1.r_on = {}\n"),
+    ("signal.m_cycles", "3,7", FAST_CFG, FAST_CFG.replace("signal.m_cycles = 5", "signal.m_cycles = {}")),
+    ("engine.settling_factor_k", "2,5", FAST_CFG, FAST_CFG + "engine.settling_factor_k = {}\n"),
+    ("clock.n_periods", "32,64", FAST_CFG, FAST_CFG.replace("clock.n_periods = 64", "clock.n_periods = {}")),
+]
 
 SUMMARY_KEYS = [
     "f_s_hz",
@@ -526,18 +548,23 @@ class TestSweepCommand:
         assert "value list has 65541 values, more than the cap of 65536" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_metric_cells_equal_the_run_summary(self, tmp_path):
+    @pytest.mark.parametrize("param, values, base, point", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+    def test_metric_cells_equal_the_run_summary(self, tmp_path, param, values, base, point):
         """Each metric cell of a sweep row is the repr of the same key in the
-        summary.json of a standalone run at that value."""
-        cfg = write_cfg(tmp_path, FAST_CFG)
+        summary.json of a standalone run of the config with that line edited
+        to the row's value."""
+        assert point.count("{}") == 1
+        cfg = write_cfg(tmp_path, base)
         out = tmp_path / "sweep_out"
-        assert main(["sweep", cfg, "--param", "alpha", "--values", "0.1,0.2", "--out", str(out)]) == 0
+        assert main(["sweep", cfg, "--param", param, "--values", values, "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].split(",") == ["parameter", "value", *SWEEP_COLUMNS, "error"]
+        assert len(lines) == 3
         for line in lines[1:]:
             cells = line.split(",")
-            assert cells[-1] == ""
-            text = FAST_CFG.replace("clock.alpha = 0.1", f"clock.alpha = {cells[1]}")
+            assert cells[0] == param and cells[-1] == ""
+            value = float(cells[1])
+            text = point.format(int(value) if value.is_integer() else value)
             run_out = tmp_path / f"run_{cells[1]}"
             assert main(["run", write_cfg(tmp_path, text, "point.cfg"), "--out", str(run_out)]) == 0
             summary = json.loads((run_out / "summary.json").read_text())
@@ -550,9 +577,8 @@ class TestSweepCommand:
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [9, 9, 9]
-        base, _ = build_scenario(parse_config(FAST_CFG))
-        with pytest.raises(ValidationError) as exc:
-            apply_parameter(base, "n_bits", 17.0)
+        with pytest.raises(ConfigError) as exc:
+            scenario_with(parse_config(FAST_CFG), "n_bits", 17.0)
         assert "," in str(exc.value)
         assert rows[2][-1] == str(exc.value)
 
@@ -588,11 +614,14 @@ class TestSweepCommand:
         assert (out / "sweep.csv").read_bytes() == previous
         assert [p.name for p in out.iterdir()] == ["sweep.csv"]
 
-    def test_unknown_parameter_is_a_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("param", ["v_ref", "switch.s1.type", "run.out_dir"])
+    def test_unknown_or_text_key_is_a_usage_error(self, tmp_path, param):
         cfg = write_cfg(tmp_path, FAST_CFG)
+        out = tmp_path / "sweep_out"
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", cfg, "--param", "v_ref", "--values", "0.4"])
+            main(["sweep", cfg, "--param", param, "--values", "0.4", "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
 
     def test_bad_range_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_CFG)
@@ -635,7 +664,7 @@ class TestSweepCommand:
             with open(out / "sweep.csv", newline="") as fh:
                 return [(row[1], row[-1]) for row in list(csv.reader(fh))[1:]]
 
-        not_whole = "n_bits must be a whole number, got {}".format
+        not_whole = "key 'adc.n_bits' needs a whole number, got {}".format
         assert sweep_rows("4:6:0.5") == [
             ("4.0", ""),
             ("4.5", not_whole(4.5)),

@@ -9,6 +9,7 @@ the documented single-step semantics.
 
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import pickle
 import re
@@ -28,12 +29,10 @@ from ehadc.spectral import enob, sndr
 from ehadc.stimulus import SineSource, coherent_frequency
 from ehadc import engine
 from ehadc.cli import summarize
-from ehadc.config import build_scenario, load_config
+from ehadc.config import build_scenario, load_config, parse_config, scenario_with
 from ehadc.engine import (
     MAX_PERIODS,
-    SWEEPABLE_PARAMETERS,
     Scenario,
-    apply_parameter,
     resolve_s1,
     run,
     sweep,
@@ -59,6 +58,27 @@ def small_scenario(**overrides):
     )
     defaults.update(overrides)
     return Scenario(**defaults)
+
+
+# small_scenario() as config text.
+SMALL_CFG = """\
+signal.amplitude_v = 0.35
+signal.m_cycles = 3
+clock.f_s_hz = 10e3
+clock.alpha = 0.1
+clock.n_periods = 16
+adc.n_bits = 8
+adc.v_ref = 0.4
+adc.c_unit_f = 12e-10
+eh.c_eh_f = 1e-7
+engine.n_sub = 8
+engine.n_fft = 16
+"""
+
+
+def small_sweep(key, text=SMALL_CFG):
+    """A sweep's make: the scenario of config text with key set to the value."""
+    return functools.partial(scenario_with, parse_config(text), key)
 
 
 def assert_same_metrics(a, b):
@@ -1340,16 +1360,16 @@ class TestValidation:
         with pytest.raises(NotConverged, match="eta_e = 24.155.* above its limit of 1"):
             run(scenario, spectral=False, eh=True)
 
-    @pytest.mark.parametrize("p_in", [0.0, -1e-6, math.nan])
-    def test_nonpositive_input_power_is_rejected(self, p_in, monkeypatch):
+    @pytest.mark.parametrize("p_in", [0.0, -1e-6, math.nan, math.inf])
+    def test_nonpositive_or_infinite_input_power_is_rejected(self, p_in, monkeypatch):
         def no_transient(*args):
             raise AssertionError("the transient ran")
 
         monkeypatch.setattr(engine, "_acquisition", no_transient)
         scenario = small_scenario(p_in=p_in)
-        with pytest.raises(ValidationError, match=f"p_in must be positive, got {p_in}"):
+        with pytest.raises(ValidationError, match=f"p_in must be positive and finite, got {p_in}"):
             validate(scenario)
-        with pytest.raises(ValidationError, match=f"p_in must be positive, got {p_in}"):
+        with pytest.raises(ValidationError, match=f"p_in must be positive and finite, got {p_in}"):
             run(scenario, spectral=False, eh=True)
 
 
@@ -1432,7 +1452,7 @@ class TestSweep:
     def test_single_value_sweep_matches_run(self, case):
         make, spectral, want = SWEEP_ROW_CASES[case]
         scenario = make()
-        rows = sweep(scenario, "alpha", [scenario.clock.alpha], spectral=spectral, eh=True)
+        rows = sweep(lambda _: scenario, "alpha", [scenario.clock.alpha], spectral=spectral, eh=True)
         assert len(rows) == 1
         direct = assert_row_matches_run(rows[0], scenario, spectral)
         if isinstance(want, str):
@@ -1461,7 +1481,7 @@ class TestSweep:
             )
             if block_periods:
                 monkeypatch.setattr(engine, "_BLOCK_SUBSTEPS", block_periods * scenario.n_sub)
-            (row,) = sweep(scenario, "alpha", [scenario.clock.alpha], spectral=False, eh=True)
+            (row,) = sweep(lambda _: scenario, "alpha", [scenario.clock.alpha], spectral=False, eh=True)
             direct = assert_row_matches_run(row, scenario, spectral=False)
             if isinstance(direct, str):
                 errors.append(direct.split(":")[0].split(" = ")[0])
@@ -1475,15 +1495,16 @@ class TestSweep:
         assert {"storage voltage still moving", "storage capacitor ended at 0 V, which is not above 0 V",
                 "eta_e"} <= set(errors), set(errors)
 
-    def test_row_memory_is_flat_in_run_length(self, lowfreq_scenario):
+    def test_row_memory_is_flat_in_run_length(self, repo_root):
         """A lowfreq row holds its per-period arrays plus one block: its
         tracemalloc peak at 16,384 periods is within 1 MiB of its peak at
         4,096, and that is at most 3.5 MiB. A row that kept the trace would
         hold 1 KiB more per period."""
+        cfg = load_config(repo_root / "configs/lowfreq.cfg")
+        make = functools.partial(scenario_with, cfg, "clock.n_periods")
 
         def peak(n_periods):
-            clock = dataclasses.replace(lowfreq_scenario.clock, n_periods=n_periods)
-            task = (dataclasses.replace(lowfreq_scenario, clock=clock), "alpha", 0.1, True, True)
+            task = (make, "clock.n_periods", float(n_periods), True, True)
             tracemalloc.start()
             try:
                 row = engine._sweep_worker(task)
@@ -1499,39 +1520,37 @@ class TestSweep:
         assert large - small <= 2**20, (small, large)
 
     def test_rows_keep_input_order_and_record_errors(self):
-        scenario = small_scenario()
-        rows = sweep(scenario, "alpha", [0.2, 1.0], spectral=False, eh=False)
+        rows = sweep(small_sweep("alpha"), "alpha", [0.2, 1.0], spectral=False, eh=False)
         assert [r.value for r in rows] == [0.2, 1.0]
         assert rows[0].error is None and rows[0].result is not None
         assert rows[1].result is None and "alpha" in rows[1].error
 
     def test_parallel_rows_match_serial_rows(self):
-        scenario = small_scenario()
         values = [0.1, 0.2, 0.3]
-        serial = sweep(scenario, "alpha", values, jobs=1, spectral=True, eh=True)
-        parallel = sweep(scenario, "alpha", values, jobs=2, spectral=True, eh=True)
+        serial = sweep(small_sweep("alpha"), "alpha", values, jobs=1, spectral=True, eh=True)
+        parallel = sweep(small_sweep("alpha"), "alpha", values, jobs=2, spectral=True, eh=True)
         for a, b in zip(serial, parallel):
             assert a.value == b.value and a.error is None and b.error is None
             assert_same_metrics(a.result, b.result)
-            case = apply_parameter(scenario, "alpha", a.value)
+            case = small_scenario(clock=ClockPlan(f_s=10e3, alpha=a.value, n_periods=16))
             assert a.scenario == case and b.scenario == case
             assert summarize(case, a.result) == summarize(case, b.result)
 
     def test_rows_carry_the_scenario_they_ran(self):
         """A result row's scenario is the one its result came from, so
         run(row.scenario) gives its bits; an error row carries none."""
-        rows = sweep(small_scenario(), "n_bits", [6.0, 4.5, 10.0], spectral=True, eh=True)
+        rows = sweep(small_sweep("n_bits"), "n_bits", [6.0, 4.5, 10.0], spectral=True, eh=True)
         assert [r.value for r in rows] == [6.0, 4.5, 10.0]
         assert rows[1].scenario is None and rows[1].result is None
-        assert "n_bits must be a whole number" in rows[1].error
+        assert rows[1].error == "key 'adc.n_bits' needs a whole number, got 4.5"
         for row in (rows[0], rows[2]):
             assert row.scenario.adc.n_bits == int(row.value)
             assert_row_matches_run(row, row.scenario, spectral=True)
 
     def test_rows_carry_metrics_without_the_trace(self):
         # n_sub = 64 makes each row's trace alone larger than the bound.
-        scenario = small_scenario(n_sub=64)
-        rows = sweep(scenario, "alpha", [0.1, 0.2, 0.3], jobs=2, spectral=True, eh=False)
+        make = small_sweep("alpha", SMALL_CFG.replace("engine.n_sub = 8", "engine.n_sub = 64"))
+        rows = sweep(make, "alpha", [0.1, 0.2, 0.3], jobs=2, spectral=True, eh=False)
         for row in rows:
             assert row.error is None and row.result.trace is None
             assert row.result.spectrum is not None
@@ -1556,7 +1575,7 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         values = [0.1 + 0.05 * i for i in range(n_values)]
-        rows = sweep(small_scenario(), "alpha", values, jobs=jobs, spectral=False, eh=False)
+        rows = sweep(small_sweep("alpha"), "alpha", values, jobs=jobs, spectral=False, eh=False)
         assert started == pools
         assert [r.value for r in rows] == values
 
@@ -1564,56 +1583,56 @@ class TestSweep:
     def test_jobs_below_one_are_rejected(self, monkeypatch, jobs):
         monkeypatch.setattr(engine, "_sweep_worker", None)  # no row may run
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
-            sweep(small_scenario(), "alpha", [0.1, 0.2], jobs=jobs)
+            sweep(small_sweep("alpha"), "alpha", [0.1, 0.2], jobs=jobs)
 
     @pytest.mark.parametrize(
         "parameter, value, message",
         [
-            ("f_s", math.inf, "f_s must be positive and finite, got inf"),
-            ("v_drop", math.nan, "v_drop must be finite and >= 0, got nan"),
-            ("c_eh", math.inf, "c_eh must be positive and finite, got inf"),
-            ("r_on_s1", math.inf, "constant switch needs r_on > 0 and finite, got inf"),
+            ("f_s", math.inf, "key 'clock.f_s_hz' must be finite, got inf"),
+            ("v_drop", math.nan, "key 'eh.v_drop_v' must be finite, got nan"),
+            ("c_eh", math.inf, "key 'eh.c_eh_f' must be finite, got inf"),
+            ("r_on_s1", math.inf, "key 'switch.s1.r_on' must be finite, got inf"),
+            ("n_bits", math.inf, "key 'adc.n_bits' needs a whole number, got inf"),
+            ("c_eh", -1e-6, "c_eh must be positive and finite, got -1e-06"),
         ],
     )
-    def test_non_finite_values_give_error_rows(self, parameter, value, message):
-        scenario = small_scenario()
-        rows = sweep(scenario, parameter, [value], spectral=False, eh=True)
+    def test_bad_values_give_error_rows(self, parameter, value, message):
+        rows = sweep(small_sweep(parameter), parameter, [value], spectral=False, eh=True)
         assert rows[0].result is None and rows[0].error == message
 
-    def test_unknown_parameter_is_rejected_up_front(self):
-        scenario = small_scenario()
-        with pytest.raises(ValueError):
-            sweep(scenario, "v_ref", [0.4])
-        with pytest.raises(ValueError):
-            apply_parameter(scenario, "v_ref", 0.4)
+    @pytest.mark.parametrize("key", ["v_ref", "switch.s1.type", "run.out_dir"])
+    def test_only_aliases_and_numeric_keys_are_sweepable(self, key):
+        with pytest.raises(ValueError, match=f"cannot sweep '{key}'"):
+            scenario_with(parse_config(SMALL_CFG), key, 0.4)
 
-    def test_apply_parameter_covers_every_sweepable_name(self):
-        scenario = small_scenario()
-        for name, value in [
-            ("alpha", 0.25),
-            ("c_eh", 5e-8),
-            ("v_drop", 0.05),
-            ("r_on_s1", 0.5),
-            ("n_bits", 10),
-            ("f_s", 20e3),
+    def test_each_alias_sets_its_key(self):
+        """An alias row's scenario is the base scenario with that one field
+        replaced; an f_s row's input frequency follows signal.m_cycles."""
+        cfg, base = parse_config(SMALL_CFG), small_scenario()
+        rect = base.eh.rectifier
+        for name, value, want in [
+            ("alpha", 0.25, small_scenario(clock=ClockPlan(f_s=10e3, alpha=0.25, n_periods=16))),
+            ("f_s", 20e3, small_scenario(
+                source=dataclasses.replace(base.source, frequency=coherent_frequency(20e3, 16, 3)),
+                clock=ClockPlan(f_s=20e3, alpha=0.1, n_periods=16))),
+            ("c_eh", 5e-8, small_scenario(eh=dataclasses.replace(base.eh, c_eh=5e-8))),
+            ("v_drop", 0.05, small_scenario(
+                eh=dataclasses.replace(base.eh, rectifier=dataclasses.replace(rect, v_drop=0.05)))),
+            ("r_on_s1", 0.5, small_scenario(adc=dataclasses.replace(base.adc, s1=Switch.constant(0.5)))),
+            ("n_bits", 10.0, small_scenario(adc=dataclasses.replace(base.adc, n_bits=10))),
         ]:
-            assert name in SWEEPABLE_PARAMETERS
-            changed = apply_parameter(scenario, name, value)
-            assert changed is not scenario
-
-    def test_n_bits_sweep_casts_to_int(self):
-        scenario = small_scenario()
-        changed = apply_parameter(scenario, "n_bits", 10.0)
-        assert changed.adc.n_bits == 10
+            assert scenario_with(cfg, name, value) == want, name
+        assert type(scenario_with(cfg, "n_bits", 10.0).adc.n_bits) is int
 
 
 class TestEfficiencyLimits:
-    def test_c_eh_decades_give_not_converged_or_physical_efficiencies(self, lowfreq_scenario):
+    def test_c_eh_decades_give_not_converged_or_physical_efficiencies(self, repo_root):
         """Across storage caps from 1 nF to 10 mF every run either raises
         NotConverged or reports eta_e <= 1 and eta_v <= 1."""
+        cfg = load_config(repo_root / "configs/lowfreq.cfg")
         converged = []
         for exponent in range(-9, -1):
-            scenario = apply_parameter(lowfreq_scenario, "c_eh", 10.0**exponent)
+            scenario = scenario_with(cfg, "c_eh", 10.0**exponent)
             try:
                 m = run(scenario, spectral=False, eh=True).eh
             except NotConverged:
