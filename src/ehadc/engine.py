@@ -23,7 +23,8 @@ plus one block. A sweep row builds no trace: it keeps per period only the
 codes and the end storage voltage, so a row's memory is its per-period
 arrays plus one block. Either way the harvesting metrics re-solve the one
 period that holds the crossing from the end voltage of the period before it
-(_run).
+(_run). A parallel sweep forks its workers with no process pool, and each
+streams its rows back over its own pipe (_forked_rows).
 
 * Acquisition (_acquisition): a period depends on the one before only
   through the DAC level of the previous code. Waveform relaxation guesses
@@ -61,7 +62,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import pickle
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -701,6 +705,77 @@ def _sweep_worker(args) -> SweepRow:
         return SweepRow(parameter, value, None, str(exc))
 
 
+def _forked_rows(tasks, n_workers: int) -> list[SweepRow]:
+    """The rows of tasks, in order, from n_workers forked workers.
+
+    Worker w runs tasks w, w + n, w + 2n, ... and writes each finished row
+    to its own pipe as one pickle; the parent reads row i from worker
+    i mod n, so it holds each row once and computes none. A row that raises
+    an error _sweep_worker does not record is sent in the row's place,
+    ends its worker, and is raised here. On every path the read ends are
+    closed and every worker reaped before this returns or raises; a worker
+    still writing then gets EPIPE and leaves.
+    """
+    readers, pids = [], []
+    try:
+        for w in range(n_workers):
+            r, wr = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns that a multi-threaded process
+                    # forks; numpy's BLAS pool is the other thread. A worker
+                    # calls no BLAS routine and leaves through os._exit, so
+                    # it never takes a lock that thread might hold.
+                    warnings.filterwarnings(
+                        "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                        DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        for reader in readers:
+                            reader.close()
+                        out = open(wr, "wb")
+                        for task in tasks[w::n_workers]:
+                            try:
+                                row = _sweep_worker(task)
+                            except Exception as exc:
+                                row = exc
+                            pickle.dump(row, out)
+                            out.flush()
+                            if isinstance(row, Exception):
+                                break
+                        status = 0
+                    finally:
+                        # Runs none of the parent's atexit handlers and
+                        # flushes none of its stdio buffers.
+                        os._exit(status)
+            finally:
+                os.close(wr)
+            pids.append(pid)
+        rows = []
+        for i in range(len(tasks)):
+            w = i % n_workers
+            try:
+                row = pickle.load(readers[w])
+            except (EOFError, pickle.UnpicklingError):
+                pid = pids.pop(w)
+                _, status = os.waitpid(pid, 0)
+                raise RuntimeError(
+                    f"sweep worker {pid} ended before sending row {i} "
+                    f"(wait status {status}, exit code {os.waitstatus_to_exitcode(status)})") from None
+            if isinstance(row, Exception):
+                raise row
+            rows.append(row)
+        return rows
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def sweep(
     make,
     parameter: str,
@@ -711,26 +786,27 @@ def sweep(
 ) -> list[SweepRow]:
     """Run one row per value, on the scenario make(value).
 
-    make is a picklable callable when jobs > 1, such as
-    functools.partial(config.scenario_with, cfg, key); parameter is the
-    rows' label. A ConfigError of make, and a validation or convergence
-    failure of the run, is recorded in the row's error field instead of
-    aborting the sweep. Rows are returned in input order regardless of
-    jobs, and carry no trace; each result row carries the scenario it ran.
-    At most jobs worker processes run, and never more than there are
-    values. A Scenario passed as make is swept over its clock.alpha.
+    make is any callable, such as functools.partial(config.scenario_with,
+    cfg, key); parameter is the rows' label. A ConfigError of make, and a
+    validation or convergence failure of the run, is recorded in the row's
+    error field instead of aborting the sweep. Rows are returned in input
+    order regardless of jobs, and carry no trace; each result row carries
+    the scenario it ran. A Scenario passed as make is swept over its
+    clock.alpha.
+
+    With jobs > 1 and more than one value, min(jobs, len(values)) workers
+    are forked (os.fork), row i runs on worker i mod that count, and each
+    row comes back pickled over the worker's pipe, so each row, though not
+    make, must pickle. Any other error of a row is raised here. Where
+    os.fork is missing, rows run serially.
 
     Raises:
         ValueError: jobs < 1 (checked before any run starts).
+        RuntimeError: a worker ended before sending its rows.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(make, parameter, float(v), spectral, eh) for v in values]
-    if jobs > 1 and len(tasks) > 1:
-        # Imported here: the pool pulls in multiprocessing, which a single
-        # run never uses.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(_sweep_worker, tasks))
+    if jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
+        return _forked_rows(tasks, min(jobs, len(tasks)))
     return [_sweep_worker(task) for task in tasks]

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -520,6 +522,19 @@ class TestSweepCommand:
         assert len(lines) == 3
         row = lines[1].split(",")
         assert row[0] == "c_eh" and float(row[2]) > 0.0
+
+    def test_workers_flush_none_of_the_parents_output(self, tmp_path, capfd, monkeypatch):
+        """At --jobs 2, text the parent's block-buffered stdout holds when it
+        forks, and its wrote line, each reach fd 1 exactly once."""
+        cfg = write_cfg(tmp_path, FAST_CFG + "run.metrics =\n")
+        out = tmp_path / "sweep_out"
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        stdout.write("pending ")
+        argv = ["sweep", cfg, "--param", "alpha", "--values", "0.1,0.2", "--jobs", "2", "--out", str(out)]
+        assert main(argv) == 0
+        stdout.close()
+        assert capfd.readouterr().out == f"pending wrote {out / 'sweep.csv'}\n"
 
     def test_range_never_passes_its_stop(self):
         assert _parse_values("0:1:0.6") == [0.0, 0.6]

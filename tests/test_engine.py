@@ -7,15 +7,16 @@ random scenarios, so the engine's vectorized fast paths cannot drift from
 the documented single-step semantics.
 """
 
-import concurrent.futures
 import dataclasses
 import functools
 import math
+import os
 import pickle
 import re
 import struct
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1556,28 +1557,106 @@ class TestSweep:
             assert row.result.spectrum is not None
             assert len(pickle.dumps(row)) < 64 * 1024
 
-    @pytest.mark.parametrize("jobs, n_values, pools", [(64, 3, [3]), (2, 3, [2]), (4, 1, [])])
-    def test_pool_is_never_larger_than_the_value_list(self, monkeypatch, jobs, n_values, pools):
-        started = []
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers sweep forks, in the order it forks them."""
+        pids, fork = [], os.fork
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
 
-            def __exit__(self, *exc):
-                return False
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    @pytest.mark.parametrize("jobs, n_values, n_forks", [(64, 3, 3), (2, 3, 2), (4, 1, 0)])
+    def test_workers_are_never_more_than_the_values(self, forks, jobs, n_values, n_forks):
         values = [0.1 + 0.05 * i for i in range(n_values)]
         rows = sweep(small_sweep("alpha"), "alpha", values, jobs=jobs, spectral=False, eh=False)
-        assert started == pools
+        assert len(forks) == n_forks
         assert [r.value for r in rows] == values
+        self.assert_no_child_left()
+
+    def test_rows_come_back_in_input_order_with_their_errors(self, forks):
+        """Five values on three workers; the error row 4.5 is worker 1's
+        first, and its second row, 8, still runs."""
+        values = [6.0, 4.5, 10.0, 7.0, 8.0]
+        serial = sweep(small_sweep("n_bits"), "n_bits", values, jobs=1, spectral=True, eh=True)
+        parallel = sweep(small_sweep("n_bits"), "n_bits", values, jobs=3, spectral=True, eh=True)
+        assert len(forks) == 3
+        assert [r.value for r in parallel] == values
+        for a, b in zip(serial, parallel):
+            assert (a.value, a.error, a.scenario) == (b.value, b.error, b.scenario)
+            if a.error is None:
+                assert_same_metrics(a.result, b.result)
+        assert parallel[1].error == "key 'adc.n_bits' needs a whole number, got 4.5"
+        self.assert_no_child_left()
+
+    def test_a_row_error_that_is_not_recorded_is_raised(self):
+        make = small_sweep("alpha")
+
+        def boom(value):
+            if value == 0.2:
+                raise RuntimeError("boom")
+            return make(value)
+
+        with pytest.raises(RuntimeError, match="^boom$"):
+            sweep(boom, "alpha", [0.1, 0.2, 0.3], jobs=2, spectral=False, eh=False)
+        self.assert_no_child_left()
+
+    def test_a_worker_that_dies_is_named(self, forks):
+        make = small_sweep("alpha")
+
+        def die(value):
+            if value == 0.2:
+                os._exit(3)
+            return make(value)
+
+        with pytest.raises(RuntimeError) as exc:
+            sweep(die, "alpha", [0.1, 0.2, 0.3], jobs=2, spectral=False, eh=False)
+        assert str(exc.value) == (
+            f"sweep worker {forks[1]} ended before sending row 1 (wait status 768, exit code 3)")
+        self.assert_no_child_left()
+
+    def test_make_need_not_pickle(self):
+        scenario = small_sweep("alpha")(0.1)
+        rows = sweep(lambda v: dataclasses.replace(scenario, clock=dataclasses.replace(scenario.clock, alpha=v)),
+                     "alpha", [0.1, 0.2], jobs=2, spectral=False, eh=False)
+        assert [r.scenario.clock.alpha for r in rows] == [0.1, 0.2]
+        assert all(r.error is None for r in rows)
+        self.assert_no_child_left()
+
+    def test_the_fork_warning_of_a_threaded_process_is_filtered(self, monkeypatch):
+        """Python >= 3.12 warns when a process with more than one thread
+        forks, as numpy's BLAS pool makes this one; Tier-1 turns a
+        DeprecationWarning into an error, so sweep filters that message."""
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+                          "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        rows = sweep(small_sweep("alpha"), "alpha", [0.1, 0.2], jobs=2, spectral=False, eh=False)
+        assert [r.error for r in rows] == [None, None]
+        self.assert_no_child_left()
+
+    def test_rows_run_serially_without_fork(self, monkeypatch):
+        values = [0.1, 0.2, 0.3]
+        serial = sweep(small_sweep("alpha"), "alpha", values, jobs=1, spectral=True, eh=True)
+        monkeypatch.delattr(os, "fork")
+        rows = sweep(small_sweep("alpha"), "alpha", values, jobs=2, spectral=True, eh=True)
+        for a, b in zip(serial, rows, strict=True):
+            assert (a.value, a.error, a.scenario) == (b.value, b.error, b.scenario)
+            assert_same_metrics(a.result, b.result)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_are_rejected(self, monkeypatch, jobs):

@@ -79,12 +79,29 @@ def test_modules_import_only_the_stdlib_numpy_and_the_package():
 
 
 def test_importing_the_cli_leaves_out_multiprocessing():
-    """The process pool is imported only by a parallel sweep, so a single
-    run does not pay for loading multiprocessing."""
+    """No command pays for loading multiprocessing: a parallel sweep forks
+    its workers with os.fork."""
     code = "import sys, ehadc.cli; print('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_a_parallel_sweep_loads_no_module_the_cli_has_not():
+    """The fork fan-out of a --jobs 2 sweep imports nothing beyond what
+    importing the CLI loads (a process pool imported 34 more modules)."""
+    code = (
+        "import functools, sys, ehadc.cli\n"
+        "from ehadc.config import load_config, scenario_with\n"
+        "from ehadc.engine import sweep\n"
+        "before = set(sys.modules)\n"
+        f"cfg = load_config({str(ROOT / 'configs' / 'lowfreq.cfg')!r})\n"
+        "sweep(functools.partial(scenario_with, cfg, 'alpha'), 'alpha', [0.1, 0.2], jobs=2, spectral=False)\n"
+        "print(sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_only_the_trace_writer_loads_the_float_text_kernel():
