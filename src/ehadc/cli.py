@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, choices=SWEEP_KEYS, metavar="KEY",
                          help=f"a numeric config key, or one of {', '.join(SWEEP_ALIASES)}")
     p_sweep.add_argument("--values", required=True, help="comma list or start:stop:step")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel rows (default 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per value (default 1)")
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -24,7 +24,10 @@ codes and the end storage voltage, so a row's memory is its per-period
 arrays plus one block. Either way the harvesting metrics re-solve the one
 period that holds the crossing from the end voltage of the period before it
 (_run). A parallel sweep forks its workers with no process pool, and each
-streams its rows back over its own pipe (_forked_rows).
+streams its rows back over its own pipe (_forked_rows). Worker w starts on
+CPU w mod n of the n its parent may use, then gets the whole set back: left
+alone, the kernel starts every worker on the parent's CPU, where they may
+stay and share it.
 
 * Acquisition (_acquisition): a period depends on the one before only
   through the DAC level of the previous code. Waveform relaxation guesses
@@ -710,9 +713,13 @@ def _forked_rows(tasks, n_workers: int) -> list[SweepRow]:
 
     Worker w runs tasks w, w + n, w + 2n, ... and writes each finished row
     to its own pipe as one pickle; the parent reads row i from worker
-    i mod n, so it holds each row once and computes none. A row that raises
-    an error _sweep_worker does not record is sent in the row's place,
-    ends its worker, and is raised here. On every path the read ends are
+    i mod n, so it holds each row once and computes none. Worker w first
+    pins itself to entry w mod len(cpus) of cpus, the parent's allowed CPUs
+    in sorted order, then at once allows all of cpus again: it starts on
+    its own CPU, and the scheduler may still move it. Where
+    os.sched_setaffinity is missing or fails, the kernel places it. A row
+    that raises an error _sweep_worker does not record is sent in the row's
+    place, ends its worker, and is raised here. On every path the read ends are
     closed and every worker reaped before this returns or raises; a worker
     still writing then gets EPIPE and leaves.
     """
@@ -724,9 +731,10 @@ def _forked_rows(tasks, n_workers: int) -> list[SweepRow]:
             try:
                 with warnings.catch_warnings():
                     # Python >= 3.12 warns that a multi-threaded process
-                    # forks; numpy's BLAS pool is the other thread. A worker
+                    # forks. A library caller's numpy may have started its
+                    # BLAS pool (the ehadc command starts none). A worker
                     # calls no BLAS routine and leaves through os._exit, so
-                    # it never takes a lock that thread might hold.
+                    # it never takes a lock that pool might hold.
                     warnings.filterwarnings(
                         "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
                         DeprecationWarning)
@@ -734,6 +742,13 @@ def _forked_rows(tasks, n_workers: int) -> list[SweepRow]:
                 if pid == 0:
                     status = 1
                     try:
+                        if hasattr(os, "sched_setaffinity"):
+                            try:
+                                cpus = sorted(os.sched_getaffinity(0))
+                                os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+                                os.sched_setaffinity(0, cpus)
+                            except OSError:
+                                pass
                         for reader in readers:
                             reader.close()
                         out = open(wr, "wb")
@@ -797,8 +812,9 @@ def sweep(
     With jobs > 1 and more than one value, min(jobs, len(values)) workers
     are forked (os.fork), row i runs on worker i mod that count, and each
     row comes back pickled over the worker's pipe, so each row, though not
-    make, must pickle. Any other error of a row is raised here. Where
-    os.fork is missing, rows run serially.
+    make, must pickle. Worker w starts on CPU w mod n of the n CPUs this
+    process may use, and may then move to any of them. Any other error of a
+    row is raised here. Where os.fork is missing, rows run serially.
 
     Raises:
         ValueError: jobs < 1 (checked before any run starts).

@@ -7,6 +7,7 @@ random scenarios, so the engine's vectorized fast paths cannot drift from
 the documented single-step semantics.
 """
 
+import ast
 import dataclasses
 import functools
 import math
@@ -1647,6 +1648,69 @@ class TestSweep:
         monkeypatch.setattr(os, "fork", warning_fork)
         rows = sweep(small_sweep("alpha"), "alpha", [0.1, 0.2], jobs=2, spectral=False, eh=False)
         assert [r.error for r in rows] == [None, None]
+        self.assert_no_child_left()
+
+    @pytest.fixture
+    def placements(self, monkeypatch, tmp_path):
+        """(cpus, read): this process is allowed on the two CPUs cpus while
+        the test runs, and read() maps each pid that called
+        os.sched_setaffinity to the masks it set, in order. Each worker is
+        its own process, so the recorder appends to a file."""
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("os.sched_setaffinity is missing")
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip("fewer than 2 CPUs are allowed")
+        log, setaffinity, cpus = tmp_path / "placements", os.sched_setaffinity, sorted(allowed)[:2]
+
+        def recording_setaffinity(pid, mask):
+            with open(log, "a") as fh:
+                fh.write(f"{(os.getpid(), sorted(mask))!r}\n")
+            setaffinity(pid, mask)
+
+        def read():
+            calls = {}
+            for line in log.read_text().splitlines():
+                pid, mask = ast.literal_eval(line)
+                calls.setdefault(pid, []).append(mask)
+            return calls
+
+        setaffinity(0, cpus)
+        monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
+        try:
+            yield cpus, read
+        finally:
+            setaffinity(0, allowed)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_each_worker_starts_on_its_own_cpu(self, forks, placements, jobs):
+        """Worker w sets CPU w mod 2 alone, then both again; at three jobs
+        on two CPUs, worker 2 wraps around to the first."""
+        cpus, read = placements
+        values = [0.1, 0.2, 0.3]
+        rows = sweep(small_sweep("alpha"), "alpha", values, jobs=jobs, spectral=False, eh=False)
+        assert [r.value for r in rows] == values and all(r.error is None for r in rows)
+        assert read() == {pid: [[cpus[w % 2]], cpus] for w, pid in enumerate(forks)}
+        assert len(forks) == jobs
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("placement", ["fails", "missing"])
+    def test_rows_do_not_depend_on_placement(self, monkeypatch, placement):
+        values = [0.1, 0.2, 0.3]
+        serial = sweep(small_sweep("alpha"), "alpha", values, jobs=1, spectral=True, eh=True)
+        if placement == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        elif hasattr(os, "sched_setaffinity"):
+            def refuse(pid, mask):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        else:
+            pytest.skip("os.sched_setaffinity is missing")
+        rows = sweep(small_sweep("alpha"), "alpha", values, jobs=2, spectral=True, eh=True)
+        for a, b in zip(serial, rows, strict=True):
+            assert (a.value, a.error, a.scenario) == (b.value, b.error, b.scenario)
+            assert_same_metrics(a.result, b.result)
         self.assert_no_child_left()
 
     def test_rows_run_serially_without_fork(self, monkeypatch):

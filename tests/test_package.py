@@ -10,6 +10,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ehadc
 from ehadc import config
@@ -24,6 +25,55 @@ def test_every_exported_name_resolves():
     missing = [name for name in ehadc.__all__ if getattr(ehadc, name, None) is None]
     assert missing == []
     assert len(set(ehadc.__all__)) == len(ehadc.__all__)
+
+
+def _run_python(code: str, **env: str) -> str:
+    """Stdout of code in a fresh interpreter that imports this package, with
+    OPENBLAS_NUM_THREADS set only if env sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = {**base, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_no_variable():
+    """Each name loads its module on first use, so a library user's BLAS
+    keeps its threads: only the ehadc command sets OPENBLAS_NUM_THREADS."""
+    code = (
+        "import os, sys, ehadc\n"
+        "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+        "from ehadc import run, sweep\n"
+        "print(run.__module__, sweep.__module__)\n"
+        "print(all(getattr(ehadc, name) is not None for name in ehadc.__all__),"
+        " set(ehadc.__all__) <= set(dir(ehadc)))\n"
+    )
+    assert _run_python(code).splitlines() == ["False False", "ehadc.engine ehadc.engine", "True True"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc/self/task")
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_the_command_starts_numpy_without_a_blas_pool(preset, want):
+    """The ehadc command defaults OPENBLAS_NUM_THREADS to 1 before numpy
+    loads, so the process has one thread; a value the user set is kept."""
+    code = (
+        "import os, ehadc.__main__, numpy\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    )
+    out = _run_python(code, **({} if preset is None else {"OPENBLAS_NUM_THREADS": preset}))
+    variable, threads = out.split()
+    assert variable == want
+    if preset is None:
+        assert threads == "1"
+
+
+def test_the_installed_script_runs_the_main_of_python_dash_m():
+    script = re.search(r'^ehadc = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert script.groups() == ("ehadc.__main__", "main")
+    code = (
+        "import runpy, ehadc.__main__, ehadc.cli\n"
+        "print(ehadc.__main__.main is ehadc.cli.main is runpy.run_module('ehadc', run_name='probe')['main'])"
+    )
+    assert _run_python(code) == "True"
 
 
 def test_readme_names_only_exported_pieces():
@@ -82,9 +132,7 @@ def test_importing_the_cli_leaves_out_multiprocessing():
     """No command pays for loading multiprocessing: a parallel sweep forks
     its workers with os.fork."""
     code = "import sys, ehadc.cli; print('multiprocessing' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _run_python(code) == "False"
 
 
 def test_a_parallel_sweep_loads_no_module_the_cli_has_not():
@@ -99,9 +147,7 @@ def test_a_parallel_sweep_loads_no_module_the_cli_has_not():
         "sweep(functools.partial(scenario_with, cfg, 'alpha'), 'alpha', [0.1, 0.2], jobs=2, spectral=False)\n"
         "print(sorted(set(sys.modules) - before))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code) == "[]"
 
 
 def test_only_the_trace_writer_loads_the_float_text_kernel():
@@ -114,9 +160,7 @@ def test_only_the_trace_writer_loads_the_float_text_kernel():
         f"build_scenario(load_config({str(ROOT / 'configs' / 'lowfreq.cfg')!r}))\n"
         "print('ehadc.floattext' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _run_python(code) == "False"
 
 
 def _bench_trees() -> dict[str, ast.Module]:
