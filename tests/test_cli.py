@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -839,6 +840,32 @@ class TestAnalyzeCommand:
         )
         assert code == 2
         assert "code" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{cfg}", "--out", "{out}"],
+        ["sweep", "{cfg}", "--param", "alpha", "--values", "0.1,0.2", "--jobs", "1", "--out", "{out}"],
+        ["sweep", "{cfg}", "--param", "alpha", "--values", "0.1,0.2", "--jobs", "2", "--out", "{out}"],
+        ["analyze", "{codes}", "--n-bits", "8", "--v-ref", "0.4", "--f-s", "10e3", "--n-fft", "16",
+         "--out", "{out}"],
+        ["size-cap", "--i-load", "1e-6", "--t-p", "1e-3", "--delta-v", "0.1"],
+    ],
+    ids=["run", "sweep-jobs1", "sweep-jobs2", "analyze", "size-cap"],
+)
+def test_no_command_leaves_a_file_for_shutdown_to_close(tmp_path, capsys, argv):
+    """The ehadc command freezes every live object at exit (ehadc.__main__),
+    so a file a command left open in a reference cycle would lose its
+    buffered text without a warning. Every file each command opens is closed
+    when it returns: collecting after it finalises none."""
+    codes = tmp_path / "codes.csv"
+    codes.write_text("code\n" + "".join(f"{(7 * k) % 256}\n" for k in range(16)))
+    fields = {"cfg": write_cfg(tmp_path, FAST_CFG), "out": str(tmp_path / "out"), "codes": str(codes)}
+    assert main([arg.format(**fields) for arg in argv]) == 0
+    gc.collect()
+    assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point_runs():

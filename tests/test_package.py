@@ -76,6 +76,29 @@ def test_the_installed_script_runs_the_main_of_python_dash_m():
     assert _run_python(code) == "True"
 
 
+@pytest.mark.parametrize(
+    "imports, frozen", [("ehadc.__main__", "True"), ("ehadc, ehadc.cli, ehadc.engine", "False")]
+)
+def test_only_the_command_freezes_the_collector_at_exit(imports, frozen):
+    """The ehadc command moves every live object to the collector's permanent
+    generation at exit, after the handlers its modules register, so the
+    shutdown collections skip them; a library caller's collector, running a
+    command through cli.main or a parallel sweep, is left alone. The checker
+    is registered first, so it runs after every handler ehadc registers."""
+    code = (
+        "import atexit, functools, gc\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        f"import {imports}\n"
+        "from ehadc import cli\n"
+        "from ehadc.config import load_config, scenario_with\n"
+        "from ehadc.engine import sweep\n"
+        "cli.main(['size-cap', '--i-load', '1e-6', '--t-p', '1e-3', '--delta-v', '0.1'])\n"
+        f"cfg = load_config({str(ROOT / 'configs' / 'lowfreq.cfg')!r})\n"
+        "sweep(functools.partial(scenario_with, cfg, 'alpha'), 'alpha', [0.1, 0.2], jobs=2, spectral=False)\n"
+    )
+    assert _run_python(code).splitlines()[-1] == frozen
+
+
 def test_readme_names_only_exported_pieces():
     """Every backticked name in the README's "Lower-level pieces" paragraph
     resolves on the package, so the docs cannot keep naming a deleted export."""
