@@ -41,45 +41,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdcConfig",
-    "ClockPlan",
-    "ConfigError",
-    "EhConfig",
-    "EhMetrics",
-    "NotConverged",
-    "Phase",
-    "RectifierModel",
-    "Scenario",
-    "SimulationResult",
-    "SineSource",
-    "Spectrum",
-    "SweepRow",
-    "Switch",
-    "SwitchKind",
-    "TransientTrace",
-    "ValidationError",
-    "boost_charge_time",
-    "c_dac",
-    "coherent_frequency",
-    "dac_output",
-    "default_settling_factor",
-    "enob",
-    "harvested_energy",
-    "r_on",
-    "rc_step_value",
-    "rectified_envelope",
-    "required_r_on",
-    "rms_power",
-    "run",
-    "sar_convert",
-    "size_capacitor",
-    "sndr",
-    "spectrum",
-    "steady_state_metrics",
-    "sweep",
-    "time_grid",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

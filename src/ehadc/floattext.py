@@ -20,9 +20,7 @@ Layout: Python's 'r' rules. Exponent form (1e-05, 1.5e+16, 5e-324) when
 the decimal point falls 4 or more places left of the first digit or 17 or
 more right of it, else positional (0.0001, 1234.5, 100.0, -0.0). Only inf,
 -inf and nan are left to repr. The point goes after digit p of the 17-digit
-field, through per-p byte masks. In a chunk where no value has digits before
-its point (none in [1, 1e16) and no zero, inf or nan, which go through as
-1.0), p = 1 for every value, and each mask is one constant.
+field, through per-p byte masks.
 """
 
 from __future__ import annotations
@@ -263,17 +261,12 @@ def _fill(x, out):
     below_one = ~expo & (decpt <= 0)
     # The point goes after digit p: decpt in positional form (with a 0 after
     # it for an integral value), else after the first digit, where it is
-    # shown only in exponent form with more digits to follow. A chunk with
-    # no value in positional form skips the per-value p and the integral
-    # test: p = 1 picks one constant from each mask table.
+    # shown only in exponent form with more digits to follow.
     several = expo & (some1 | ((z0 >> _U64(8)) != _ZERO))
-    if positional.any():
-        p = np.where(positional, decpt, 1)
-        finite = bits.view(np.float64)
-        integral = (np.abs(finite) < 1e16) & (np.trunc(finite) == finite)
-        dot = np.where(positional, decpt + 17 + 17 * integral, 1 + 17 * several)
-    else:
-        p, dot = 1, 1 + 17 * several
+    p = np.where(positional, decpt, 1)
+    finite = bits.view(np.float64)
+    integral = (np.abs(finite) < 1e16) & (np.trunc(finite) == finite)
+    dot = np.where(positional, decpt + 17 + 17 * integral, 1 + 17 * several)
 
     out[:, 0] = _LEAD_TEXT[5 * np.signbit(x) + np.where(below_one, 1 - decpt, 0)]
     out[:, 1] = (u0 & _LOW[0][p]) | _DOT_TEXT[0][dot] | ((a0 << _U64(8)) & _HIGH[0][p])

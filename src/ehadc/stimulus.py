@@ -76,6 +76,14 @@ class SineSource:
             s[np.floor(turns_hi - turn / 4.0) > np.floor(turns_lo - turn / 4.0)] = turn
         dc, amp = self.dc_offset, self.amplitude
         peak = np.maximum(np.abs(dc + amp * top), np.abs(dc + amp * bottom))
+        # The bound covers the values sample_at computes, not the true sine.
+        # dc + amp*s keeps the order of s (rounding to nearest is monotone),
+        # but np.sin is only faithful to some n ulps on some builds, so a
+        # time inside the window may compute a sin above that of its widened
+        # end. Near a crest or trough the phase slack moves sin by less than
+        # an ulp, so only an absolute term covers that: with both roundings,
+        # a sample exceeds peak by at most (2n + 4) * 2**-53 * (|dc| + amp),
+        # which this covers for n up to 4 million.
         return peak + 1e-9 * (abs(dc) + amp)
 
     @property

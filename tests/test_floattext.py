@@ -7,8 +7,8 @@ sets cover the cases Schubfach treats apart (powers of two, whose rounding
 interval is narrower below than above), the places where repr switches
 notation, three-digit exponents, exact ties between two shortest
 candidates, and the values the kernel formats without digits from Schubfach.
-Chunks without a value in positional form with digits before the point take
-a layout of their own, tested with and without such a value.
+A chunk whose every point falls after the first digit is tested with and
+without a value that has digits before its point.
 """
 
 import math
@@ -17,24 +17,6 @@ import numpy as np
 import pytest
 
 from ehadc import floattext
-
-
-def count_layouts(monkeypatch):
-    """Counts, while monkeypatch holds, of floattext._fill calls (chunks) and
-    of those with every point after the first digit, which _fill lays out at
-    p = 1: no value in [1, 1e16) and no zero, inf or nan."""
-    calls = {"chunks": 0, "point_after_first": 0}
-    fill = floattext._fill
-
-    def counted_fill(x, out):
-        calls["chunks"] += 1
-        size = np.abs(x)
-        digits_before_point = (size >= 1.0) & (size < 1e16)
-        calls["point_after_first"] += bool(np.all(np.isfinite(x) & (size > 0.0) & ~digits_before_point))
-        return fill(x, out)
-
-    monkeypatch.setattr(floattext, "_fill", counted_fill)
-    return calls
 
 
 def texts(values) -> list[bytes]:
@@ -184,22 +166,18 @@ def no_digits_before_the_point():
     values = np.concatenate((below_one, exponent_form, subnormals, edges))
     values = np.concatenate((values, -values))
     assert np.all(values != 0.0) and np.all((np.abs(values) < 1.0) | (np.abs(values) >= 1e16))
-    assert len(values) < floattext._CHUNK  # one chunk, so one layout
+    assert len(values) < floattext._CHUNK  # one chunk
     return values
 
 
-def test_chunks_with_every_point_after_the_first_digit_match_repr(monkeypatch):
-    calls = count_layouts(monkeypatch)
+def test_chunks_with_every_point_after_the_first_digit_match_repr():
     assert_matches_repr(no_digits_before_the_point())
-    assert calls == {"chunks": 1, "point_after_first": 1}
 
 
 @pytest.mark.parametrize("inserted", [1.5, 0.0, -0.0, 9999999999999998.0])
-def test_one_value_with_digits_before_the_point_takes_the_general_layout(monkeypatch, inserted):
+def test_one_value_with_digits_before_the_point_takes_the_general_layout(inserted):
     values = no_digits_before_the_point()
-    calls = count_layouts(monkeypatch)
     assert_matches_repr(np.insert(values, len(values) // 2, inserted))
-    assert calls == {"chunks": 1, "point_after_first": 0}
 
 
 def test_table_rows_are_the_ceiling_of_a_power_of_ten_in_128_bits():

@@ -112,6 +112,32 @@ class TestSineSource:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SineSource(**fields)
 
+    def test_magnitude_bound_covers_a_sine_that_errs_by_a_few_ulps(self, monkeypatch):
+        """magnitude_bound bounds what sample_at computes under any np.sin
+        faithful to a few ulps, not only under one that keeps sin's order.
+        Here np.sin errs by up to 2 ulps, by the bits of its argument, on
+        windows that end just short of a crest or trough: sin is flat there,
+        so a time inside a window can compute above the window's widened
+        end, which only the absolute slack covers."""
+        sin = np.sin
+
+        def sin_off_by_ulps(x, out=None):
+            s = sin(x, out=out)
+            ulps = (np.asarray(x).view(np.uint64) * np.uint64(0x9E37_79B9_7F4A_7C15)) >> np.uint64(61)
+            s.view(np.int64)[...] += np.clip(ulps.astype(np.int64) - 3, -2, 2)
+            return np.clip(s, -1.0, 1.0, out=s)
+
+        rng = np.random.default_rng(20261022)
+        src = SineSource(amplitude=float(rng.uniform(0.1, 2.0)), frequency=1e3, dc_offset=0.3)
+        n = 20_000
+        turns = rng.integers(0, 1000, n) + rng.choice([0.25, 0.75], n)  # a crest or a trough
+        end = (turns - 10.0 ** rng.uniform(-9.0, -4.0, n) / (2 * math.pi)) / src.frequency
+        start = end - 10.0 ** rng.uniform(-9.0, -4.0, n) / (2 * math.pi * src.frequency)
+        grid = start[:, None] + (end - start)[:, None] * np.linspace(0.0, 1.0, 17)
+        grid[:, -1] = end
+        monkeypatch.setattr(np, "sin", sin_off_by_ulps)
+        assert (np.abs(src.sample_at(grid)) <= src.magnitude_bound(start, end)[:, None]).all()
+
 
 class TestCoherentFrequency:
     def test_reference_grid_examples(self):
