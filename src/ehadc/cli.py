@@ -330,8 +330,9 @@ def _read_codes_csv(path) -> np.ndarray:
 
 
 def _cmd_analyze(args) -> int:
-    if args.n_fft < 1:
-        raise ConfigError(f"n_fft must be positive, got {args.n_fft}")
+    if args.n_fft < 4:
+        need = "positive" if args.n_fft < 1 else "at least 4 to hold a bin between 0 and n_fft/2"
+        raise ConfigError(f"n_fft must be {need}, got {args.n_fft}")
     out = _out_dir(args, None)
     codes = _read_codes_csv(args.codes_csv)
     if len(codes) < args.n_fft:

@@ -350,8 +350,8 @@ def validate(scenario: Scenario) -> Switch:
     for phase, name, switch, r_series, width, drive, key, value, c in (
         ("acquisition", "s1", s1, 0.0, clock.t_aq, (lo, hi), "adc.c_unit_f", scenario.adc.c_unit,
          c_dac(scenario.adc)),
-        ("harvest", "s2", eh.s2, rect.r_series, clock.t_eh, (0.0, max(max(-lo, hi) - rect.v_drop, 0.0)),
-         "eh.c_eh_f", eh.c_eh, eh.c_eh),
+        ("harvest", "s2", eh.s2, rect.r_series, clock.t_eh,
+         (0.0, float(rectified_envelope(max(-lo, hi), rect))), "eh.c_eh_f", eh.c_eh, eh.c_eh),
     ):
         far = 0.0 if switch.v_gate is None else max(drive, key=lambda u: abs(switch.v_gate - u))
         r = r_on(switch, far)
@@ -408,9 +408,10 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
     With (a, g, psi) from rc_step_terms at x = h/tau and u0, u1 the drive at
     the step's ends, q = u0*g + (u1 - u0)*psi, so a step from v ends at
     v*a + q. A cut-off switch has tau = inf and x = 0, so a = 1 and q = 0:
-    the node holds. A constant switch takes the terms once for dt and
-    once per period for its last width. A block whose x all lie on one side
-    of _PSI_SERIES_X runs one form of psi (see rc_step_terms).
+    the node holds. A constant switch takes the terms in one call, on
+    [dt, *h_last]/tau: element 0 serves the interior columns and the rest
+    the last column. A block whose x all lie on one side of _PSI_SERIES_X
+    runs one form of psi (see rc_step_terms).
     """
     u0, u1 = drive[:, :-1], drive[:, 1:]
     h_last = grid[:, -1] - grid[:, -2]
@@ -419,8 +420,9 @@ def _rc_steps(switch: Switch, r_series: float, c: float, drive: np.ndarray, grid
         tau = (r_series + r_on(switch)) * c
         q = np.subtract(u1, u0, out=buffers.view("q", shape, order))
         a = buffers.view("a", shape, order)
-        for cols, x in ((np.s_[:, :-1], dt / tau), (np.s_[:, -1], h_last / tau)):
-            a_x, g, psi = rc_step_terms(x)
+        terms = rc_step_terms(np.concatenate(([dt], h_last)) / tau)
+        for cols, k in ((np.s_[:, :-1], 0), (np.s_[:, -1], np.s_[1:])):
+            a_x, g, psi = (t[k] for t in terms)
             q[cols] *= psi
             q[cols] += np.multiply(u0[cols], g, out=a[cols])
             a[cols] = a_x

@@ -133,14 +133,7 @@ def rc_step_terms(x, out=None):
         e = np.array([-x])
         a = np.exp(e).item()
         g = -np.expm1(e).item()
-        if x < _PSI_SERIES_X:
-            psi = _PSI_SERIES[0]
-            for coef in _PSI_SERIES[1:]:
-                psi = psi * x + coef
-            psi *= x
-        else:
-            psi = 1.0 - g / x
-        return a, g, psi
+        return a, g, _psi_series(x) if x < _PSI_SERIES_X else 1.0 - g / x
     below = x < _PSI_SERIES_X
     n_below = np.count_nonzero(below)
     a, g, psi = (None,) * 3 if out is None else out
@@ -161,10 +154,14 @@ def rc_step_terms(x, out=None):
     return a, g, psi
 
 
-def _psi_series(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """psi from _PSI_SERIES at every element of x, in x's layout, or into out."""
-    psi = np.empty_like(x) if out is None else out
-    psi.fill(_PSI_SERIES[0])
+def _psi_series(x, out=None):
+    """psi from _PSI_SERIES at a float x, or at every element of an array x,
+    in x's layout or into out, by the same IEEE operations for both."""
+    if isinstance(x, np.ndarray):
+        psi = np.empty_like(x) if out is None else out
+        psi.fill(_PSI_SERIES[0])
+    else:
+        psi = _PSI_SERIES[0]
     for coef in _PSI_SERIES[1:]:
         psi *= x
         psi += coef

@@ -785,6 +785,9 @@ class TestAnalyzeCommand:
             (["--n-bits", "8", "--signal-bin", "5000"], "signal_bin"),
             (["--n-bits", "8", "--n-fft", "0", "--signal-bin", "41"], "n_fft must be positive"),
             (["--n-bits", "8", "--n-fft", "-4"], "n_fft must be positive"),
+            # Without --signal-bin too: the auto-detect probe must not name a bin.
+            (["--n-bits", "8", "--n-fft", "2"],
+             "n_fft must be at least 4 to hold a bin between 0 and n_fft/2, got 2"),
             # The codes are 7*k mod 256; the first one from 128 up is 133 (k = 19).
             (["--n-bits", "7"], "code 133 lies outside [0, 128) for n_bits = 7"),
             (["--n-bits", "8", "--f-s", "0"], "f_s must be positive and finite, got 0.0"),

@@ -1131,6 +1131,66 @@ class TestScaleLaw:
         assert reached == {"series", "quotient", "both", "cut-off", "on"}
 
 
+def voltage_scaled(scenario, lam):
+    """scenario with every voltage times lam: amplitude, dc_offset, v_ref,
+    v_drop and a pass switch's v_gate and v_th; a pass switch's k_gain over
+    lam, so its r_on keeps its value, and a configured p_in times lam**2."""
+
+    def switch(s):
+        if not isinstance(s, Switch) or s.kind is not SwitchKind.PASS_TRANSISTOR:
+            return s
+        return Switch.pass_transistor(k_gain=s.k_gain / lam, v_th=s.v_th * lam, v_gate=s.v_gate * lam)
+
+    source, adc, eh = scenario.source, scenario.adc, scenario.eh
+    return dataclasses.replace(
+        scenario,
+        source=dataclasses.replace(source, amplitude=source.amplitude * lam, dc_offset=source.dc_offset * lam),
+        adc=dataclasses.replace(adc, v_ref=adc.v_ref * lam, s1=switch(adc.s1)),
+        eh=dataclasses.replace(
+            eh, rectifier=dataclasses.replace(eh.rectifier, v_drop=eh.rectifier.v_drop * lam), s2=switch(eh.s2)
+        ),
+        p_in=None if scenario.p_in is None else scenario.p_in * lam * lam,
+    )
+
+
+def assert_voltages_scale_bit_for_bit(base, lam, metrics):
+    want = run(base, spectral=metrics, eh=metrics)
+    got = run(voltage_scaled(base, lam), spectral=metrics, eh=metrics)
+    assert got.trace.codes.tobytes() == want.trace.codes.tobytes()
+    for name in ("dac_aq", "ceh_eh"):
+        assert getattr(got.trace, name).tobytes() == (getattr(want.trace, name) * lam).tobytes(), name
+    if metrics:
+        assert float_bits(got.enob) == float_bits(want.enob)
+        for name in ("t_ceh", "eta_e", "eta_v"):
+            assert float_bits(getattr(got.eh, name)) == float_bits(getattr(want.eh, name)), name
+        assert float_bits(got.eh.v_eh) == float_bits(want.eh.v_eh * lam)
+
+
+class TestVoltageScaleLaw:
+    """Scaling every voltage by lam = 2**k (and the input power by lam**2)
+    scales every drive, node voltage and bound by exactly lam and leaves
+    every tau, every code and every ratio as it is: codes, ENOB, t_ceh,
+    eta_e and eta_v keep their bits, and dac_aq, ceh_eh and v_eh scale by
+    exactly lam."""
+
+    @pytest.mark.parametrize("k", range(-3, 5))
+    @pytest.mark.parametrize(
+        "config", ["configs/lowfreq.cfg", "configs/highfreq.cfg", "bench/configs/lowfreq_pass.cfg"]
+    )
+    def test_power_of_two_voltage_scaling_keeps_every_bit(self, config, k, repo_root):
+        base, _ = build_scenario(load_config(repo_root / config))
+        assert_voltages_scale_bit_for_bit(base, 2.0**k, metrics=True)
+
+    def test_random_scenarios_scale_bit_for_bit(self):
+        """Seeded random scenarios (random_walk_scenario: constant, auto and
+        pass-transistor switches, some S2 cut off over part of the envelope),
+        each scaled by 2**k for k in -20..20."""
+        rng = np.random.default_rng(20261022)
+        for _ in range(200):
+            base = random_walk_scenario(rng)
+            assert_voltages_scale_bit_for_bit(base, 2.0 ** int(rng.integers(-20, 21)), metrics=False)
+
+
 class TestDcOperatingPoint:
     def test_dc_input_at_a_code_center_is_a_fixed_point(self):
         cfg = AdcConfig(n_bits=8, v_ref=0.4, c_unit=12e-10)
@@ -1783,6 +1843,41 @@ class TestEfficiencyLimits:
             assert m.eta_e <= 1.0 and m.eta_v <= 1.0, (exponent, m)
             converged.append(exponent)
         assert -4 in converged  # the shipped 100 uF design
+
+    def test_storage_never_rises_above_the_largest_conducting_drive(self, repo_root):
+        """C_EH charges through S2 toward the rectified envelope, so it never
+        passes v_sup, the largest drive at either end of a harvest sub-step
+        whose S2 conducts at its start. Seeded random runs, fast-converging
+        ones (c_eh 1e-15 to 1e-9 F over 50 to 400 periods) among them, and
+        the three reference configs; some converging runs end within 1e-9
+        of v_sup."""
+
+        def v_sup(trace):
+            scenario = trace.scenario
+            u = rectified_envelope(trace.inputs()[3], scenario.eh.rectifier)
+            on = np.broadcast_to(np.isfinite(r_on(scenario.eh.s2, u[:, :-1])), u[:, 1:].shape)
+            return np.maximum(u[:, :-1], u[:, 1:])[on].max(initial=0.0)
+
+        scenarios = [
+            build_scenario(load_config(repo_root / config))[0]
+            for config in ("configs/lowfreq.cfg", "configs/highfreq.cfg", "bench/configs/lowfreq_pass.cfg")
+        ]
+        rng = np.random.default_rng(20261022)
+        scenarios += [random_walk_scenario(rng) for _ in range(200)]
+        for _ in range(300):
+            base = random_walk_scenario(rng)
+            scenarios.append(dataclasses.replace(
+                base,
+                clock=dataclasses.replace(base.clock, n_periods=int(rng.integers(50, 401))),
+                eh=dataclasses.replace(base.eh, c_eh=10.0 ** float(rng.uniform(-15.0, -9.0))),
+            ))
+        reached = 0
+        for scenario in scenarios:
+            trace = run(scenario, spectral=False, eh=False).trace
+            top = v_sup(trace)
+            assert trace.ceh_eh.max() <= top, scenario
+            reached += top > 0.0 and top - trace.ceh_eh[-1, -1] <= 1e-9 * top
+        assert reached > 0
 
 
 def still_moving(trace, tol):
